@@ -51,4 +51,5 @@ for degree in (1, 2, 3, 9, 10):
     divisors = modulus_right_divisors(F, 20, degree)
     print(f"  degree {degree:2d}: {len(divisors)} monic right divisors")
 print("(each one is the generator polynomial of a block-length-20 code;")
-print(" the scan is vectorized, so cost grows as 4^degree)")
+print(" the scan is vectorized and degrees d > 10 come out as cofactors of")
+print(" degree 20 - d, so the cost grows as 4^min(d, 20 - d))")

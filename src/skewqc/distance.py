@@ -23,8 +23,9 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,20 +88,20 @@ class DistanceReport:
 
 
 def pack_gf4(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Pack (..., n) symbols into (..., ceil(n/64)) uint64 bit planes."""
+    """Pack (..., n) symbols into (..., ceil(n/64)) uint64 bit planes.
+
+    Symbol j lands in bit j % 64 of word j // 64; both planes are packed in
+    one pass by np.packbits over the symbols zero-padded to 64 * nw.
+    """
     mat = np.asarray(mat, dtype=np.uint8)
     n = mat.shape[-1]
     nw = (n + 63) // 64
-    lead = mat.shape[:-1]
-    lo = np.zeros(lead + (nw,), dtype=np.uint64)
-    hi = np.zeros(lead + (nw,), dtype=np.uint64)
-    for j in range(n):
-        w, b = divmod(j, 64)
-        bit = np.uint64(1) << np.uint64(b)
-        col = mat[..., j]
-        lo[..., w] |= np.where(col & 1, bit, np.uint64(0))
-        hi[..., w] |= np.where(col & 2, bit, np.uint64(0))
-    return lo, hi
+    bits = np.zeros((2,) + mat.shape[:-1] + (64 * nw,), dtype=np.uint8)
+    bits[0, ..., :n] = mat & 1
+    bits[1, ..., :n] = (mat >> 1) & 1
+    planes = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+    planes = planes.astype(np.uint64, copy=False)
+    return planes[0], planes[1]
 
 
 def unpack_gf4(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
@@ -358,12 +359,32 @@ def _lead_block_generic(
 
 
 def _lead_worker(args):
-    p, t, m, g_bytes, shape, lead, want_hist = args
+    p, t, m, g_bytes, shape, lead, want_hist, stop_at = args
     F = make_field(p, t, m)
     G = np.frombuffer(g_bytes, dtype=np.uint8).reshape(shape)
     fn = _lead_block_gf4 if F.q == 4 else _lead_block_generic
-    hist, best, best_msg, rows = fn(F, G, lead, want_hist)
-    return (None if hist is None else hist, best, best_msg, rows, lead)
+    return fn(F, G, lead, want_hist, stop_at=stop_at)
+
+
+def _lead_results(
+    F: FieldSpec, G: np.ndarray, want_hist: bool, workers: int, stop_at: int
+) -> Iterator[Tuple[Optional[np.ndarray], int, Optional[np.ndarray], int]]:
+    """Per-lead block results, in lead order, on ``workers`` processes."""
+    k = G.shape[0]
+    if workers <= 1:
+        fn = _lead_block_gf4 if F.q == 4 else _lead_block_generic
+        for lead in range(k):
+            yield fn(F, G, lead, want_hist, stop_at=stop_at)
+        return
+    jobs = [
+        (F.p, F.t, F.m, G.tobytes(), G.shape, lead, want_hist, stop_at)
+        for lead in range(k)
+    ]
+    # pool.map yields in submission order, so the merge is deterministic no
+    # matter which worker finishes first; closing this generator early
+    # cancels the leads not yet started
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_lead_worker, jobs)
 
 
 def _enumerate_blocks(
@@ -373,27 +394,17 @@ def _enumerate_blocks(
     workers: int = 1,
     stop_at: int = 0,
 ) -> Tuple[Optional[np.ndarray], int, Optional[np.ndarray], int]:
+    """Merge the lead blocks in lead order.
+
+    Each block stops on its own once its best weight is <= stop_at, and the
+    merge stops at the first such lead, so every field of the result is the
+    same for any worker count.
+    """
     k, n = G.shape
     hist = np.zeros(n + 1, dtype=np.int64) if want_hist else None
     best, best_msg, total_rows = n + 1, None, 0
-    if workers > 1:
-        jobs = [
-            (F.p, F.t, F.m, G.tobytes(), G.shape, lead, want_hist)
-            for lead in range(k)
-        ]
-        # pool.map preserves submission order, so the merge below is
-        # deterministic no matter which worker finishes first
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for h, b, bm, rows, _lead in pool.map(_lead_worker, jobs):
-                total_rows += rows
-                if want_hist:
-                    hist += h
-                if b < best:
-                    best, best_msg = b, bm
-    else:
-        fn = _lead_block_gf4 if F.q == 4 else _lead_block_generic
-        for lead in range(k):
-            h, b, bm, rows = fn(F, G, lead, want_hist, stop_at=stop_at)
+    with closing(_lead_results(F, G, want_hist, workers, stop_at)) as results:
+        for h, b, bm, rows in results:
             total_rows += rows
             if want_hist:
                 hist += h

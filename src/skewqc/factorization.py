@@ -175,50 +175,88 @@ def modulus_right_divisors(
     schoolbook division per candidate the scan keeps the residue of x^j
     modulo *every* monic candidate of the target degree at once (a q^degree
     by degree table) and advances j = 0..s-1 with vectorized table lookups.
-    Candidates are priced at q^degree per degree against ``budget``, the same
-    cost metric as right_divisors, and processed in bounded-memory chunks.
-    Output order matches monic_polys (ascending degree, lexicographic).
+
+    When x^s - 1 is central (m | s), a monic right divisor g has a monic
+    cofactor h with g*h = h*g = x^s - 1, which is itself a right divisor,
+    and g -> h is a bijection between degrees s - d and d.  So only degrees
+    d <= s - d are scanned; every divisor of a higher degree d is the
+    cofactor of one of degree s - d, found with one division and confirmed
+    by the same remainder check as a scan hit.  When m does not divide s
+    every degree is scanned directly.
+
+    Each degree is priced at the candidates actually scanned,
+    q^min(d, s - d) when central and q^d otherwise, and the budget is checked
+    before any work starts.  Output order matches monic_polys (ascending
+    degree, lexicographic) on either path.
     """
     if s < 1:
         raise ValueError("s must be positive")
     q = field.q
     degrees = range(s + 1) if degree is None else [degree]
-    cost = sum(q**d for d in degrees if 1 <= d < s)
+    modulus = x_pow_minus_one(field, s)
+    central = is_central(modulus)
+
+    def scanned(d: int) -> int:
+        return min(d, s - d) if central else d
+
+    cost = sum(q ** scanned(d) for d in degrees if 1 <= d < s)
     if cost > budget:
         raise BudgetExceededError("divisor scan too large", cost, budget)
-    modulus = x_pow_minus_one(field, s)
-    theta = field.np_theta[1 % field.m]
-    np_sub, np_mul = field.np_sub, field.np_mul
     out: List[SkewPoly] = []
     for dg in degrees:
         if dg < 0 or dg > s:
             continue
         if dg == 0:
             out.append(SkewPoly.one(field))
-            continue
-        if dg == s:
+        elif dg == s:
             out.append(modulus)
-            continue
-        total = q**dg
-        chunk = min(total, 1 << 20)
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            cands = np.empty((idx.size, dg), dtype=np.uint8)
-            v = idx.copy()
-            for j in range(dg):
-                cands[:, j] = v % q
-                v //= q
-            # residue of x^0 = 1 modulo each candidate
-            res = np.zeros_like(cands)
-            res[:, 0] = 1
-            for _ in range(s):
-                lead = theta[res[:, -1]]
-                res[:, 1:] = theta[res[:, :-1]]
-                res[:, 0] = 0
-                res = np_sub[res, np_mul[lead[:, None], cands]]
-            hits = (res[:, 0] == 1) & (res[:, 1:] == 0).all(axis=1)
-            for i in np.flatnonzero(hits):
-                g = SkewPoly(field, list(cands[i]) + [1])
-                if right_divmod(modulus, g)[1].is_zero:
-                    out.append(g)
+        elif scanned(dg) < dg:
+            cofactors = [
+                right_divmod(modulus, g)[0]
+                for g in _scan_modulus_divisors(field, modulus, s - dg)
+            ]
+            found = [h for h in cofactors if right_divmod(modulus, h)[1].is_zero]
+            found.sort(key=lambda h: _monic_index(q, h))
+            out.extend(found)
+        else:
+            out.extend(_scan_modulus_divisors(field, modulus, dg))
+    return out
+
+
+def _monic_index(q: int, g: SkewPoly) -> int:
+    """Position of monic g among monic_polys(field, g.degree)."""
+    return sum(int(c) * q**j for j, c in enumerate(g.coeffs[:-1]))
+
+
+def _scan_modulus_divisors(
+    field: FieldSpec, modulus: SkewPoly, dg: int
+) -> List[SkewPoly]:
+    """Monic right divisors of modulus = x^s - 1 of degree 0 < dg < s, in
+    monic_polys order, by the batched residue scan over all q^dg candidates."""
+    q, s = field.q, modulus.degree
+    theta = field.np_theta[1 % field.m]
+    np_sub, np_mul = field.np_sub, field.np_mul
+    out: List[SkewPoly] = []
+    total = q**dg
+    chunk = min(total, 1 << 20)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        cands = np.empty((idx.size, dg), dtype=np.uint8)
+        v = idx.copy()
+        for j in range(dg):
+            cands[:, j] = v % q
+            v //= q
+        # residue of x^0 = 1 modulo each candidate
+        res = np.zeros_like(cands)
+        res[:, 0] = 1
+        for _ in range(s):
+            lead = theta[res[:, -1]]
+            res[:, 1:] = theta[res[:, :-1]]
+            res[:, 0] = 0
+            res = np_sub[res, np_mul[lead[:, None], cands]]
+        hits = (res[:, 0] == 1) & (res[:, 1:] == 0).all(axis=1)
+        for i in np.flatnonzero(hits):
+            g = SkewPoly(field, list(cands[i]) + [1])
+            if right_divmod(modulus, g)[1].is_zero:
+                out.append(g)
     return out

@@ -36,6 +36,7 @@ from .tables import CatalogEntry, catalog
 
 DEFAULT_DISTANCE_BUDGET = 2**26  # exact enumeration allowed up to q^k candidates
 DEFAULT_SAMPLE_TRIALS = 100_000
+GF4 = (2, 1, 2)  # (p, t, m) of the default field
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +204,10 @@ def classify(n: int, k: int, d: Optional[int], bounds: Dict[Tuple[int, int], int
 class SearchRecord:
     """One evaluated candidate: parameters, generating tuple, provenance.
 
-    ``generators`` holds the reduced tuple components as coefficient strings;
-    rebuilding the code from them reproduces k and (when exact) d.  The
-    timestamp is empty unless explicitly stamped, keeping exports
-    byte-identical across reruns.
+    ``generators`` holds the reduced tuple components as coefficient strings
+    over ``field``, given as (p, t, m) of make_field; rebuilding the code
+    from them reproduces k and (when exact) d.  The timestamp is empty unless
+    explicitly stamped, keeping exports byte-identical across reruns.
     """
 
     n: int
@@ -216,9 +217,11 @@ class SearchRecord:
     comparison: str
     generators: Tuple[str, ...]
     timestamp: str = ""
+    field: Tuple[int, int, int] = GF4
 
     def as_dict(self) -> Dict[str, object]:
-        return {
+        # GF(4) records carry no "field" key, so their exports stay as they were
+        data: Dict[str, object] = {
             "n": self.n,
             "k": self.k,
             "d": self.d,
@@ -227,6 +230,9 @@ class SearchRecord:
             "generators": list(self.generators),
             "timestamp": self.timestamp,
         }
+        if self.field != GF4:
+            data["field"] = list(self.field)
+        return data
 
     @staticmethod
     def from_dict(data: Dict[str, object]) -> "SearchRecord":
@@ -238,11 +244,13 @@ class SearchRecord:
             comparison=str(data["comparison"]),
             generators=tuple(str(g) for g in data["generators"]),
             timestamp=str(data.get("timestamp", "")),
+            field=tuple(int(x) for x in data.get("field", GF4)),
         )
 
     def rebuild(self, field: Optional[FieldSpec] = None) -> CodeStructure:
-        """Reconstruct the code from the stored strings (GF(4) by default)."""
-        F = field if field is not None else make_field(2, 1, 2)
+        """Reconstruct the code from the stored strings (over the record's
+        own field unless ``field`` is given)."""
+        F = field if field is not None else make_field(*self.field)
         s = self.n // len(self.generators)
         polys = tuple(parse_coeff_string(F, g) for g in self.generators)
         return build_code(F, s, polys)
@@ -386,6 +394,7 @@ def run_search(
             exact=exact,
             comparison=classify(code.n, code.k, d, bounds),
             generators=tuple(poly_coeff_string(p) for p in code.spec.generators),
+            field=(config.p, config.t, config.m),
         )
         if progress:
             progress(

@@ -18,6 +18,7 @@ from skewqc.errors import BudgetExceededError
 from skewqc.field import gf4, make_field
 from skewqc.notation import parse_coeff_string
 from skewqc.skewpoly import SkewPoly
+from skewqc.tables import get
 
 F = gf4()
 
@@ -58,9 +59,36 @@ def naive_distribution(code):
     return counts
 
 
+def column_loop_pack_gf4(mat):
+    """Reference packing, one column at a time."""
+    mat = np.asarray(mat, dtype=np.uint8)
+    n = mat.shape[-1]
+    nw = (n + 63) // 64
+    lead = mat.shape[:-1]
+    lo = np.zeros(lead + (nw,), dtype=np.uint64)
+    hi = np.zeros(lead + (nw,), dtype=np.uint64)
+    for j in range(n):
+        w, b = divmod(j, 64)
+        bit = np.uint64(1) << np.uint64(b)
+        col = mat[..., j]
+        lo[..., w] |= np.where(col & 1, bit, np.uint64(0))
+        hi[..., w] |= np.where(col & 2, bit, np.uint64(0))
+    return lo, hi
+
+
 # ---------------------------------------------------------------------------
 # bitsliced GF(4) plumbing
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 48, 64, 72, 130])
+@pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+def test_pack_gf4_matches_column_loop(lead, n):
+    rng = np.random.default_rng(n)
+    mat = rng.integers(0, 4, size=lead + (n,)).astype(np.uint8)
+    for got, want in zip(pack_gf4(mat), column_loop_pack_gf4(mat)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 def test_pack_unpack_round_trip():
@@ -146,6 +174,17 @@ def test_workers_do_not_change_the_answer():
     w1 = weight_enumerator(code, method="blocks", workers=1)
     w2 = weight_enumerator(code, method="blocks", workers=2)
     assert w1.counts == w2.counts
+
+
+def test_stop_at_does_not_depend_on_workers():
+    code = get("index2-l2-40-9-21").build()
+    for stop_at in (code.n, 22, 0):
+        r1 = min_distance(code, method="blocks", workers=1, stop_at=stop_at)
+        r2 = min_distance(code, method="blocks", workers=2, stop_at=stop_at)
+        assert (r1.d, r1.exact, r1.enumerated) == (r2.d, r2.exact, r2.enumerated)
+        assert np.array_equal(r1.witness_message, r2.witness_message)
+    stopped = min_distance(code, method="blocks", workers=2, stop_at=code.n)
+    assert not stopped.exact and stopped.enumerated < (4**code.k - 1) // 3
 
 
 def test_gray_handles_gf9():

@@ -117,7 +117,9 @@ def test_right_divisors_budget_guard():
     with pytest.raises(BudgetExceededError):
         right_divisors(x_pow_minus_one(F, 12), degree=11, budget=100)
     with pytest.raises(BudgetExceededError):
-        modulus_right_divisors(F, 12, degree=11, budget=100)
+        modulus_right_divisors(F, 12, degree=6, budget=100)
+    # degree 11 is priced at the 4^1 candidates of its degree-1 cofactors
+    assert len(modulus_right_divisors(F, 12, degree=11, budget=100)) == 3
 
 
 def test_monic_polys_enumeration():
@@ -144,6 +146,37 @@ def test_modulus_divisor_scan_gf9():
     F9 = make_field(3, 1, 2)
     fast = modulus_right_divisors(F9, 4)
     slow = right_divisors(x_pow_minus_one(F9, 4), budget=1 << 22)
+    assert [tuple(g.coeffs) for g in fast] == [tuple(g.coeffs) for g in slow]
+
+
+def test_modulus_divisor_cofactors_of_x12_minus_one():
+    """Above s/2 the divisors of the central x^12 - 1 are the cofactors of
+    the scanned low-degree divisors, in monic_polys order."""
+    s = 12
+    target = x_pow_minus_one(F, s)
+
+    def monic_index(h):
+        return sum(int(c) * 4**j for j, c in enumerate(h.coeffs[:-1]))
+
+    counts = [len(modulus_right_divisors(F, s, degree=d)) for d in range(1, s)]
+    assert counts == [3, 12, 18, 57, 78, 157, 78, 57, 18, 12, 3]
+    for d in range(7, s):
+        high = modulus_right_divisors(F, s, degree=d)
+        low = modulus_right_divisors(F, s, degree=s - d)
+        assert len(high) == len(low)
+        cofactors = sorted((right_divmod(target, g)[0] for g in low), key=monic_index)
+        assert [h.coeffs for h in high] == [h.coeffs for h in cofactors]
+        for h in high:
+            assert h.is_monic and h.degree == d
+            assert right_divmod(target, h)[1].is_zero
+
+
+def test_modulus_divisor_scan_non_central():
+    """m = 2 does not divide s = 5: x^5 - 1 is not central, so every degree
+    is scanned directly and must match the schoolbook scan."""
+    assert not is_central(x_pow_minus_one(F, 5))
+    fast = modulus_right_divisors(F, 5)
+    slow = right_divisors(x_pow_minus_one(F, 5), budget=1 << 22)
     assert [tuple(g.coeffs) for g in fast] == [tuple(g.coeffs) for g in slow]
 
 

@@ -203,6 +203,17 @@ def test_campaign_records_check_out():
         assert record.d is not None and 1 <= record.d <= record.n
 
 
+def test_gf9_record_round_trips_through_json():
+    config = SearchConfig(s=4, p=3, t=1, m=2, trials=3, seed=1)
+    records = list(run_search(config))
+    assert records
+    back = records_from_json(export_records(records, "json"))
+    assert back == records
+    for record in back:
+        assert record.field == (3, 1, 2)
+        assert record.rebuild().k == record.k
+
+
 def test_campaign_exhaustive_small_case():
     # s = 2, single-component tuples: the candidates are exactly the three
     # monic linear right divisors of x^2 - 1, each generating a [2,1,2] code.
