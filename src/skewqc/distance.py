@@ -1,21 +1,20 @@
 """Exact weight enumerators and minimum distances by exhaustive enumeration.
 
-Two independent strategies:
-
-* ``gray``   — walk all q^k messages with a q-ary reflected Gray code, one
-  row-update per step.  Simple, generic, used as the cross-check oracle.
-* ``blocks`` — enumerate one representative per scalar orbit (first nonzero
-  message digit pinned to 1), splitting the free rows into an inner table of
-  q^ki precomputed combinations and an outer Gray walk; every batch of q^ki
-  weights is histogrammed at once.  Nonzero counts are multiplied by q - 1
-  at the end.  Over GF(4) the inner table is bitsliced into two uint64 bit
-  planes and weights come from popcounts, which is what makes full 4^16
-  enumerations practical.
+One engine serves every field.  It enumerates one representative per scalar
+orbit (first nonzero message digit pinned to 1), splitting the free rows into
+an inner table of q^ki precomputed combinations and an outer Gray walk; every
+batch of q^ki weights is histogrammed at once, and nonzero counts are
+multiplied by q - 1 at the end.  All rows come from one table of scaled
+generator rows, built once per code: over GF(4) they are bitsliced into two
+uint64 bit planes and weights come from popcounts, which is what makes full
+4^16 enumerations practical; other fields keep their symbols.  A full-space
+Gray walk over all q^k messages, the cross-check oracle, lives in the tests.
 
 Budgets are expressed in enumerated rows and checked *before* any work
 starts (BudgetExceededError), so oversized requests fail fast instead of
-hanging.  ``min_distance_sampled`` gives a seeded, reproducible upper bound
-for codes beyond exhaustive reach.
+hanging.  ``min_distance_sampled`` sums rows of the same table for seeded
+random messages: a reproducible upper bound for codes beyond exhaustive
+reach.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,8 +82,9 @@ class DistanceReport:
 
 
 # ---------------------------------------------------------------------------
-# GF(4) bit planes: element 0..3 = lo_bit + 2 * hi_bit, addition is XOR of
-# both planes, weight of a vector is popcount(lo | hi)
+# packed rows: GF(4) symbols 0..3 = lo_bit + 2 * hi_bit go into two uint64 bit
+# planes, where addition is XOR of both planes and the weight of a vector is
+# popcount(lo | hi); any other field keeps its symbols
 
 
 def pack_gf4(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -104,30 +104,28 @@ def pack_gf4(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return planes[0], planes[1]
 
 
-def unpack_gf4(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    lead = lo.shape[:-1]
-    out = np.zeros(lead + (n,), dtype=np.uint8)
-    for j in range(n):
-        w, b = divmod(j, 64)
-        bit = np.uint64(b)
-        out[..., j] = (((lo[..., w] >> bit) & np.uint64(1)) | (((hi[..., w] >> bit) & np.uint64(1)) << np.uint64(1))).astype(np.uint8)
-    return out
+def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[np.ndarray, Callable, Callable]:
+    """(T, add, weight): the table T[i, lam] = lam * G[i] of shape (k, q, width).
 
+    Over GF(4) a row is its lo and hi planes side by side in uint64 words,
+    ``add`` is XOR and ``weight`` is popcount(lo | hi).  Over any other field
+    a row is its n symbols, ``add`` is the F.np_add lookup and ``weight`` is
+    count_nonzero.  Both act on the last axis and broadcast.
+    """
+    T = F.np_mul[np.arange(F.q)[None, :, None], G[:, None, :]]
+    if F.q != 4:
+        return (
+            T,
+            lambda a, b: F.np_add[a, b],
+            lambda rows: np.count_nonzero(rows, axis=-1).astype(np.int64),
+        )
+    lo, hi = pack_gf4(T)
+    nw = lo.shape[-1]
 
-def gf4_scale(lam: int, lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Multiply packed GF(4) vectors by the scalar lam."""
-    if lam == 0:
-        return np.zeros_like(lo), np.zeros_like(hi)
-    if lam == 1:
-        return lo.copy(), hi.copy()
-    if lam == 2:  # a
-        return hi.copy(), lo ^ hi
-    return lo ^ hi, lo.copy()  # a^2
+    def weight(rows: np.ndarray) -> np.ndarray:
+        return np.bitwise_count(rows[..., :nw] | rows[..., nw:]).sum(axis=-1, dtype=np.int64)
 
-
-def gf4_weights(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Hamming weight per row of packed vectors."""
-    return np.bitwise_count(lo | hi).sum(axis=-1, dtype=np.int64)
+    return np.concatenate([lo, hi], axis=-1), np.bitwise_xor, weight
 
 
 # ---------------------------------------------------------------------------
@@ -152,39 +150,6 @@ def _gray_steps(radix: int, ndigits: int):
         yield j, old, a[j]
 
 
-def _gray_digit_count(radix: int, ndigits: int) -> int:
-    return radix**ndigits - 1
-
-
-# ---------------------------------------------------------------------------
-# full-space Gray enumeration (oracle path, any field)
-
-
-def _enumerate_gray(F: FieldSpec, G: np.ndarray) -> Tuple[np.ndarray, int, Optional[np.ndarray]]:
-    """(histogram, best_weight, best_message) over all q^k messages."""
-    k, n = G.shape
-    hist = np.zeros(n + 1, dtype=np.int64)
-    hist[0] += 1  # zero message
-    if k == 0:
-        return hist, -1, None
-    q = F.q
-    np_add, np_mul, np_sub = F.np_add, F.np_mul, F.np_sub
-    vec = np.zeros(n, dtype=np.uint8)
-    msg = np.zeros(k, dtype=np.uint8)
-    best = n + 1
-    best_msg = None
-    for j, old, new in _gray_steps(q, k):
-        delta = int(np_sub[new, old])
-        vec = np_add[vec, np_mul[delta][G[j]]]
-        msg[j] = new
-        w = int(np.count_nonzero(vec))
-        hist[w] += 1
-        if 0 < w < best:
-            best = w
-            best_msg = msg.copy()
-    return hist, best, best_msg
-
-
 # ---------------------------------------------------------------------------
 # scalar-orbit block enumeration
 
@@ -193,77 +158,51 @@ def _orbit_rows(q: int, k: int) -> int:
     return (q**k - 1) // (q - 1)
 
 
-def _lead_block_gf4(
+def _lead_block(
     F: FieldSpec,
-    G: np.ndarray,
+    n: int,
+    rows: Tuple[np.ndarray, Callable, Callable],
     lead: int,
     want_hist: bool,
     stop_at: int = 0,
-) -> Tuple[np.ndarray, int, Optional[np.ndarray], int]:
+) -> Tuple[Optional[np.ndarray], int, Optional[np.ndarray], int]:
     """Enumerate messages with first nonzero digit 1 at row ``lead``.
 
-    Returns (histogram-or-None, best weight, best message, rows seen).
+    ``rows`` is the code's _packed_rows table.  Returns (histogram-or-None,
+    best weight, best message, rows seen).
     """
-    q = 4
-    k, n = G.shape
-    free = G[lead + 1 :]
-    kf = free.shape[0]
+    T, add, weight = rows
+    q, k = F.q, T.shape[0]
+    kf = k - lead - 1
     ki = 0
     while ki < kf and q ** (ki + 1) <= INNER_TABLE_LIMIT:
         ki += 1
     ko = kf - ki
-    inner = free[ko:]
-    outer = free[:ko]
+    outer0 = lead + 1  # outer rows lead+1 .. lead+ko, inner rows after them
 
-    base_lo, base_hi = pack_gf4(G[lead : lead + 1])
-    blo, bhi = base_lo, base_hi
-    for r in range(ki):
-        rlo, rhi = pack_gf4(inner[r : r + 1])
-        parts_lo, parts_hi = [], []
-        for lam in range(q):
-            slo, shi = gf4_scale(lam, rlo, rhi)
-            parts_lo.append(blo ^ slo)
-            parts_hi.append(bhi ^ shi)
-        blo = np.concatenate(parts_lo)
-        bhi = np.concatenate(parts_hi)
+    B = T[lead, 1:2]
+    for r in range(outer0 + ko, k):
+        B = np.concatenate([add(B, T[r, lam]) for lam in range(q)])
 
-    nw = blo.shape[-1]
     hist = np.zeros(n + 1, dtype=np.int64) if want_hist else None
     best = n + 1
     best_msg: Optional[np.ndarray] = None
     rows_seen = 0
-
-    # per-row scaled planes for the outer Gray updates
-    if ko:
-        out_lo, out_hi = pack_gf4(outer)
-        scaled_lo = np.zeros((ko, q, nw), dtype=np.uint64)
-        scaled_hi = np.zeros((ko, q, nw), dtype=np.uint64)
-        for i in range(ko):
-            for lam in range(q):
-                scaled_lo[i, lam], scaled_hi[i, lam] = gf4_scale(
-                    lam, out_lo[i], out_hi[i]
-                )
-
-    def record(idx: int, w: int, odometer: Sequence[int]) -> np.ndarray:
-        m = np.zeros(k, dtype=np.uint8)
-        m[lead] = 1
-        for t in range(ko):
-            m[lead + 1 + t] = odometer[t]
-        v = idx
-        for u in range(ki):
-            m[lead + 1 + ko + u] = v % q
-            v //= q
-        return m
-
-    olo = np.zeros(nw, dtype=np.uint64)
-    ohi = np.zeros(nw, dtype=np.uint64)
+    offset = np.zeros(T.shape[-1], dtype=T.dtype)
     odometer = [0] * ko
 
-    def scan(od):
+    def record(idx: int) -> np.ndarray:
+        m = np.zeros(k, dtype=np.uint8)
+        m[lead] = 1
+        m[outer0 : outer0 + ko] = odometer
+        for u in range(ki):
+            m[outer0 + ko + u] = idx % q
+            idx //= q
+        return m
+
+    def scan() -> bool:
         nonlocal best, best_msg, rows_seen
-        lo = blo ^ olo
-        hi = bhi ^ ohi
-        w = np.bitwise_count(lo | hi).sum(axis=-1, dtype=np.int64)
+        w = weight(add(B, offset))
         rows_seen += w.shape[0]
         if want_hist:
             hist_part = np.bincount(w, minlength=n + 1)
@@ -271,90 +210,16 @@ def _lead_block_gf4(
         wmin = int(w.min())
         if wmin < best:
             best = wmin
-            best_msg = record(int(np.argmin(w)), wmin, od)
+            best_msg = record(int(np.argmin(w)))
         return best <= stop_at
 
-    if scan(odometer):
+    if scan():
         return hist, best, best_msg, rows_seen
-    if ko:
-        sub = F.sub
-        for j, old, new in _gray_steps(q, ko):
-            odometer[j] = new
-            delta = sub[new][old]
-            olo ^= scaled_lo[j, delta]
-            ohi ^= scaled_hi[j, delta]
-            if scan(odometer) and not want_hist:
-                break
-    return hist, best, best_msg, rows_seen
-
-
-def _lead_block_generic(
-    F: FieldSpec,
-    G: np.ndarray,
-    lead: int,
-    want_hist: bool,
-    stop_at: int = 0,
-) -> Tuple[np.ndarray, int, Optional[np.ndarray], int]:
-    """Symbol-domain version of _lead_block_gf4 for any field order."""
-    q = F.q
-    k, n = G.shape
-    free = G[lead + 1 :]
-    kf = free.shape[0]
-    ki = 0
-    while ki < kf and q ** (ki + 1) <= INNER_TABLE_LIMIT:
-        ki += 1
-    ko = kf - ki
-    inner = free[ko:]
-    outer = free[:ko]
-    np_add, np_mul = F.np_add, F.np_mul
-
-    B = G[lead : lead + 1].copy()
-    for r in range(ki):
-        row = inner[r]
-        B = np.concatenate([np_add[B, np_mul[lam][row]] for lam in range(q)])
-
-    hist = np.zeros(n + 1, dtype=np.int64) if want_hist else None
-    best = n + 1
-    best_msg: Optional[np.ndarray] = None
-    rows_seen = 0
-    offset = np.zeros(n, dtype=np.uint8)
-    odometer = [0] * ko
-
-    def record(idx: int, od) -> np.ndarray:
-        m = np.zeros(k, dtype=np.uint8)
-        m[lead] = 1
-        for t in range(ko):
-            m[lead + 1 + t] = od[t]
-        v = idx
-        for u in range(ki):
-            m[lead + 1 + ko + u] = v % q
-            v //= q
-        return m
-
-    def scan(od):
-        nonlocal best, best_msg, rows_seen
-        rows = np_add[B, offset]
-        w = np.count_nonzero(rows, axis=1).astype(np.int64)
-        rows_seen += w.shape[0]
-        if want_hist:
-            hp = np.bincount(w, minlength=n + 1)
-            hist[: hp.shape[0]] += hp
-        wmin = int(w.min())
-        if wmin < best:
-            best = wmin
-            best_msg = record(int(np.argmin(w)), od)
-        return best <= stop_at
-
-    if scan(odometer):
-        return hist, best, best_msg, rows_seen
-    if ko:
-        sub = F.sub
-        for j, old, new in _gray_steps(q, ko):
-            odometer[j] = new
-            delta = sub[new][old]
-            offset = np_add[offset, np_mul[delta][outer[j]]]
-            if scan(odometer) and not want_hist:
-                break
+    for j, old, new in _gray_steps(q, ko):
+        odometer[j] = new
+        offset = add(offset, T[outer0 + j, F.sub[new][old]])
+        if scan() and not want_hist:
+            break
     return hist, best, best_msg, rows_seen
 
 
@@ -362,19 +227,18 @@ def _lead_worker(args):
     p, t, m, g_bytes, shape, lead, want_hist, stop_at = args
     F = make_field(p, t, m)
     G = np.frombuffer(g_bytes, dtype=np.uint8).reshape(shape)
-    fn = _lead_block_gf4 if F.q == 4 else _lead_block_generic
-    return fn(F, G, lead, want_hist, stop_at=stop_at)
+    return _lead_block(F, shape[1], _packed_rows(F, G), lead, want_hist, stop_at=stop_at)
 
 
 def _lead_results(
     F: FieldSpec, G: np.ndarray, want_hist: bool, workers: int, stop_at: int
 ) -> Iterator[Tuple[Optional[np.ndarray], int, Optional[np.ndarray], int]]:
     """Per-lead block results, in lead order, on ``workers`` processes."""
-    k = G.shape[0]
+    k, n = G.shape
     if workers <= 1:
-        fn = _lead_block_gf4 if F.q == 4 else _lead_block_generic
+        rows = _packed_rows(F, G)
         for lead in range(k):
-            yield fn(F, G, lead, want_hist, stop_at=stop_at)
+            yield _lead_block(F, n, rows, lead, want_hist, stop_at=stop_at)
         return
     jobs = [
         (F.p, F.t, F.m, G.tobytes(), G.shape, lead, want_hist, stop_at)
@@ -415,16 +279,9 @@ def _enumerate_blocks(
     return hist, best, best_msg, total_rows
 
 
-def _pick_method(F: FieldSpec, k: int, method: str) -> str:
-    if method != "auto":
-        return method
-    return "blocks" if k > 0 else "gray"
-
-
 def weight_enumerator(
     code: CodeStructure,
     budget: int = DEFAULT_BUDGET,
-    method: str = "auto",
     workers: int = 1,
 ) -> WeightEnumerator:
     """Exact weight distribution of the code (sums to q^k)."""
@@ -432,29 +289,18 @@ def weight_enumerator(
     q, k, n = F.q, code.k, code.n
     if k == 0:
         return WeightEnumerator(n, k, q, {0: 1})
-    method = _pick_method(F, k, method)
-    if method == "gray":
-        cost = q**k
-    elif method == "blocks":
-        cost = _orbit_rows(q, k)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    cost = _orbit_rows(q, k)
     if cost > budget:
         raise BudgetExceededError("weight enumeration too large", cost, budget)
-    if method == "gray":
-        hist, _, _ = _enumerate_gray(F, code.genmatrix)
-        counts = {w: int(c) for w, c in enumerate(hist) if c}
-    else:
-        hist, _, _, _ = _enumerate_blocks(F, code.genmatrix, True, workers=workers)
-        counts = {w: int(c) * (q - 1) for w, c in enumerate(hist) if c}
-        counts[0] = 1
+    hist, _, _, _ = _enumerate_blocks(F, code.genmatrix, True, workers=workers)
+    counts = {w: int(c) * (q - 1) for w, c in enumerate(hist) if c}
+    counts[0] = 1
     return WeightEnumerator(n, k, q, counts)
 
 
 def min_distance(
     code: CodeStructure,
     budget: int = DEFAULT_BUDGET,
-    method: str = "auto",
     workers: int = 1,
     stop_at: int = 0,
 ) -> DistanceReport:
@@ -470,23 +316,18 @@ def min_distance(
     t0 = time.perf_counter()
     if k == 0:
         return DistanceReport(None, True, "empty", 0, elapsed=time.perf_counter() - t0)
-    method = _pick_method(F, k, method)
-    cost = q**k if method == "gray" else _orbit_rows(q, k)
+    cost = _orbit_rows(q, k)
     if cost > budget:
         raise BudgetExceededError("distance enumeration too large", cost, budget)
-    if method == "gray":
-        hist, best, best_msg = _enumerate_gray(F, code.genmatrix)
-        rows = int(hist.sum())
-    else:
-        _, best, best_msg, rows = _enumerate_blocks(
-            F, code.genmatrix, False, workers=workers, stop_at=stop_at
-        )
+    _, best, best_msg, rows = _enumerate_blocks(
+        F, code.genmatrix, False, workers=workers, stop_at=stop_at
+    )
     witness = code.encode(best_msg)
     exact = stop_at < best
     return DistanceReport(
         int(best),
         exact,
-        method,
+        "blocks",
         rows,
         witness=witness,
         witness_message=best_msg,
@@ -507,35 +348,19 @@ def min_distance_sampled(
     if k == 0:
         return DistanceReport(None, True, "empty", 0, elapsed=time.perf_counter() - t0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    G = code.genmatrix
+    T, add, weight = _packed_rows(F, code.genmatrix)
     best = n + 1
     best_msg = None
     done = 0
-    use_planes = q == 4
-    if use_planes:
-        nw = (n + 63) // 64
-        plane_lo = np.zeros((k, q, nw), dtype=np.uint64)
-        plane_hi = np.zeros((k, q, nw), dtype=np.uint64)
-        for i in range(k):
-            rlo, rhi = pack_gf4(G[i])
-            for lam in range(q):
-                plane_lo[i, lam], plane_hi[i, lam] = gf4_scale(lam, rlo, rhi)
     while done < trials:
         b = min(batch, trials - done)
         msgs = rng.integers(0, q, size=(b, k), dtype=np.uint8)
         done += b
-        if use_planes:
-            acc_lo = np.zeros((b, nw), dtype=np.uint64)
-            acc_hi = np.zeros((b, nw), dtype=np.uint64)
-            for i in range(k):
-                acc_lo ^= plane_lo[i, msgs[:, i]]
-                acc_hi ^= plane_hi[i, msgs[:, i]]
-            w = gf4_weights(acc_lo, acc_hi)
-        else:
-            acc = np.zeros((b, n), dtype=np.uint8)
-            for i in range(k):
-                acc = F.np_add[acc, F.np_mul[msgs[:, i], G[i]]]
-            w = np.count_nonzero(acc, axis=1).astype(np.int64)
+        # take() gathers whole rows far faster than T[i, msgs[:, i]]
+        acc = T[0].take(msgs[:, 0], axis=0)
+        for i in range(1, k):
+            acc = add(acc, T[i].take(msgs[:, i], axis=0))
+        w = weight(acc)
         w[~msgs.any(axis=1)] = n + 1  # ignore the zero message
         wmin = int(w.min())
         if wmin < best:

@@ -35,10 +35,6 @@ def is_central(f: SkewPoly) -> bool:
     return True
 
 
-def commutes(f: SkewPoly, g: SkewPoly) -> bool:
-    return f * g == g * f
-
-
 def monic_polys(field: FieldSpec, degree: int) -> Iterator[SkewPoly]:
     """All monic skew polynomials of the given degree, lexicographic order."""
     if degree < 0:

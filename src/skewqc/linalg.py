@@ -49,26 +49,6 @@ def rank(field: FieldSpec, rows: Sequence[Sequence[int]]) -> int:
     return len(rref(field, rows)[1])
 
 
-def kernel_basis(field: FieldSpec, rows: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Basis of the right kernel {v : M v = 0}."""
-    if not rows:
-        return []
-    mat, pivots = rref(field, rows)
-    ncols = len(mat[0])
-    neg = field.neg
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [0] * ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = neg[mat[i][fc]]
-        basis.append(v)
-    return basis
-
-
 def solve(
     field: FieldSpec, rows: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> Optional[List[int]]:

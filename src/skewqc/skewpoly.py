@@ -208,12 +208,6 @@ def x_pow_minus_one(field: FieldSpec, s: int) -> SkewPoly:
     return SkewPoly(field, coeffs)
 
 
-class DivisionResult(NamedTuple):
-    quotient: SkewPoly
-    remainder: SkewPoly
-    side: str
-
-
 class ExtendedGcdResult(NamedTuple):
     gcd: SkewPoly
     cofactor_f: SkewPoly
@@ -283,24 +277,9 @@ def left_divmod(g: SkewPoly, f: SkewPoly) -> Tuple[SkewPoly, SkewPoly]:
     return SkewPoly(F, q), SkewPoly(F, r[:df])
 
 
-def right_divide(g: SkewPoly, f: SkewPoly) -> DivisionResult:
-    q, r = right_divmod(g, f)
-    return DivisionResult(q, r, "right")
-
-
-def left_divide(g: SkewPoly, f: SkewPoly) -> DivisionResult:
-    q, r = left_divmod(g, f)
-    return DivisionResult(q, r, "left")
-
-
 def right_divides(f: SkewPoly, g: SkewPoly) -> bool:
     """True when g = q*f for some q."""
     return right_divmod(g, f)[1].is_zero
-
-
-def left_divides(f: SkewPoly, g: SkewPoly) -> bool:
-    """True when g = f*q for some q."""
-    return left_divmod(g, f)[1].is_zero
 
 
 def gcrd(f: SkewPoly, g: SkewPoly) -> ExtendedGcdResult:

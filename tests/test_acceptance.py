@@ -186,7 +186,7 @@ def test_criterion_06_record_code_full_enumeration():
     t0 = time.perf_counter()
     code = get("new-l2-48-12-24").build()
     assert (code.n, code.k) == (48, 12)
-    enum = weight_enumerator(code, budget=EXTENDED_BUDGET, method="blocks", workers=1)
+    enum = weight_enumerator(code, budget=EXTENDED_BUDGET, workers=1)
     assert enum.total == 4**12 == 16_777_216
     assert sum(enum.counts.values()) == 4**12
     assert enum.distance == 24

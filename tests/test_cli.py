@@ -3,6 +3,9 @@
 import pytest
 
 from skewqc.cli import main
+from skewqc.field import make_field
+from skewqc.notation import poly_coeff_string
+from skewqc.skewpoly import SkewPoly
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +75,16 @@ def test_distance_sampled(capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "sampled upper bound" in out
+
+
+def test_distance_sampled_over_gf9(capsys):
+    F9 = make_field(3, 1, 2)
+    tup = (SkewPoly(F9, [1, 2, 0, 1, 3, 0, 5, 1]), SkewPoly(F9, [4, 0, 7, 1, 2, 8, 3]))
+    args = ["distance", "--field", "3,1,2", "--s", "8",
+            "--tuple", ",".join(poly_coeff_string(f) for f in tup)]
+    assert main(args + ["--sampled", "2000", "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("[16,8,") and "sampled upper bound over 2000" in out
 
 
 def test_distance_budget_exceeded_is_an_error(capsys):

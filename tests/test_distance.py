@@ -6,12 +6,11 @@ import pytest
 from skewqc.codes import build_code
 from skewqc.distance import (
     WeightEnumerator,
-    gf4_scale,
-    gf4_weights,
+    _gray_steps,
+    _packed_rows,
     min_distance,
     min_distance_sampled,
     pack_gf4,
-    unpack_gf4,
     weight_enumerator,
 )
 from skewqc.errors import BudgetExceededError
@@ -21,15 +20,18 @@ from skewqc.skewpoly import SkewPoly
 from skewqc.tables import get
 
 F = gf4()
+F9 = make_field(3, 1, 2)
+FIELDS = pytest.mark.parametrize("field", [F, F9], ids=["gf4", "gf9"])
 
 
-def rand_code(rng, s, l):
+def rand_code(rng, s, l, field=F):
     while True:
         tup = tuple(
-            SkewPoly(F, [rng.randrange(4) for _ in range(s)]) for _ in range(l)
+            SkewPoly(field, [rng.randrange(field.q) for _ in range(s)])
+            for _ in range(l)
         )
         if any(not f.is_zero for f in tup):
-            code = build_code(F, s, tup)
+            code = build_code(field, s, tup)
             if code.k > 0:
                 return code
 
@@ -76,8 +78,35 @@ def column_loop_pack_gf4(mat):
     return lo, hi
 
 
+def unpack_gf4(lo, hi, n):
+    """Inverse of pack_gf4: (..., nw) bit planes back to (..., n) symbols."""
+    out = np.zeros(lo.shape[:-1] + (n,), dtype=np.uint8)
+    for j in range(n):
+        w, b = divmod(j, 64)
+        bit = np.uint64(b)
+        out[..., j] = (((lo[..., w] >> bit) & np.uint64(1))
+                       | (((hi[..., w] >> bit) & np.uint64(1)) << np.uint64(1)))
+    return out
+
+
+def gray_oracle(code):
+    """(weight counts, distance) over all q^k messages by a reflected Gray
+    walk, one row update per step: independent of the engine's scalar orbits,
+    inner table and packing."""
+    field = code.spec.field
+    k, n = code.genmatrix.shape
+    vec = np.zeros(n, dtype=np.uint8)
+    counts = {0: 1}
+    for j, old, new in _gray_steps(field.q, k):
+        delta = field.sub[new][old]
+        vec = field.np_add[vec, field.np_mul[delta][code.genmatrix[j]]]
+        w = int(np.count_nonzero(vec))
+        counts[w] = counts.get(w, 0) + 1
+    return counts, min((w for w in counts if w > 0), default=None)
+
+
 # ---------------------------------------------------------------------------
-# bitsliced GF(4) plumbing
+# packed rows
 # ---------------------------------------------------------------------------
 
 
@@ -99,23 +128,35 @@ def test_pack_unpack_round_trip():
         assert np.array_equal(unpack_gf4(lo, hi, n), vec)
 
 
-def test_gf4_weights_match_direct_count():
+def test_gf4_scale_matches_table():
+    """Each packed row T[i, lam] unpacks to lam * G[i] by the mul table."""
+    rng = np.random.default_rng(33)
+    for n in (5, 64, 70, 130):
+        G = rng.integers(0, 4, size=(3, n)).astype(np.uint8)
+        T, _, _ = _packed_rows(F, G)
+        nw = (n + 63) // 64
+        assert T.shape == (3, 4, 2 * nw) and T.dtype == np.uint64
+        for i in range(3):
+            for lam in range(4):
+                got = unpack_gf4(T[i, lam, :nw], T[i, lam, nw:], n)
+                assert np.array_equal(got, F.np_mul[lam][G[i]])
+
+
+@FIELDS
+def test_packed_rows_weight_matches_count_nonzero(field):
     rng = np.random.default_rng(22)
     for n in (5, 64, 100):
-        vec = rng.integers(0, 4, size=n).astype(np.uint8)
-        lo, hi = pack_gf4(vec)
-        assert int(gf4_weights(lo[None, :], hi[None, :])[0]) == int(
-            np.count_nonzero(vec)
-        )
-
-
-def test_gf4_scale_matches_table():
-    rng = np.random.default_rng(33)
-    vec = rng.integers(0, 4, size=70).astype(np.uint8)
-    lo, hi = pack_gf4(vec)
-    for lam in range(4):
-        slo, shi = gf4_scale(lam, lo, hi)
-        assert np.array_equal(unpack_gf4(slo, shi, 70), F.np_mul[lam][vec])
+        G = rng.integers(0, field.q, size=(4, n)).astype(np.uint8)
+        T, add, weight = _packed_rows(field, G)
+        msgs = rng.integers(0, field.q, size=(50, 4))
+        acc = T[0, msgs[:, 0]]
+        for i in range(1, 4):
+            acc = add(acc, T[i, msgs[:, i]])
+        for m, w in zip(msgs, weight(acc)):
+            word = [0] * n
+            for i in range(4):
+                word = [field.add[a][field.mul[m[i]][g]] for a, g in zip(word, G[i])]
+            assert w == sum(1 for c in word if c)
 
 
 # ---------------------------------------------------------------------------
@@ -123,29 +164,29 @@ def test_gf4_scale_matches_table():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("method", ["blocks", "gray"])
-def test_weight_enumerator_matches_naive(method):
+@FIELDS
+def test_weight_enumerator_matches_naive(field):
     rng = random.Random(2024)
     for _ in range(8):
-        code = rand_code(rng, rng.choice((2, 4)), rng.choice((1, 2)))
-        if code.k > 6:
+        code = rand_code(rng, rng.choice((2, 4)), rng.choice((1, 2)), field)
+        if field.q**code.k > 4**6:
             continue
-        we = weight_enumerator(code, method=method)
+        we = weight_enumerator(code)
         assert we.counts == naive_distribution(code)
-        assert we.total == 4**code.k
+        assert we.total == field.q**code.k
         assert we.counts.get(0) == 1
 
 
-@pytest.mark.parametrize("method", ["blocks", "gray"])
-def test_min_distance_matches_naive(method):
+@FIELDS
+def test_min_distance_matches_naive(field):
     rng = random.Random(501)
     for _ in range(8):
-        code = rand_code(rng, 4, 2)
-        if code.k > 6:
+        code = rand_code(rng, 4, 2, field)
+        if field.q**code.k > 4**6:
             continue
         ref = naive_distribution(code)
         d_ref = min(w for w in ref if w > 0)
-        rep = min_distance(code, method=method)
+        rep = min_distance(code)
         assert rep.exact and rep.d == d_ref
         # the witness really is a codeword of the reported weight
         assert code.is_codeword(rep.witness)
@@ -156,46 +197,42 @@ def test_methods_agree_on_medium_code():
     code = build_code(
         F, 8, (parse_coeff_string(F, "1a01"), parse_coeff_string(F, "0a^211"))
     )
-    rb = min_distance(code, method="blocks")
-    rg = min_distance(code, method="gray")
-    assert rb.d == rg.d
-    wb = weight_enumerator(code, method="blocks")
-    wg = weight_enumerator(code, method="gray")
-    assert wb.counts == wg.counts
+    counts, d = gray_oracle(code)
+    assert min_distance(code).d == d
+    assert weight_enumerator(code).counts == counts
 
 
 def test_workers_do_not_change_the_answer():
     code = build_code(
         F, 10, (parse_coeff_string(F, "1a011"), parse_coeff_string(F, "0a^2111"))
     )
-    r1 = min_distance(code, method="blocks", workers=1)
-    r2 = min_distance(code, method="blocks", workers=2)
+    r1 = min_distance(code, workers=1)
+    r2 = min_distance(code, workers=2)
     assert r1.d == r2.d
-    w1 = weight_enumerator(code, method="blocks", workers=1)
-    w2 = weight_enumerator(code, method="blocks", workers=2)
+    w1 = weight_enumerator(code, workers=1)
+    w2 = weight_enumerator(code, workers=2)
     assert w1.counts == w2.counts
 
 
 def test_stop_at_does_not_depend_on_workers():
     code = get("index2-l2-40-9-21").build()
     for stop_at in (code.n, 22, 0):
-        r1 = min_distance(code, method="blocks", workers=1, stop_at=stop_at)
-        r2 = min_distance(code, method="blocks", workers=2, stop_at=stop_at)
+        r1 = min_distance(code, workers=1, stop_at=stop_at)
+        r2 = min_distance(code, workers=2, stop_at=stop_at)
         assert (r1.d, r1.exact, r1.enumerated) == (r2.d, r2.exact, r2.enumerated)
         assert np.array_equal(r1.witness_message, r2.witness_message)
-    stopped = min_distance(code, method="blocks", workers=2, stop_at=code.n)
+    stopped = min_distance(code, workers=2, stop_at=code.n)
     assert not stopped.exact and stopped.enumerated < (4**code.k - 1) // 3
 
 
 def test_gray_handles_gf9():
-    F9 = make_field(3, 1, 2)
     code = build_code(
         F9, 4, (SkewPoly(F9, [1, 1]), SkewPoly(F9, [2, 0, 1]))
     )
-    rep = min_distance(code, method="gray")
-    we = weight_enumerator(code, method="gray")
-    assert we.total == 9**code.k
-    assert rep.d == we.distance
+    counts, d = gray_oracle(code)
+    assert sum(counts.values()) == 9**code.k
+    assert min_distance(code).d == d
+    assert weight_enumerator(code).counts == counts
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +244,11 @@ def test_stop_at_gives_certified_upper_bound():
     code = build_code(
         F, 8, (parse_coeff_string(F, "1a01"), parse_coeff_string(F, "0a^211"))
     )
-    exact = min_distance(code, method="blocks")
-    stopped = min_distance(code, method="blocks", stop_at=code.n)
+    exact = min_distance(code)
+    stopped = min_distance(code, stop_at=code.n)
     assert not stopped.exact  # the scan stopped at the first codeword
     assert stopped.d >= exact.d
-    untouched = min_distance(code, method="blocks", stop_at=exact.d - 1)
+    untouched = min_distance(code, stop_at=exact.d - 1)
     assert untouched.exact and untouched.d == exact.d
 
 
@@ -229,7 +266,7 @@ def test_sampled_distance_is_deterministic_upper_bound():
     code = build_code(
         F, 10, (parse_coeff_string(F, "1a011"), parse_coeff_string(F, "0a^2111"))
     )
-    exact = min_distance(code, method="blocks")
+    exact = min_distance(code)
     s1 = min_distance_sampled(code, trials=20000, seed=5)
     s2 = min_distance_sampled(code, trials=20000, seed=5)
     assert s1.d == s2.d and not s1.exact
@@ -238,6 +275,20 @@ def test_sampled_distance_is_deterministic_upper_bound():
     assert int(np.count_nonzero(s1.witness)) == s1.d
     s3 = min_distance_sampled(code, trials=20000, seed=6)
     assert s3.d >= exact.d
+
+
+def test_sampled_distance_over_gf9():
+    code = build_code(F9, 8, (
+        SkewPoly(F9, [1, 2, 0, 1, 3, 0, 5, 1]), SkewPoly(F9, [4, 0, 7, 1, 2, 8, 3])
+    ))
+    assert (code.n, code.k) == (16, 8)
+    exact = min_distance(code)
+    for trials in (16, 1000):
+        rep = min_distance_sampled(code, trials=trials, seed=1)
+        assert rep.enumerated == trials and rep.d >= exact.d
+        assert code.is_codeword(rep.witness)
+        assert int(np.count_nonzero(rep.witness)) == rep.d
+        assert np.array_equal(code.encode(rep.witness_message), rep.witness)
 
 
 def test_zero_dimensional_code_reports_none():
