@@ -49,6 +49,16 @@ def _field_from(text: str) -> FieldSpec:
     return make_field(p, t, m)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # reported below like any other non-positive value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_field_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--field",
@@ -152,7 +162,7 @@ def cmd_build(args) -> int:
 def cmd_distance(args) -> int:
     code = _resolve_code(args)
     workers = args.workers if args.workers else default_workers()
-    if args.sampled:
+    if args.sampled is not None:
         rep = min_distance_sampled(code, trials=args.sampled, seed=args.seed)
         kind = f"sampled upper bound over {args.sampled} codewords"
     else:
@@ -282,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_code_flags(p)
     p.add_argument("--budget", type=int, default=2**26,
                    help="max enumeration cost before refusing (default 2^26)")
-    p.add_argument("--sampled", type=int, metavar="TRIALS",
+    p.add_argument("--sampled", type=_positive_int, metavar="TRIALS",
                    help="sampled upper bound instead of exact enumeration")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=0,
@@ -325,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=int, help="only rows with dimension <= this")
     p.add_argument("--budget", type=int, default=2**26,
                    help="exact enumeration allowed up to q^k <= budget")
-    p.add_argument("--trials", type=int, default=100_000,
+    p.add_argument("--trials", type=_positive_int, default=100_000,
                    help="sampled codewords for rows beyond the budget")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=0)

@@ -342,6 +342,8 @@ def min_distance_sampled(
     batch: int = 1 << 14,
 ) -> DistanceReport:
     """Seeded random-message upper bound on the distance (exact=False)."""
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     F = code.spec.field
     q, k, n = F.q, code.k, code.n
     t0 = time.perf_counter()

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .field import FieldSpec
-from .skewpoly import SkewPoly, left_divmod, right_divmod, x_pow_minus_one
+from .skewpoly import SkewPoly, right_divmod, x_pow_minus_one
 
 DEFAULT_BUDGET = 2**20
 
@@ -147,16 +147,6 @@ def verify_factorization(target: SkewPoly, factors: Sequence[SkewPoly]) -> bool:
     for p in factors:
         prod = prod * p
     return prod == target
-
-
-def central_complement_commutes(target: SkewPoly, d: SkewPoly) -> bool:
-    """For central target = q*d, check q*d == d*q (and both one-sided
-    divisions agree); meaningful only when d really divides target."""
-    q, r = right_divmod(target, d)
-    if not r.is_zero:
-        return False
-    ql, rl = left_divmod(target, d)
-    return rl.is_zero and q * d == d * q and d * ql == target
 
 
 def modulus_right_divisors(

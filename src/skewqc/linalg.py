@@ -7,7 +7,7 @@ elimination with table lookups is both fast enough and easy to audit.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .field import FieldSpec
 
@@ -47,22 +47,3 @@ def rref(field: FieldSpec, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int
 
 def rank(field: FieldSpec, rows: Sequence[Sequence[int]]) -> int:
     return len(rref(field, rows)[1])
-
-
-def solve(
-    field: FieldSpec, rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> Optional[List[int]]:
-    """A particular solution of M x = rhs (free variables set to 0), or None."""
-    if len(rows) != len(rhs):
-        raise ValueError("matrix/vector size mismatch")
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    mat, pivots = rref(field, aug)
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [0] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = mat[i][ncols]
-    return x

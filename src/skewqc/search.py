@@ -457,6 +457,8 @@ def verify_entry(
     """Re-check one row: dimension always; distance exact when q^k fits the
     budget, otherwise sampled consistency (no codeword below the claim).
     Rows shipped as unverified transcriptions are reported, never asserted."""
+    if sample_trials < 1:
+        raise ValueError(f"sample_trials must be positive, got {sample_trials}")
     t0 = time.perf_counter()
     name, n, k, d = entry.name, entry.n, entry.k, entry.d
     unverified = entry.note == "unverified-transcription"
@@ -512,6 +514,8 @@ def verify_table(
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[RowReport]:
     """Re-check a batch of catalog rows (the whole catalog by default)."""
+    if sample_trials < 1:
+        raise ValueError(f"sample_trials must be positive, got {sample_trials}")
     rows = list(entries) if entries is not None else catalog()
     reports = []
     for entry in rows:

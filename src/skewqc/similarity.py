@@ -138,20 +138,3 @@ def linear_similar(field: FieldSpec, alpha: int, beta: int) -> bool:
     if beta == 0:
         raise ValueError("beta must be nonzero")
     return norm_to_fixed(field, alpha) == norm_to_fixed(field, beta)
-
-
-def right_similar_implies_left(
-    a: SkewPoly, b: SkewPoly, witness: SimilarityWitness
-) -> bool:
-    """Diagnostic: from a right witness u, recover c with u*a = b*c and
-    validate the left-side data (gcrd(c, a) = 1); False on a corrupt witness."""
-    u = witness.u
-    if u.is_zero or gcld(u, b).gcd.degree != 0:
-        return False
-    m = u * a
-    c, r = left_divmod(m, b)
-    if not r.is_zero:
-        return False
-    if c.is_zero:
-        return a.degree == 0
-    return gcrd(c, a).gcd.degree == 0

@@ -15,6 +15,11 @@ Every one-sided operation exists in two flavours:
 
 ``gcrd(f, g)`` returns Bezout multipliers with ``a*f + b*g = d`` (multipliers
 act on the left); ``gcld`` mirrors this with ``f*a + g*b = d``.
+
+The extended Euclid algorithm runs in one place per side: gcrd and lclm read
+the last two rows of one right-division run (``_right_euclid``), gcld and
+lcrm those of one left-division run (``_left_euclid``).  The row that
+reaches zero, ``u*f + v*g = 0``, gives the least common multiple (Ore, 1933).
 """
 
 from __future__ import annotations
@@ -282,11 +287,11 @@ def right_divides(f: SkewPoly, g: SkewPoly) -> bool:
     return right_divmod(g, f)[1].is_zero
 
 
-def gcrd(f: SkewPoly, g: SkewPoly) -> ExtendedGcdResult:
-    """Monic greatest common right divisor d with a*f + b*g = d."""
+def _right_euclid(f: SkewPoly, g: SkewPoly) -> Tuple[SkewPoly, ...]:
+    """Extended Euclid with right division; its last two rows (r0, a0, b0,
+    a1, b1) satisfy a0*f + b0*g = r0, a gcrd up to a unit, and
+    a1*f + b1*g = 0, a common left multiple of least degree."""
     f._check(g)
-    if f.is_zero and g.is_zero:
-        raise ValueError("gcrd(0, 0) is undefined")
     F = f.field
     one, zero = SkewPoly.one(F), SkewPoly.zero(F)
     r0, a0, b0 = f, one, zero
@@ -294,17 +299,13 @@ def gcrd(f: SkewPoly, g: SkewPoly) -> ExtendedGcdResult:
     while not r1.is_zero:
         q, r2 = right_divmod(r0, r1)
         r0, a0, b0, r1, a1, b1 = r1, a1, b1, r2, a0 - q * a1, b0 - q * b1
-    c = F.inv[r0.lead]
-    return ExtendedGcdResult(
-        r0.scale_left(c), a0.scale_left(c), b0.scale_left(c), "right"
-    )
+    return r0, a0, b0, a1, b1
 
 
-def gcld(f: SkewPoly, g: SkewPoly) -> ExtendedGcdResult:
-    """Monic greatest common left divisor d with f*a + g*b = d."""
+def _left_euclid(f: SkewPoly, g: SkewPoly) -> Tuple[SkewPoly, ...]:
+    """The mirror of _right_euclid with left division: f*a0 + g*b0 = r0, a
+    gcld up to a unit, and f*a1 + g*b1 = 0."""
     f._check(g)
-    if f.is_zero and g.is_zero:
-        raise ValueError("gcld(0, 0) is undefined")
     F = f.field
     one, zero = SkewPoly.one(F), SkewPoly.zero(F)
     r0, a0, b0 = f, one, zero
@@ -312,6 +313,26 @@ def gcld(f: SkewPoly, g: SkewPoly) -> ExtendedGcdResult:
     while not r1.is_zero:
         q, r2 = left_divmod(r0, r1)
         r0, a0, b0, r1, a1, b1 = r1, a1, b1, r2, a0 - a1 * q, b0 - b1 * q
+    return r0, a0, b0, a1, b1
+
+
+def gcrd(f: SkewPoly, g: SkewPoly) -> ExtendedGcdResult:
+    """Monic greatest common right divisor d with a*f + b*g = d."""
+    if f.is_zero and g.is_zero:
+        raise ValueError("gcrd(0, 0) is undefined")
+    r0, a0, b0, _, _ = _right_euclid(f, g)
+    c = f.field.inv[r0.lead]
+    return ExtendedGcdResult(
+        r0.scale_left(c), a0.scale_left(c), b0.scale_left(c), "right"
+    )
+
+
+def gcld(f: SkewPoly, g: SkewPoly) -> ExtendedGcdResult:
+    """Monic greatest common left divisor d with f*a + g*b = d."""
+    if f.is_zero and g.is_zero:
+        raise ValueError("gcld(0, 0) is undefined")
+    F = f.field
+    r0, a0, b0, _, _ = _left_euclid(f, g)
     c = F.theta(F.inv[r0.lead], -r0.degree)
     return ExtendedGcdResult(
         r0.scale_right(c), a0.scale_right(c), b0.scale_right(c), "left"
@@ -346,86 +367,21 @@ def gcld_many(polys: Iterable[SkewPoly]) -> SkewPoly:
     return acc.monic_right()
 
 
-def _lclm_euclid_with_cofactors(
-    f: SkewPoly, g: SkewPoly
-) -> Tuple[SkewPoly, SkewPoly, SkewPoly]:
-    """(m, u, v) with m = u*f = -v*g taken from the final Euclid row."""
-    F = f.field
-    one, zero = SkewPoly.one(F), SkewPoly.zero(F)
-    r0, a0, b0 = f, one, zero
-    r1, a1, b1 = g, zero, one
-    while not r1.is_zero:
-        q, r2 = right_divmod(r0, r1)
-        r0, a0, b0, r1, a1, b1 = r1, a1, b1, r2, a0 - q * a1, b0 - q * b1
-    m = a1 * f
-    c = F.inv[m.lead] if not m.is_zero else 1
-    return m.scale_left(c), a1.scale_left(c), (-b1).scale_left(c)
-
-
-def lclm_euclid(f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    """Monic least common left multiple via the extended Euclid rows."""
-    if f.is_zero or g.is_zero:
-        raise ValueError("lclm requires nonzero arguments")
-    return _lclm_euclid_with_cofactors(f, g)[0]
-
-
 def lclm_with_cofactors(
     f: SkewPoly, g: SkewPoly
 ) -> Tuple[SkewPoly, SkewPoly, SkewPoly]:
     """(m, u, v) with monic m = u*f = v*g of minimal degree."""
     if f.is_zero or g.is_zero:
         raise ValueError("lclm requires nonzero arguments")
-    m, u, v = _lclm_euclid_with_cofactors(f, g)
-    return m, u, v
+    _, _, _, a1, b1 = _right_euclid(f, g)
+    m = a1 * f
+    c = f.field.inv[m.lead]
+    return m.scale_left(c), a1.scale_left(c), (-b1).scale_left(c)
 
 
 def lclm(f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    """Monic least common left multiple, built from a linear system.
-
-    Unknown coefficients of cofactors u, v with u*f + v*g = 0 are solved
-    for at the degree forced by deg f + deg g - deg gcrd(f, g); the Euclid
-    construction is exposed separately as lclm_euclid for cross-checking.
-    """
-    if f.is_zero or g.is_zero:
-        raise ValueError("lclm requires nonzero arguments")
-    from . import linalg
-
-    F = f.field
-    d = gcrd(f, g).gcd.degree
-    target = f.degree + g.degree - d
-    du = target - f.degree  # deg u
-    dv = target - g.degree  # deg v
-    # unknowns: u_0..u_du, v_0..v_dv; one equation per coefficient 0..target,
-    # with the x^target coefficient pinned by making u monic of degree du.
-    ncols = (du + 1) + (dv + 1)
-    rows = []
-    rhs = []
-    tp, m = F.theta_pows, F.m
-    for k in range(target + 1):
-        row = [0] * ncols
-        for i in range(du + 1):
-            cf = f.coeff(k - i)
-            if cf:
-                row[i] = tp[i % m][cf]
-        for j in range(dv + 1):
-            cg = g.coeff(k - j)
-            if cg:
-                row[du + 1 + j] = tp[j % m][cg]
-        rows.append(row)
-        rhs.append(0)
-    # pin u_du = 1: move its column to the right-hand side
-    pin = du
-    for k in range(target + 1):
-        if rows[k][pin]:
-            rhs[k] = F.neg[rows[k][pin]]
-        rows[k] = rows[k][:pin] + rows[k][pin + 1 :]
-    sol = linalg.solve(F, rows, rhs)
-    if sol is None:
-        raise RuntimeError("least common multiple system is inconsistent")
-    u = SkewPoly(F, list(sol[:du]) + [1])
-    mpoly = u * f
-    c = F.inv[mpoly.lead]
-    return mpoly.scale_left(c)
+    """Monic least common left multiple m = u*f = v*g of minimal degree."""
+    return lclm_with_cofactors(f, g)[0]
 
 
 def lcrm_with_cofactors(
@@ -435,12 +391,7 @@ def lcrm_with_cofactors(
     if f.is_zero or g.is_zero:
         raise ValueError("lcrm requires nonzero arguments")
     F = f.field
-    one, zero = SkewPoly.one(F), SkewPoly.zero(F)
-    r0, a0, b0 = f, one, zero
-    r1, a1, b1 = g, zero, one
-    while not r1.is_zero:
-        q, r2 = left_divmod(r0, r1)
-        r0, a0, b0, r1, a1, b1 = r1, a1, b1, r2, a0 - a1 * q, b0 - b1 * q
+    _, _, _, a1, b1 = _left_euclid(f, g)
     m = f * a1
     c = F.theta(F.inv[m.lead], -m.degree)
     return m.scale_right(c), a1.scale_right(c), (-b1).scale_right(c)
@@ -449,82 +400,3 @@ def lcrm_with_cofactors(
 def lcrm(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     """Monic least common right multiple m = f*u = g*v of minimal degree."""
     return lcrm_with_cofactors(f, g)[0]
-
-
-def right_divmod_linalg(g: SkewPoly, f: SkewPoly) -> Tuple[SkewPoly, SkewPoly]:
-    """Right division recast as a dense linear solve (independent of the
-    schoolbook loop; used to cross-check it)."""
-    g._check(f)
-    if f.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    F = g.field
-    df, dg = f.degree, g.degree
-    if dg < df:
-        return SkewPoly.zero(F), g
-    from . import linalg
-
-    dq = dg - df
-    # unknowns: q_0..q_dq then r_0..r_{df-1}
-    ncols = dq + 1 + df
-    rows = []
-    rhs = []
-    tp, m = F.theta_pows, F.m
-    for n in range(dg + 1):
-        row = [0] * ncols
-        for j in range(dq + 1):
-            u = n - j
-            if 0 <= u <= df:
-                cf = f.coeffs[u]
-                if cf:
-                    row[j] = tp[j % m][cf]
-        if n < df:
-            row[dq + 1 + n] = 1
-        rows.append(row)
-        rhs.append(g.coeff(n))
-    sol = linalg.solve(F, rows, rhs)
-    if sol is None:
-        raise RuntimeError("division system is inconsistent")
-    return SkewPoly(F, sol[: dq + 1]), SkewPoly(F, sol[dq + 1 :])
-
-
-def left_divmod_linalg(g: SkewPoly, f: SkewPoly) -> Tuple[SkewPoly, SkewPoly]:
-    """Left division as a dense linear solve.
-
-    Coefficient n of f*q + r reads sum_j f_j theta^j(q_{n-j}) + r_n; applying
-    theta^{-n} to equation n turns every twisted unknown theta^{j-n}(q_i)
-    into the single substitution q'_i = theta^{-i}(q_i), giving an ordinary
-    linear system over F.
-    """
-    g._check(f)
-    if f.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    F = g.field
-    df, dg = f.degree, g.degree
-    if dg < df:
-        return SkewPoly.zero(F), g
-    from . import linalg
-
-    dq = dg - df
-    ncols = dq + 1 + df
-    rows = []
-    rhs = []
-    tp, m = F.theta_pows, F.m
-    for n in range(dg + 1):
-        tn = tp[(-n) % m]
-        row = [0] * ncols
-        for i in range(dq + 1):
-            u = n - i
-            if 0 <= u <= df:
-                cf = f.coeffs[u]
-                if cf:
-                    row[i] = tn[cf]
-        if n < df:
-            row[dq + 1 + n] = 1
-        rows.append(row)
-        rhs.append(tn[g.coeff(n)])
-    sol = linalg.solve(F, rows, rhs)
-    if sol is None:
-        raise RuntimeError("division system is inconsistent")
-    qc = [tp[i % m][sol[i]] for i in range(dq + 1)]
-    rc = [tp[n % m][sol[dq + 1 + n]] for n in range(df)]
-    return SkewPoly(F, qc), SkewPoly(F, rc)

@@ -1,0 +1,152 @@
+"""Cross-check oracles for the ring layer: the least common left multiple and
+both one-sided divisions recast as dense linear systems over F.
+
+They share no code with the schoolbook division loop or the extended Euclid
+rows in ``skewqc.skewpoly``, so agreement between the two is evidence for
+both.  Imported by ``test_skewpoly.py`` and ``test_acceptance.py``.
+"""
+
+from typing import List, Optional, Sequence, Tuple
+
+from skewqc.field import FieldSpec
+from skewqc.linalg import rref
+from skewqc.skewpoly import SkewPoly, gcrd
+
+
+def solve(
+    field: FieldSpec, rows: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> Optional[List[int]]:
+    """A particular solution of M x = rhs (free variables set to 0), or None."""
+    if len(rows) != len(rhs):
+        raise ValueError("matrix/vector size mismatch")
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    mat, pivots = rref(field, aug)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [0] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = mat[i][ncols]
+    return x
+
+
+def lclm_linalg(f: SkewPoly, g: SkewPoly) -> SkewPoly:
+    """Monic least common left multiple, built from a linear system.
+
+    Unknown coefficients of cofactors u, v with u*f + v*g = 0 are solved
+    for at the degree forced by deg f + deg g - deg gcrd(f, g).
+    """
+    if f.is_zero or g.is_zero:
+        raise ValueError("lclm requires nonzero arguments")
+    F = f.field
+    d = gcrd(f, g).gcd.degree
+    target = f.degree + g.degree - d
+    du = target - f.degree  # deg u
+    dv = target - g.degree  # deg v
+    # unknowns: u_0..u_du, v_0..v_dv; one equation per coefficient 0..target,
+    # with the x^target coefficient pinned by making u monic of degree du.
+    ncols = (du + 1) + (dv + 1)
+    rows = []
+    rhs = []
+    tp, m = F.theta_pows, F.m
+    for k in range(target + 1):
+        row = [0] * ncols
+        for i in range(du + 1):
+            cf = f.coeff(k - i)
+            if cf:
+                row[i] = tp[i % m][cf]
+        for j in range(dv + 1):
+            cg = g.coeff(k - j)
+            if cg:
+                row[du + 1 + j] = tp[j % m][cg]
+        rows.append(row)
+        rhs.append(0)
+    # pin u_du = 1: move its column to the right-hand side
+    pin = du
+    for k in range(target + 1):
+        if rows[k][pin]:
+            rhs[k] = F.neg[rows[k][pin]]
+        rows[k] = rows[k][:pin] + rows[k][pin + 1 :]
+    sol = solve(F, rows, rhs)
+    if sol is None:
+        raise RuntimeError("least common multiple system is inconsistent")
+    u = SkewPoly(F, list(sol[:du]) + [1])
+    mpoly = u * f
+    c = F.inv[mpoly.lead]
+    return mpoly.scale_left(c)
+
+
+def right_divmod_linalg(g: SkewPoly, f: SkewPoly) -> Tuple[SkewPoly, SkewPoly]:
+    """Right division g = q*f + r recast as a dense linear solve."""
+    g._check(f)
+    if f.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    F = g.field
+    df, dg = f.degree, g.degree
+    if dg < df:
+        return SkewPoly.zero(F), g
+    dq = dg - df
+    # unknowns: q_0..q_dq then r_0..r_{df-1}
+    ncols = dq + 1 + df
+    rows = []
+    rhs = []
+    tp, m = F.theta_pows, F.m
+    for n in range(dg + 1):
+        row = [0] * ncols
+        for j in range(dq + 1):
+            u = n - j
+            if 0 <= u <= df:
+                cf = f.coeffs[u]
+                if cf:
+                    row[j] = tp[j % m][cf]
+        if n < df:
+            row[dq + 1 + n] = 1
+        rows.append(row)
+        rhs.append(g.coeff(n))
+    sol = solve(F, rows, rhs)
+    if sol is None:
+        raise RuntimeError("division system is inconsistent")
+    return SkewPoly(F, sol[: dq + 1]), SkewPoly(F, sol[dq + 1 :])
+
+
+def left_divmod_linalg(g: SkewPoly, f: SkewPoly) -> Tuple[SkewPoly, SkewPoly]:
+    """Left division g = f*q + r as a dense linear solve.
+
+    Coefficient n of f*q + r reads sum_j f_j theta^j(q_{n-j}) + r_n; applying
+    theta^{-n} to equation n turns every twisted unknown theta^{j-n}(q_i)
+    into the single substitution q'_i = theta^{-i}(q_i), giving an ordinary
+    linear system over F.
+    """
+    g._check(f)
+    if f.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    F = g.field
+    df, dg = f.degree, g.degree
+    if dg < df:
+        return SkewPoly.zero(F), g
+    dq = dg - df
+    ncols = dq + 1 + df
+    rows = []
+    rhs = []
+    tp, m = F.theta_pows, F.m
+    for n in range(dg + 1):
+        tn = tp[(-n) % m]
+        row = [0] * ncols
+        for i in range(dq + 1):
+            u = n - i
+            if 0 <= u <= df:
+                cf = f.coeffs[u]
+                if cf:
+                    row[i] = tn[cf]
+        if n < df:
+            row[dq + 1 + n] = 1
+        rows.append(row)
+        rhs.append(tn[g.coeff(n)])
+    sol = solve(F, rows, rhs)
+    if sol is None:
+        raise RuntimeError("division system is inconsistent")
+    qc = [tp[i % m][sol[i]] for i in range(dq + 1)]
+    rc = [tp[n % m][sol[dq + 1 + n]] for n in range(df)]
+    return SkewPoly(F, qc), SkewPoly(F, rc)

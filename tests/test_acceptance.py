@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from oracles import left_divmod_linalg, right_divmod_linalg
 from skewqc.cli import main as cli_main
 from skewqc.distance import min_distance, min_distance_sampled, weight_enumerator
 from skewqc.factorization import is_central, verify_factorization
@@ -27,9 +28,7 @@ from skewqc.skewpoly import (
     gcrd,
     lclm,
     left_divmod,
-    left_divmod_linalg,
     right_divmod,
-    right_divmod_linalg,
     x_pow_minus_one,
 )
 from skewqc.tables import FLAGSHIP_ENUMERATOR, catalog, entries, get

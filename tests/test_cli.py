@@ -87,6 +87,14 @@ def test_distance_sampled_over_gf9(capsys):
     assert out.startswith("[16,8,") and "sampled upper bound over 2000" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_distance_sampled_rejects_nonpositive_trials(trials, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["distance", "--name", "new-l2-48-12-24", "--sampled", trials])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_distance_budget_exceeded_is_an_error(capsys):
     rc = main(["distance", "--name", "new-l3-72-21-29", "--budget", "65536"])
     assert rc == 1
@@ -163,6 +171,14 @@ def test_verify_table_family_filter(capsys):
     out = capsys.readouterr().out
     assert "ok   index2-l2-40-9-21" in out
     assert "failed" in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_table_rejects_nonpositive_trials(trials, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-table", "--family", "new", "--trials", trials])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
 
 
 def test_verify_table_unverified_rows_do_not_fail(capsys):

@@ -277,6 +277,13 @@ def test_sampled_distance_is_deterministic_upper_bound():
     assert s3.d >= exact.d
 
 
+def test_sampled_distance_rejects_nonpositive_trials():
+    code = get("new-l2-48-12-24").build()
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="trials"):
+            min_distance_sampled(code, trials=trials, seed=1)
+
+
 def test_sampled_distance_over_gf9():
     code = build_code(F9, 8, (
         SkewPoly(F9, [1, 2, 0, 1, 3, 0, 5, 1]), SkewPoly(F9, [4, 0, 7, 1, 2, 8, 3])

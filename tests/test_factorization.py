@@ -3,7 +3,6 @@ import pytest
 from skewqc.errors import BudgetExceededError
 from skewqc.factorization import (
     all_linear_factorizations,
-    central_complement_commutes,
     is_central,
     linear_right_roots,
     modulus_right_divisors,
@@ -14,7 +13,7 @@ from skewqc.factorization import (
 )
 from skewqc.field import gf4, make_field
 from skewqc.notation import parse_coeff_string
-from skewqc.skewpoly import SkewPoly, right_divmod, x_pow_minus_one
+from skewqc.skewpoly import SkewPoly, left_divmod, right_divmod, x_pow_minus_one
 
 F = gf4()
 A, A2 = 2, 3
@@ -190,6 +189,16 @@ def test_modulus_divisor_extremes():
 # ---------------------------------------------------------------------------
 # central targets: complementary factors commute
 # ---------------------------------------------------------------------------
+
+
+def central_complement_commutes(target, d):
+    """For central target = q*d, check q*d == d*q (and both one-sided
+    divisions agree); meaningful only when d really divides target."""
+    q, r = right_divmod(target, d)
+    if not r.is_zero:
+        return False
+    ql, rl = left_divmod(target, d)
+    return rl.is_zero and q * d == d * q and d * ql == target
 
 
 def test_central_complement_commutes_for_all_divisors():

@@ -308,6 +308,19 @@ def test_verify_entry_unverified_rows_reported_not_asserted():
     assert report.line().startswith("??? ")
 
 
+def test_verify_rejects_nonpositive_sample_trials():
+    """Zero samples would certify a sampled row; both calls refuse before
+    building anything."""
+    entry = get("new-l2-48-12-24")
+    lines = []
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="sample_trials"):
+            verify_entry(entry, sample_trials=trials)
+        with pytest.raises(ValueError, match="sample_trials"):
+            verify_table([entry], sample_trials=trials, progress=lines.append)
+    assert lines == []
+
+
 def test_verify_table_contains_per_row_errors():
     good = get("index2-l2-40-9-21")
     broken = dataclasses.replace(good, name="fab-broken", g="zz")

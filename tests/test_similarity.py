@@ -6,13 +6,8 @@ import pytest
 from skewqc.codes import build_code
 from skewqc.field import gf4, make_field
 from skewqc.notation import parse_coeff_string
-from skewqc.similarity import (
-    are_similar,
-    linear_similar,
-    norm_to_fixed,
-    right_similar_implies_left,
-)
-from skewqc.skewpoly import SkewPoly, gcld, x_pow_minus_one
+from skewqc.similarity import are_similar, linear_similar, norm_to_fixed
+from skewqc.skewpoly import SkewPoly, gcld, gcrd, left_divmod, x_pow_minus_one
 
 F = gf4()
 A, A2 = 2, 3
@@ -20,6 +15,20 @@ A, A2 = 2, 3
 
 def lin(field, c):
     return SkewPoly(field, [field.neg[c], 1])  # x - c
+
+
+def right_similar_implies_left(a, b, witness):
+    """From a right witness u, recover c with u*a = b*c and validate the
+    left-side data (gcrd(c, a) = 1); False on a corrupt witness."""
+    u = witness.u
+    if u.is_zero or gcld(u, b).gcd.degree != 0:
+        return False
+    c, r = left_divmod(u * a, b)
+    if not r.is_zero:
+        return False
+    if c.is_zero:
+        return a.degree == 0
+    return gcrd(c, a).gcd.degree == 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import lclm_linalg, left_divmod_linalg, right_divmod_linalg
 from skewqc.field import gf4, make_field
 from skewqc.skewpoly import (
     SkewPoly,
@@ -10,20 +11,24 @@ from skewqc.skewpoly import (
     gcrd,
     gcrd_many,
     lclm,
-    lclm_euclid,
     lclm_with_cofactors,
     lcrm,
     lcrm_with_cofactors,
     left_divmod,
-    left_divmod_linalg,
     right_divides,
     right_divmod,
-    right_divmod_linalg,
     x_pow_minus_one,
 )
 
 F = gf4()
 A, A2 = 2, 3  # the encodings of a and a^2
+
+# The ring oracles run over GF(4) and GF(9), where theta has order 2 and so
+# theta^-1 = theta, and over GF(8), where theta has order 3 and a wrong sign
+# in a theta exponent shows.
+ORACLE_FIELDS = pytest.mark.parametrize(
+    "field", [gf4(), make_field(3, 1, 2), make_field(2, 1, 3)], ids=["gf4", "gf9", "gf8"]
+)
 
 
 def rand_poly(rng, field, max_deg, allow_zero=True):
@@ -114,11 +119,12 @@ def test_division_round_trip_random():
         assert rl.is_zero or rl.degree < f.degree
 
 
-def test_division_two_implementations_agree():
+@ORACLE_FIELDS
+def test_division_two_implementations_agree(field):
     rng = random.Random(41)
     for _ in range(300):
-        g = rand_poly(rng, F, 12)
-        f = rand_poly(rng, F, 7, allow_zero=False)
+        g = rand_poly(rng, field, 12)
+        f = rand_poly(rng, field, 7, allow_zero=False)
         assert right_divmod(g, f) == right_divmod_linalg(g, f)
         assert left_divmod(g, f) == left_divmod_linalg(g, f)
 
@@ -145,11 +151,12 @@ def test_division_works_over_gf9():
 # ---------------------------------------------------------------------------
 
 
-def test_bezout_identities_random():
+@ORACLE_FIELDS
+def test_bezout_identities_random(field):
     rng = random.Random(4242)
     for _ in range(400):
-        f = rand_poly(rng, F, 9, allow_zero=False)
-        g = rand_poly(rng, F, 9, allow_zero=False)
+        f = rand_poly(rng, field, 9, allow_zero=False)
+        g = rand_poly(rng, field, 9, allow_zero=False)
         right = gcrd(f, g)
         assert right.cofactor_f * f + right.cofactor_g * g == right.gcd
         assert right.gcd.is_monic
@@ -162,32 +169,35 @@ def test_bezout_identities_random():
         assert left_divmod(g, left.gcd)[1].is_zero
 
 
-def test_lclm_degree_identity_and_divisibility():
+@ORACLE_FIELDS
+def test_lclm_degree_identity_and_divisibility(field):
     rng = random.Random(1717)
     for _ in range(200):
-        f = rand_poly(rng, F, 8, allow_zero=False)
-        g = rand_poly(rng, F, 8, allow_zero=False)
+        f = rand_poly(rng, field, 8, allow_zero=False)
+        g = rand_poly(rng, field, 8, allow_zero=False)
         m = lclm(f, g)
         assert m.degree == f.degree + g.degree - gcrd(f, g).gcd.degree
         assert right_divmod(m, f)[1].is_zero  # m is a left multiple of f
         assert right_divmod(m, g)[1].is_zero
-        assert m == lclm_euclid(f, g)  # two constructions agree
+        assert m == lclm_linalg(f, g)  # two constructions agree
 
 
-def test_lclm_cofactors():
+@ORACLE_FIELDS
+def test_lclm_cofactors(field):
     rng = random.Random(33)
     for _ in range(100):
-        f = rand_poly(rng, F, 6, allow_zero=False)
-        g = rand_poly(rng, F, 6, allow_zero=False)
+        f = rand_poly(rng, field, 6, allow_zero=False)
+        g = rand_poly(rng, field, 6, allow_zero=False)
         m, u, v = lclm_with_cofactors(f, g)
         assert u * f == m and v * g == m and m.is_monic
 
 
-def test_lcrm_is_right_multiple_of_both():
+@ORACLE_FIELDS
+def test_lcrm_is_right_multiple_of_both(field):
     rng = random.Random(34)
     for _ in range(100):
-        f = rand_poly(rng, F, 6, allow_zero=False)
-        g = rand_poly(rng, F, 6, allow_zero=False)
+        f = rand_poly(rng, field, 6, allow_zero=False)
+        g = rand_poly(rng, field, 6, allow_zero=False)
         m, u, v = lcrm_with_cofactors(f, g)
         assert f * u == m and g * v == m and m.is_monic
         assert lcrm(f, g) == m
