@@ -22,11 +22,12 @@ from .distance import (
     min_distance_sampled,
     weight_enumerator,
 )
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, DEFAULT_OPEN_BUDGET, BudgetExceededError
 from .factorization import all_linear_factorizations, modulus_right_divisors
 from .field import FieldSpec, make_field
 from .notation import parse_coeff_string, poly_coeff_string, poly_to_terms
 from .search import (
+    DEFAULT_SAMPLE_TRIALS,
     SearchConfig,
     export_records,
     load_config,
@@ -85,13 +86,22 @@ def cmd_factor(args) -> int:
     F = _field(args)
     modulus = x_pow_minus_one(F, args.s)
     print(f"x^{args.s} - 1 over GF({F.q}) = {poly_to_terms(modulus)}")
-    if args.degree is not None:
-        divs = modulus_right_divisors(F, args.s, args.degree, budget=args.budget)
-        print(f"monic right divisors of degree {args.degree}: {len(divs)}")
-        for g in divs:
-            print(f"  {poly_coeff_string(g):24s} {poly_to_terms(g)}")
-        return 0
-    factorizations = all_linear_factorizations(modulus, budget=args.budget)
+    try:
+        if args.degree is not None:
+            divs = modulus_right_divisors(
+                F, args.s, args.degree, budget=args.budget or DEFAULT_BUDGET
+            )
+            print(f"monic right divisors of degree {args.degree}: {len(divs)}")
+            for g in divs:
+                print(f"  {poly_coeff_string(g):24s} {poly_to_terms(g)}")
+            return 0
+        factorizations = all_linear_factorizations(
+            modulus, budget=args.budget or DEFAULT_OPEN_BUDGET
+        )
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print("hint: raise --budget", file=sys.stderr)
+        return 1
     print(f"complete factorizations into monic linear factors: {len(factorizations)}")
     for factors in factorizations:
         print("  " + "".join(f"({poly_to_terms(f)})" for f in factors))
@@ -280,7 +290,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int,
                    help="list monic right divisors of this degree instead of "
                    "complete linear factorizations")
-    p.add_argument("--budget", type=int, default=2**22)
+    p.add_argument("--budget", type=_positive_int,
+                   help=f"with --degree: max monic candidates scanned (default "
+                   f"{DEFAULT_BUDGET}); without: max factorization-tree nodes "
+                   f"(default {DEFAULT_OPEN_BUDGET})")
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("build", help="construct a code and print its structure")
@@ -290,8 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distance", help="minimum distance of a code")
     _add_code_flags(p)
-    p.add_argument("--budget", type=int, default=2**26,
-                   help="max enumeration cost before refusing (default 2^26)")
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                   help="exact enumeration allowed up to q^k <= BUDGET messages "
+                   "(default %(default)s)")
     p.add_argument("--sampled", type=_positive_int, metavar="TRIALS",
                    help="sampled upper bound instead of exact enumeration")
     p.add_argument("--seed", type=int, default=0)
@@ -308,7 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True, help="first polynomial (coefficient string)")
     p.add_argument("--g", required=True, help="second polynomial (coefficient string)")
     p.add_argument("--side", choices=("right", "left"), default="right")
-    p.add_argument("--budget", type=int, default=2**22)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_OPEN_BUDGET,
+                   help="max witnesses tried (default %(default)s)")
     p.set_defaults(func=cmd_similar)
 
     p = sub.add_parser("search", help="run a seeded generator-tuple campaign")
@@ -333,10 +348,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", action="append",
                    help="restrict to specific entries (repeatable)")
     p.add_argument("--max-k", type=int, help="only rows with dimension <= this")
-    p.add_argument("--budget", type=int, default=2**26,
-                   help="exact enumeration allowed up to q^k <= budget")
-    p.add_argument("--trials", type=_positive_int, default=100_000,
-                   help="sampled codewords for rows beyond the budget")
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                   help="exact distance when q^k <= BUDGET messages, else sampled "
+                   "(default %(default)s)")
+    p.add_argument("--trials", type=_positive_int, default=DEFAULT_SAMPLE_TRIALS,
+                   help="sampled codewords for rows beyond the budget "
+                   "(default %(default)s)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=0)
     p.add_argument("--quiet", action="store_true", help="summary line only")

@@ -10,11 +10,14 @@ uint64 bit planes and weights come from popcounts, which is what makes full
 4^16 enumerations practical; other fields keep their symbols.  A full-space
 Gray walk over all q^k messages, the cross-check oracle, lives in the tests.
 
-Budgets are expressed in enumerated rows and checked *before* any work
-starts (BudgetExceededError), so oversized requests fail fast instead of
-hanging.  ``min_distance_sampled`` sums rows of the same table for seeded
-random messages: a reproducible upper bound for codes beyond exhaustive
-reach.
+Budgets count candidates examined: an exact scan is priced at its q^k
+messages (``exact_cost``), whether or not scalar orbits let it visit fewer,
+and the price is checked against the budget (default DEFAULT_BUDGET = 2^26)
+*before* any work starts (BudgetExceededError), so oversized requests fail
+fast instead of hanging; ``DistanceReport.enumerated`` counts the rows
+actually scanned.  ``min_distance_sampled`` sums rows of the same table for
+seeded random messages: a reproducible upper bound for codes beyond
+exhaustive reach.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .codes import CodeStructure
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .field import FieldSpec, make_field
 
-DEFAULT_BUDGET = 2**30
 INNER_TABLE_LIMIT = 2**16
 
 
@@ -154,8 +156,9 @@ def _gray_steps(radix: int, ndigits: int):
 # scalar-orbit block enumeration
 
 
-def _orbit_rows(q: int, k: int) -> int:
-    return (q**k - 1) // (q - 1)
+def exact_cost(code: CodeStructure) -> int:
+    """Price of an exact scan of ``code`` in the budget unit: its q^k messages."""
+    return code.spec.field.q ** code.k
 
 
 def _lead_block(
@@ -284,12 +287,13 @@ def weight_enumerator(
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
 ) -> WeightEnumerator:
-    """Exact weight distribution of the code (sums to q^k)."""
+    """Exact weight distribution of the code (sums to q^k); refused up
+    front, like min_distance, when exact_cost(code) exceeds ``budget``."""
     F = code.spec.field
     q, k, n = F.q, code.k, code.n
     if k == 0:
         return WeightEnumerator(n, k, q, {0: 1})
-    cost = _orbit_rows(q, k)
+    cost = exact_cost(code)
     if cost > budget:
         raise BudgetExceededError("weight enumeration too large", cost, budget)
     hist, _, _, _ = _enumerate_blocks(F, code.genmatrix, True, workers=workers)
@@ -306,6 +310,10 @@ def min_distance(
 ) -> DistanceReport:
     """Exact minimum distance with a witness codeword.
 
+    Refused up front (BudgetExceededError) when exact_cost(code) = q^k
+    exceeds ``budget``, counted in candidate messages (default
+    DEFAULT_BUDGET = 2^26).
+
     ``stop_at``: abandon the scan once the running best reaches this value
     (the true minimum can never be smaller than 1, so stop_at=0 never stops
     early and d stays exact; a positive value turns the result into a
@@ -316,7 +324,7 @@ def min_distance(
     t0 = time.perf_counter()
     if k == 0:
         return DistanceReport(None, True, "empty", 0, elapsed=time.perf_counter() - t0)
-    cost = _orbit_rows(q, k)
+    cost = exact_cost(code)
     if cost > budget:
         raise BudgetExceededError("distance enumeration too large", cost, budget)
     _, best, best_msg, rows = _enumerate_blocks(

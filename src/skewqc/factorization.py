@@ -2,23 +2,21 @@
 
 Because F[x; theta] is non-commutative, factorizations are one-sided and far
 from unique: x^s - 1 typically splits into linear factors in many distinct
-orders.  This module provides exhaustive right-divisor enumeration (with an
-explicit work budget), linear-factor peeling, and checks tied to *central*
+orders.  This module provides the divisor scan of x^s - 1 (with a work
+budget checked up front), linear-factor peeling, and checks tied to *central*
 polynomials (those commuting with everything), for which left and right
 divisors coincide and complementary factors commute.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, DEFAULT_OPEN_BUDGET, BudgetExceededError
 from .field import FieldSpec
 from .skewpoly import SkewPoly, right_divmod, x_pow_minus_one
-
-DEFAULT_BUDGET = 2**20
 
 
 def is_central(f: SkewPoly) -> bool:
@@ -33,47 +31,6 @@ def is_central(f: SkewPoly) -> bool:
         if c and (k % F.m != 0 or c not in fixed):
             return False
     return True
-
-
-def monic_polys(field: FieldSpec, degree: int) -> Iterator[SkewPoly]:
-    """All monic skew polynomials of the given degree, lexicographic order."""
-    if degree < 0:
-        return
-    q = field.q
-    total = q**degree
-    for idx in range(total):
-        coeffs, v = [], idx
-        for _ in range(degree):
-            coeffs.append(v % q)
-            v //= q
-        coeffs.append(1)
-        yield SkewPoly(field, coeffs)
-
-
-def right_divisors(
-    f: SkewPoly, degree: Optional[int] = None, budget: int = DEFAULT_BUDGET
-) -> List[SkewPoly]:
-    """All monic right divisors of f (of one degree, or of every degree).
-
-    The search is a plain scan over monic candidates, so the cost is q^degree
-    divisions per degree; a BudgetExceededError is raised up front when the
-    scan would be larger than ``budget``.
-    """
-    if f.is_zero:
-        raise ValueError("every polynomial right-divides 0")
-    q = f.field.q
-    degrees = range(f.degree + 1) if degree is None else [degree]
-    cost = sum(q**d for d in degrees if 0 <= d <= f.degree)
-    if cost > budget:
-        raise BudgetExceededError("right divisor scan too large", cost, budget)
-    out = []
-    for d in degrees:
-        if not 0 <= d <= f.degree:
-            continue
-        for cand in monic_polys(f.field, d):
-            if right_divmod(f, cand)[1].is_zero:
-                out.append(cand)
-    return out
 
 
 def linear_right_roots(f: SkewPoly) -> List[int]:
@@ -110,12 +67,13 @@ def split_linear(f: SkewPoly) -> Optional[List[SkewPoly]]:
 
 
 def all_linear_factorizations(
-    f: SkewPoly, budget: int = DEFAULT_BUDGET
+    f: SkewPoly, budget: int = DEFAULT_OPEN_BUDGET
 ) -> List[List[SkewPoly]]:
     """Every ordered factorization of monic f into monic linear factors.
 
     Depth-first over right roots; ``budget`` bounds the number of explored
-    nodes (distinct partial quotients), since the count can grow quickly.
+    nodes (distinct partial quotients), since the count can grow quickly and
+    is only known by running the search (default DEFAULT_OPEN_BUDGET).
     """
     if f.is_zero or not f.is_monic:
         raise ValueError("argument must be monic and nonzero")
@@ -153,7 +111,7 @@ def modulus_right_divisors(
     field: FieldSpec,
     s: int,
     degree: Optional[int] = None,
-    budget: int = 2**26,
+    budget: int = DEFAULT_BUDGET,
 ) -> List[SkewPoly]:
     """Monic right divisors of x^s - 1, found by batched remainder tracking.
 
@@ -170,10 +128,12 @@ def modulus_right_divisors(
     by the same remainder check as a scan hit.  When m does not divide s
     every degree is scanned directly.
 
-    Each degree is priced at the candidates actually scanned,
-    q^min(d, s - d) when central and q^d otherwise, and the budget is checked
-    before any work starts.  Output order matches monic_polys (ascending
-    degree, lexicographic) on either path.
+    The budget counts candidates examined, the unit of every guarded scan
+    (default DEFAULT_BUDGET): each degree is priced at the candidates
+    actually scanned, q^min(d, s - d) when central and q^d otherwise, and
+    the budget is checked before any work starts.  Output is in ascending
+    degree, lexicographic within a degree (x^0 coefficient varying fastest),
+    on either path.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -210,7 +170,7 @@ def modulus_right_divisors(
 
 
 def _monic_index(q: int, g: SkewPoly) -> int:
-    """Position of monic g among monic_polys(field, g.degree)."""
+    """Rank of monic g in the scan order of its degree (x^0 varies fastest)."""
     return sum(int(c) * q**j for j, c in enumerate(g.coeffs[:-1]))
 
 
@@ -218,7 +178,7 @@ def _scan_modulus_divisors(
     field: FieldSpec, modulus: SkewPoly, dg: int
 ) -> List[SkewPoly]:
     """Monic right divisors of modulus = x^s - 1 of degree 0 < dg < s, in
-    monic_polys order, by the batched residue scan over all q^dg candidates."""
+    _monic_index order, by the batched residue scan over all q^dg candidates."""
     q, s = field.q, modulus.degree
     theta = field.np_theta[1 % field.m]
     np_sub, np_mul = field.np_sub, field.np_mul

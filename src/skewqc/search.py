@@ -26,15 +26,14 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .codes import CodeStructure, build_code
-from .distance import min_distance, min_distance_sampled
-from .errors import BudgetExceededError
+from .distance import DistanceReport, exact_cost, min_distance, min_distance_sampled
+from .errors import DEFAULT_BUDGET as DEFAULT_DISTANCE_BUDGET
 from .factorization import modulus_right_divisors
 from .field import FieldSpec, make_field
 from .notation import parse_coeff_string, poly_coeff_string
 from .skewpoly import SkewPoly
 from .tables import CatalogEntry, catalog
 
-DEFAULT_DISTANCE_BUDGET = 2**26  # exact enumeration allowed up to q^k candidates
 DEFAULT_SAMPLE_TRIALS = 100_000
 GF4 = (2, 1, 2)  # (p, t, m) of the default field
 
@@ -51,9 +50,11 @@ class SearchConfig:
     strings; ``fs`` comma-separated) instead of enumerating candidates —
     useful for replaying a known code.  ``trials`` caps the total number of
     candidates evaluated under either sampling policy; 0 means an empty
-    campaign.  ``budget`` bounds both the divisor scan per degree and the
-    exact-distance enumeration; candidates whose message space exceeds it
-    fall back to ``distance_trials`` seeded random codewords (exact=False).
+    campaign.  ``budget`` counts candidates examined (default
+    DEFAULT_BUDGET = 2^26): it bounds the divisor scan, priced as in
+    modulus_right_divisors, and picks each candidate's distance method, exact
+    when its q^k messages fit the budget, otherwise ``distance_trials``
+    seeded random codewords (exact=False).
     """
 
     s: int
@@ -298,6 +299,16 @@ def export_records(records: Sequence[SearchRecord], fmt: str = "tsv") -> str:
 # the campaign itself
 
 
+def _distance(
+    code: CodeStructure, budget: int, trials: int, seed: int, workers: int
+) -> DistanceReport:
+    """Exact distance when exact_cost(code) = q^k fits the budget, otherwise
+    an upper bound from ``trials`` seeded random codewords."""
+    if exact_cost(code) <= budget:
+        return min_distance(code, budget=budget, workers=workers)
+    return min_distance_sampled(code, trials=trials, seed=seed)
+
+
 def _exhaustive_vectors(field: FieldSpec, s: int, count: int) -> Iterator[Tuple[SkewPoly, ...]]:
     """All count-tuples of coefficient vectors of degree < s, lexicographic
     (component 0 varies fastest, coefficient of x^0 fastest within it)."""
@@ -362,7 +373,7 @@ def run_search(
     if config.trials == 0:
         return
     field = make_field(config.p, config.t, config.m)
-    q, s = field.q, config.s
+    s = config.s
     bounds = load_bounds(config.bounds) if config.bounds else {}
     divisors: List[SkewPoly] = []
     if not config.g:
@@ -379,27 +390,22 @@ def run_search(
             if progress:
                 progress(f"candidate {index}: zero code, skipped")
             continue
-        if q**code.k <= config.budget:
-            report = min_distance(code, budget=config.budget, workers=workers)
-            d, exact = report.d, report.exact
-        else:
-            report = min_distance_sampled(
-                code, trials=config.distance_trials, seed=config.seed + index
-            )
-            d, exact = report.d, False
+        report = _distance(
+            code, config.budget, config.distance_trials, config.seed + index, workers
+        )
         record = SearchRecord(
             n=code.n,
             k=code.k,
-            d=d,
-            exact=exact,
-            comparison=classify(code.n, code.k, d, bounds),
+            d=report.d,
+            exact=report.exact,
+            comparison=classify(code.n, code.k, report.d, bounds),
             generators=tuple(poly_coeff_string(p) for p in code.spec.generators),
             field=(config.p, config.t, config.m),
         )
         if progress:
             progress(
                 f"candidate {index}: [{record.n},{record.k},{record.d}] "
-                f"{'exact' if exact else 'sampled'} {record.comparison}"
+                f"{'exact' if record.exact else 'sampled'} {record.comparison}"
             )
         yield record
 
@@ -454,11 +460,13 @@ def verify_entry(
     seed: int = 0,
     workers: int = 1,
 ) -> RowReport:
-    """Re-check one row: dimension always; distance exact when q^k fits the
-    budget, otherwise sampled consistency (no codeword below the claim).
-    Rows shipped as unverified transcriptions are reported, never asserted."""
-    if sample_trials < 1:
-        raise ValueError(f"sample_trials must be positive, got {sample_trials}")
+    """Re-check one row: dimension always; distance exact when the code's
+    q^k messages fit ``budget`` (candidates examined, default
+    DEFAULT_BUDGET = 2^26), otherwise sampled consistency over
+    ``sample_trials`` codewords (no codeword below the claim).  Rows shipped
+    as unverified transcriptions are reported, never asserted."""
+    if budget < 1 or sample_trials < 1:
+        raise ValueError(f"budget {budget} and sample_trials {sample_trials} must be positive")
     t0 = time.perf_counter()
     name, n, k, d = entry.name, entry.n, entry.k, entry.d
     unverified = entry.note == "unverified-transcription"
@@ -474,7 +482,6 @@ def verify_entry(
         if unverified:
             return report("unverified", detail=f"build failed: {exc}")
         return report("error", detail=str(exc))
-    q = code.spec.field.q
     if unverified:
         note = "transcription not asserted"
         if code.k != k:
@@ -482,27 +489,23 @@ def verify_entry(
         return report("unverified", k_found=code.k, detail=note)
     if code.k != k:
         return report("fail", k_found=code.k, detail=f"dimension {code.k} != {k}")
-    try:
-        if q**code.k <= budget:
-            rep = min_distance(code, budget=budget, workers=workers)
-            if rep.d != d:
-                return report(
-                    "fail", k_found=code.k, d_found=rep.d, exact=True,
-                    detail=f"exact distance {rep.d} != {d}",
-                )
-            return report("ok", k_found=code.k, d_found=rep.d, exact=True)
-        rep = min_distance_sampled(code, trials=sample_trials, seed=seed)
-        if rep.d is not None and rep.d < d:
+    rep = _distance(code, budget, sample_trials, seed, workers)
+    if rep.exact:
+        if rep.d != d:
             return report(
-                "fail", k_found=code.k, d_found=rep.d,
-                detail=f"sampled codeword of weight {rep.d} < {d}",
+                "fail", k_found=code.k, d_found=rep.d, exact=True,
+                detail=f"exact distance {rep.d} != {d}",
             )
+        return report("ok", k_found=code.k, d_found=rep.d, exact=True)
+    if rep.d is not None and rep.d < d:
         return report(
-            "ok", k_found=code.k, d_found=rep.d,
-            detail=f"consistent over {sample_trials} samples",
+            "fail", k_found=code.k, d_found=rep.d,
+            detail=f"sampled codeword of weight {rep.d} < {d}",
         )
-    except BudgetExceededError as exc:
-        return report("error", k_found=code.k, detail=str(exc))
+    return report(
+        "ok", k_found=code.k, d_found=rep.d,
+        detail=f"consistent over {sample_trials} samples",
+    )
 
 
 def verify_table(
@@ -514,8 +517,8 @@ def verify_table(
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[RowReport]:
     """Re-check a batch of catalog rows (the whole catalog by default)."""
-    if sample_trials < 1:
-        raise ValueError(f"sample_trials must be positive, got {sample_trials}")
+    if budget < 1 or sample_trials < 1:
+        raise ValueError(f"budget {budget} and sample_trials {sample_trials} must be positive")
     rows = list(entries) if entries is not None else catalog()
     reports = []
     for entry in rows:

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import DEFAULT_OPEN_BUDGET
 from .field import FieldSpec
 from .skewpoly import (
     SkewPoly,
@@ -34,9 +35,6 @@ from .skewpoly import (
     left_divmod,
     right_divmod,
 )
-
-DEFAULT_BUDGET = 2**20
-
 
 @dataclass(frozen=True)
 class SimilarityWitness:
@@ -88,13 +86,13 @@ def are_similar(
     a: SkewPoly,
     b: SkewPoly,
     side: str = "right",
-    budget: int = DEFAULT_BUDGET,
+    budget: int = DEFAULT_OPEN_BUDGET,
 ) -> SimilarityResult:
     """Decide similarity of monic nonzero a and b by witness search.
 
-    Completing the scan without a witness proves dissimilarity; if the scan
-    would exceed ``budget`` candidates the result is "unknown" instead of a
-    guess.
+    Completing the scan without a witness proves dissimilarity; once
+    ``budget`` witnesses have been tried without success the result is
+    "unknown" instead of a guess.
     """
     if a.is_zero or b.is_zero or not (a.is_monic and b.is_monic):
         raise ValueError("similarity is defined for monic nonzero polynomials")

@@ -1,16 +1,50 @@
 """Cross-check oracles for the ring layer: the least common left multiple and
-both one-sided divisions recast as dense linear systems over F.
+both one-sided divisions recast as dense linear systems over F, and the plain
+right-divisor scan that tries every monic candidate with a schoolbook
+division.
 
-They share no code with the schoolbook division loop or the extended Euclid
-rows in ``skewqc.skewpoly``, so agreement between the two is evidence for
-both.  Imported by ``test_skewpoly.py`` and ``test_acceptance.py``.
+The linear systems share no code with the schoolbook division loop or the
+extended Euclid rows in ``skewqc.skewpoly``, and the plain scan shares none
+with the batched residue scan of ``modulus_right_divisors``, so agreement
+between each pair is evidence for both.  Imported by ``test_skewpoly.py``,
+``test_factorization.py`` and ``test_acceptance.py``.
 """
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from skewqc.field import FieldSpec
 from skewqc.linalg import rref
-from skewqc.skewpoly import SkewPoly, gcrd
+from skewqc.skewpoly import SkewPoly, gcrd, right_divmod
+
+
+def monic_polys(field: FieldSpec, degree: int) -> Iterator[SkewPoly]:
+    """All monic skew polynomials of the given degree, lexicographic order
+    (the x^0 coefficient varies fastest)."""
+    if degree < 0:
+        return
+    q = field.q
+    for idx in range(q**degree):
+        coeffs, v = [], idx
+        for _ in range(degree):
+            coeffs.append(v % q)
+            v //= q
+        coeffs.append(1)
+        yield SkewPoly(field, coeffs)
+
+
+def right_divisors(f: SkewPoly, degree: Optional[int] = None) -> List[SkewPoly]:
+    """All monic right divisors of f (of one degree, or of every degree), by
+    one schoolbook division per monic candidate: q^degree per degree."""
+    if f.is_zero:
+        raise ValueError("every polynomial right-divides 0")
+    degrees = range(f.degree + 1) if degree is None else [degree]
+    return [
+        cand
+        for d in degrees
+        if 0 <= d <= f.degree
+        for cand in monic_polys(f.field, d)
+        if right_divmod(f, cand)[1].is_zero
+    ]
 
 
 def solve(

@@ -55,7 +55,6 @@ PUBLIC_NAMES = [
     "records_from_json",
     "records_to_json",
     "records_to_tsv",
-    "right_divisors",
     "right_divmod",
     "run_search",
     "skew_shift",

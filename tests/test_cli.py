@@ -1,10 +1,15 @@
 """Tests for the command-line interface: one suite per subcommand."""
 
+import inspect
+
 import pytest
 
+from skewqc import cli
 from skewqc.cli import main
+from skewqc.errors import DEFAULT_BUDGET, DEFAULT_OPEN_BUDGET
 from skewqc.field import make_field
 from skewqc.notation import poly_coeff_string
+from skewqc.search import DEFAULT_SAMPLE_TRIALS
 from skewqc.skewpoly import SkewPoly
 
 
@@ -30,6 +35,18 @@ def test_factor_modulus_without_linear_split(capsys):
     assert main(["factor", "--s", "6"]) == 0
     out = capsys.readouterr().out
     assert "complete factorizations into monic linear factors: 0" in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--s", "12", "--degree", "6", "--budget", "10"], ["--s", "8", "--budget", "100"]],
+    ids=["divisor-scan", "factorization-tree"],
+)
+def test_factor_budget_exceeded_is_an_error(args, capsys):
+    assert main(["factor"] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "budget" in err
+    assert "hint: raise --budget" in err
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +132,58 @@ def test_similar_with_witness(capsys):
 def test_similar_dissimilar_pair(capsys):
     assert main(["similar", "--f", "01", "--g", "a1"]) == 0
     assert "dissimilar" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# budgets shared by several subcommands
+# ---------------------------------------------------------------------------
+
+
+BUDGET_COMMANDS = {
+    "factor": ["factor", "--s", "4"],
+    "distance": ["distance", "--name", "index2-l2-40-9-21"],
+    "similar": ["similar", "--f", "a1", "--g", "a^21"],
+    "verify-table": ["verify-table", "--name", "index2-l2-40-9-21"],
+}
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("command", sorted(BUDGET_COMMANDS))
+def test_budget_flags_reject_nonpositive(command, budget, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(BUDGET_COMMANDS[command] + ["--budget", budget])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, name, expected",
+    [
+        (BUDGET_COMMANDS["factor"], "all_linear_factorizations", DEFAULT_OPEN_BUDGET),
+        (["factor", "--s", "20", "--degree", "1"], "modulus_right_divisors", DEFAULT_BUDGET),
+        (BUDGET_COMMANDS["distance"], "min_distance", DEFAULT_BUDGET),
+        (BUDGET_COMMANDS["similar"], "are_similar", DEFAULT_OPEN_BUDGET),
+        (BUDGET_COMMANDS["verify-table"], "verify_table", DEFAULT_BUDGET),
+    ],
+    ids=["factor", "factor-degree", "distance", "similar", "verify-table"],
+)
+def test_budget_defaults_are_the_library_defaults(argv, name, expected, monkeypatch):
+    """With no --budget, each command passes the default of the library call
+    it makes (and verify-table passes the library's sample count)."""
+    fn = getattr(cli, name)
+    defaults = inspect.signature(fn).parameters
+    seen = {}
+
+    def recorder(*args, **kwargs):
+        seen.update(kwargs)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recorder)
+    assert main(argv) == 0
+    assert seen["budget"] == defaults["budget"].default == expected
+    if name == "verify_table":
+        assert seen["sample_trials"] == defaults["sample_trials"].default
+        assert seen["sample_trials"] == DEFAULT_SAMPLE_TRIALS
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from skewqc.codes import (
     skew_shift,
 )
 from skewqc.errors import ConsistencyError
+from skewqc.factorization import modulus_right_divisors
 from skewqc.field import gf4, make_field
 from skewqc.notation import parse_coeff_string
 from skewqc.skewpoly import SkewPoly, gcld_many, x_pow_minus_one
@@ -212,11 +213,8 @@ def test_degenerate_build_dimension_always_s_minus_deg_g():
     """The first s - deg g shift images are always independent when g
     right-divides x^s - 1, whether or not their span is shift-closed."""
     rng = random.Random(1234)
-    from skewqc.factorization import right_divisors
-
     for s in (4, 6):
-        modulus = x_pow_minus_one(F, s)
-        divisors = [g for g in right_divisors(modulus) if 0 < g.degree < s]
+        divisors = [g for g in modulus_right_divisors(F, s) if 0 < g.degree < s]
         for _ in range(30):
             g = divisors[rng.randrange(len(divisors))]
             f = rand_poly(rng, F, s - 1)
@@ -228,11 +226,8 @@ def test_degenerate_build_dimension_always_s_minus_deg_g():
 
 def test_module_closed_flag_detects_closure():
     rng = random.Random(4321)
-    from skewqc.factorization import right_divisors
-
     s = 4
-    modulus = x_pow_minus_one(F, s)
-    divisors = [g for g in right_divisors(modulus) if 0 < g.degree < s]
+    divisors = [g for g in modulus_right_divisors(F, s) if 0 < g.degree < s]
     seen_closed = seen_open = False
     for g in divisors:
         for _ in range(20):
@@ -255,11 +250,8 @@ def test_module_closed_iff_module_dimension_matches():
     """When the flag is set, the explicit-generator build agrees with the
     plain module build row space."""
     rng = random.Random(5678)
-    from skewqc.factorization import right_divisors
-
     s = 6
-    modulus = x_pow_minus_one(F, s)
-    divisors = [g for g in right_divisors(modulus) if 0 < g.degree < s]
+    divisors = [g for g in modulus_right_divisors(F, s) if 0 < g.degree < s]
     for _ in range(40):
         g = divisors[rng.randrange(len(divisors))]
         f = rand_poly(rng, F, s - 1)

@@ -1,4 +1,5 @@
 import pytest
+from oracles import monic_polys, right_divisors
 
 from skewqc.errors import BudgetExceededError
 from skewqc.factorization import (
@@ -6,8 +7,6 @@ from skewqc.factorization import (
     is_central,
     linear_right_roots,
     modulus_right_divisors,
-    monic_polys,
-    right_divisors,
     split_linear,
     verify_factorization,
 )
@@ -114,9 +113,11 @@ def test_right_divisors_by_degree():
 
 def test_right_divisors_budget_guard():
     with pytest.raises(BudgetExceededError):
-        right_divisors(x_pow_minus_one(F, 12), degree=11, budget=100)
-    with pytest.raises(BudgetExceededError):
         modulus_right_divisors(F, 12, degree=6, budget=100)
+    # degree 6 examines its 4^6 candidates: the budget is met exactly or refused
+    assert len(modulus_right_divisors(F, 12, degree=6, budget=4**6)) == 157
+    with pytest.raises(BudgetExceededError):
+        modulus_right_divisors(F, 12, degree=6, budget=4**6 - 1)
     # degree 11 is priced at the 4^1 candidates of its degree-1 cofactors
     assert len(modulus_right_divisors(F, 12, degree=11, budget=100)) == 3
 
@@ -137,14 +138,14 @@ def test_monic_polys_enumeration():
 def test_modulus_divisor_scan_cross_check(s):
     target = x_pow_minus_one(F, s)
     fast = modulus_right_divisors(F, s)
-    slow = right_divisors(target, budget=1 << 22)
+    slow = right_divisors(target)
     assert [tuple(g.coeffs) for g in fast] == [tuple(g.coeffs) for g in slow]
 
 
 def test_modulus_divisor_scan_gf9():
     F9 = make_field(3, 1, 2)
     fast = modulus_right_divisors(F9, 4)
-    slow = right_divisors(x_pow_minus_one(F9, 4), budget=1 << 22)
+    slow = right_divisors(x_pow_minus_one(F9, 4))
     assert [tuple(g.coeffs) for g in fast] == [tuple(g.coeffs) for g in slow]
 
 
@@ -175,7 +176,7 @@ def test_modulus_divisor_scan_non_central():
     is scanned directly and must match the schoolbook scan."""
     assert not is_central(x_pow_minus_one(F, 5))
     fast = modulus_right_divisors(F, 5)
-    slow = right_divisors(x_pow_minus_one(F, 5), budget=1 << 22)
+    slow = right_divisors(x_pow_minus_one(F, 5))
     assert [tuple(g.coeffs) for g in fast] == [tuple(g.coeffs) for g in slow]
 
 

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from skewqc.distance import exact_cost, min_distance, weight_enumerator
+from skewqc.errors import BudgetExceededError
 from skewqc.field import make_field
 from skewqc.notation import parse_coeff_string
 from skewqc.search import (
@@ -319,6 +321,37 @@ def test_verify_rejects_nonpositive_sample_trials():
         with pytest.raises(ValueError, match="sample_trials"):
             verify_table([entry], sample_trials=trials, progress=lines.append)
     assert lines == []
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_verify_rejects_nonpositive_budget(budget):
+    """A budget below 1 would downgrade every exact row to a sample; both
+    calls refuse before building anything."""
+    entry = get("index2-l2-40-9-21")
+    lines = []
+    with pytest.raises(ValueError, match="budget"):
+        verify_entry(entry, budget=budget)
+    with pytest.raises(ValueError, match="budget"):
+        verify_table([entry], budget=budget, progress=lines.append)
+    assert lines == []
+
+
+def test_one_budget_unit_for_distance_and_verification():
+    """min_distance, weight_enumerator and verify_entry all price the
+    [40,9,21] row at its 4^9 messages, so they draw the line at one budget."""
+    entry = get("index2-l2-40-9-21")
+    code = entry.build()
+    assert exact_cost(code) == 4**9
+    assert min_distance(code, budget=4**9).d == 21
+    assert weight_enumerator(code, budget=4**9).total == 4**9
+    for call in (min_distance, weight_enumerator):
+        with pytest.raises(BudgetExceededError):
+            call(code, budget=4**9 - 1)
+    exact = verify_entry(entry, budget=4**9)
+    assert (exact.status, exact.exact, exact.d_found) == ("ok", True, 21)
+    sampled = verify_entry(entry, budget=4**9 - 1, sample_trials=2000)
+    assert (sampled.status, sampled.exact) == ("ok", False)
+    assert sampled.detail == "consistent over 2000 samples"
 
 
 def test_verify_table_contains_per_row_errors():
