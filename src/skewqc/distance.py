@@ -7,8 +7,18 @@ batch of q^ki weights is histogrammed at once, and nonzero counts are
 multiplied by q - 1 at the end.  All rows come from one table of scaled
 generator rows, built once per code: over GF(4) they are bitsliced into two
 uint64 bit planes and weights come from popcounts, which is what makes full
-4^16 enumerations practical; other fields keep their symbols.  A full-space
-Gray walk over all q^k messages, the cross-check oracle, lives in the tests.
+4^16 enumerations practical; other fields keep their symbols.
+
+The inner table is stored word-major, shape (width, q^ki): one contiguous
+run of q^ki entries per bit-plane word or per symbol.  One weight kernel
+serves every field and both engines: it walks the table word by word with
+scratch buffers reused from batch to batch (over GF(4): XOR with the
+offset, OR the two planes, popcount, add; elsewhere: compare with the
+negated offset and count), so a row two or three words wide costs two or
+three passes over contiguous memory.  Exact-scan weights are counted in
+uint8 while n <= 255 and in uint16 above (np.min_scalar_type(n)), and the
+histogram and argmin run on those counts.  A full-space Gray walk over all
+q^k messages, the cross-check oracle, lives in the tests.
 
 Budgets count candidates examined: an exact scan is priced at its q^k
 messages (``exact_cost``), whether or not scalar orbits let it visit fewer,
@@ -107,27 +117,47 @@ def pack_gf4(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[np.ndarray, Callable, Callable]:
-    """(T, add, weight): the table T[i, lam] = lam * G[i] of shape (k, q, width).
+    """(T, add, weights): the table T[i, lam] = lam * G[i] of shape (k, q, width).
 
-    Over GF(4) a row is its lo and hi planes side by side in uint64 words,
-    ``add`` is XOR and ``weight`` is popcount(lo | hi).  Over any other field
-    a row is its n symbols, ``add`` is the F.np_add lookup and ``weight`` is
-    count_nonzero.  Both act on the last axis and broadcast.
+    Over GF(4) a row is its lo and hi planes side by side in uint64 words and
+    ``add`` is XOR; over any other field a row is its n symbols and ``add``
+    is the F.np_add lookup.  ``add`` acts elementwise and broadcasts.
+
+    ``weights(block, offset, out)`` reads ``block`` word-major, shape
+    (width, R) with one column per vector, and writes the weight of each
+    column of ``block + offset`` into ``out`` (shape (R,), any integer dtype
+    that holds n).  Over GF(4) it loops over the words: XOR both planes with
+    the offset word, OR them, popcount and add, all into scratch buffers kept
+    between calls with the same R.  Over other fields a + o is zero exactly
+    when a == -o, so it counts the symbols that differ from -offset.
     """
     T = F.np_mul[np.arange(F.q)[None, :, None], G[:, None, :]]
     if F.q != 4:
-        return (
-            T,
-            lambda a, b: F.np_add[a, b],
-            lambda rows: np.count_nonzero(rows, axis=-1).astype(np.int64),
-        )
+
+        def symbol_weights(block: np.ndarray, offset: np.ndarray, out: np.ndarray) -> None:
+            np.add.reduce(block != F.np_neg[offset][:, None], axis=0, dtype=out.dtype, out=out)
+
+        return T, lambda a, b: F.np_add[a, b], symbol_weights
     lo, hi = pack_gf4(T)
     nw = lo.shape[-1]
+    scratch: List[np.ndarray] = []
 
-    def weight(rows: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(rows[..., :nw] | rows[..., nw:]).sum(axis=-1, dtype=np.int64)
+    def weights(block: np.ndarray, offset: np.ndarray, out: np.ndarray) -> None:
+        if not scratch or scratch[0].shape != out.shape:
+            scratch[:] = [np.empty(out.shape, np.uint64), np.empty(out.shape, np.uint64),
+                          np.empty(out.shape, np.uint8)]
+        x, y, c = scratch
+        for j in range(nw):
+            np.bitwise_xor(block[j], offset[j], out=x)
+            np.bitwise_xor(block[nw + j], offset[nw + j], out=y)
+            np.bitwise_or(x, y, out=x)
+            if j == 0:
+                np.bitwise_count(x, out=out)
+            else:
+                np.bitwise_count(x, out=c)
+                np.add(out, c, out=out)
 
-    return np.concatenate([lo, hi], axis=-1), np.bitwise_xor, weight
+    return np.concatenate([lo, hi], axis=-1), np.bitwise_xor, weights
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +204,7 @@ def _lead_block(
     ``rows`` is the code's _packed_rows table.  Returns (histogram-or-None,
     best weight, best message, rows seen).
     """
-    T, add, weight = rows
+    T, add, weights = rows
     q, k = F.q, T.shape[0]
     kf = k - lead - 1
     ki = 0
@@ -183,9 +213,17 @@ def _lead_block(
     ko = kf - ki
     outer0 = lead + 1  # outer rows lead+1 .. lead+ko, inner rows after them
 
-    B = T[lead, 1:2]
+    # word-major inner table: column u is row lead plus the inner rows with
+    # digit u % q on the first, (u // q) % q on the next, ...; filled in
+    # place, each inner row adding its nonzero multiples to the columns so far
+    B = np.empty((T.shape[-1], q**ki), dtype=T.dtype)
+    B[:, 0] = T[lead, 1]
+    size = 1
     for r in range(outer0 + ko, k):
-        B = np.concatenate([add(B, T[r, lam]) for lam in range(q)])
+        for lam in range(1, q):
+            B[:, lam * size : (lam + 1) * size] = add(B[:, :size], T[r, lam][:, None])
+        size *= q
+    w = np.empty(B.shape[1], dtype=np.min_scalar_type(n))
 
     hist = np.zeros(n + 1, dtype=np.int64) if want_hist else None
     best = n + 1
@@ -205,7 +243,7 @@ def _lead_block(
 
     def scan() -> bool:
         nonlocal best, best_msg, rows_seen
-        w = weight(add(B, offset))
+        weights(B, offset, w)
         rows_seen += w.shape[0]
         if want_hist:
             hist_part = np.bincount(w, minlength=n + 1)
@@ -358,7 +396,8 @@ def min_distance_sampled(
     if k == 0:
         return DistanceReport(None, True, "empty", 0, elapsed=time.perf_counter() - t0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    T, add, weight = _packed_rows(F, code.genmatrix)
+    T, add, weights = _packed_rows(F, code.genmatrix)
+    zero = np.zeros(T.shape[-1], dtype=T.dtype)
     best = n + 1
     best_msg = None
     done = 0
@@ -370,8 +409,11 @@ def min_distance_sampled(
         acc = T[0].take(msgs[:, 0], axis=0)
         for i in range(1, k):
             acc = add(acc, T[i].take(msgs[:, i], axis=0))
-        w = weight(acc)
-        w[~msgs.any(axis=1)] = n + 1  # ignore the zero message
+        w = np.empty(b, dtype=np.int64)
+        weights(acc.T, zero, w)
+        # the rows of G are independent, so only the zero message weighs 0;
+        # n + 1 keeps it out of the minimum
+        w[w == 0] = n + 1
         wmin = int(w.min())
         if wmin < best:
             best = wmin

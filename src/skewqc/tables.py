@@ -109,7 +109,11 @@ INDEX34: Tuple[CatalogEntry, ...] = (
          note="not module-closed as printed: the full shift closure has "
               "dimension 22; the 15-row shift span reproduces d = 34 exactly"),
     _deg("index34", 56, 11, 29, 4, "11a1", "0a^200a01a^2", "0a^21a1aa^21", "1a^210aa1a^2a^2"),
-    _deg("index34", 56, 12, 28, 4, "101", "aa^20a^2a100aa", "a^21a^2a^2a0aa^2aa^2a^2", "a^2a0aaa^21"),
+    _deg("index34", 56, 12, 28, 4, "101", "a a^2 0 0 a^2 a 1 0 0 a a",
+         "a^21a^2a^2a0aa^2aa^2a^2", "a^2a0aaa^21",
+         note="emended: source prints f1 = aa^20a^2a100aa, which gives d = 26; "
+              "restoring a dropped 0 at the x^3 coefficient is the unique "
+              "single-token repair reproducing the published (k, d)"),
     _deg("index34", 64, 13, 32, 4, "a1a1", "11aa1011a^2a^2a", "a^2000a", "10a1a^2011"),
     _deg("index34", 64, 14, 31, 4, "101", "0a1a01a^2a^20aa^2", "1aaa^2a000a^2a^21a", "aa^2a^211a^20aa"),
     _deg("index34", 64, 15, 30, 4, "a^21", "aa11aa^21aaaa", "a^2a^201aa^2aa^2001",

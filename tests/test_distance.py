@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from skewqc.codes import build_code
+from skewqc.codes import build_code, build_degenerate_code
 from skewqc.distance import (
     WeightEnumerator,
     _gray_steps,
@@ -14,6 +14,7 @@ from skewqc.distance import (
     weight_enumerator,
 )
 from skewqc.errors import BudgetExceededError
+from skewqc.factorization import modulus_right_divisors
 from skewqc.field import gf4, make_field
 from skewqc.notation import parse_coeff_string
 from skewqc.skewpoly import SkewPoly
@@ -144,19 +145,38 @@ def test_gf4_scale_matches_table():
 
 @FIELDS
 def test_packed_rows_weight_matches_count_nonzero(field):
+    """weights(block, offset, out) writes the weight of each column of the
+    word-major block + offset into out, an accumulator sized as the engine
+    sizes it: uint8 up to n = 255, uint16 above.  Row 0 of G has no zero
+    symbol, so the messages c * e_0 reach weight n: 255 fills the uint8
+    range and 300 needs the wider one."""
     rng = np.random.default_rng(22)
-    for n in (5, 64, 100):
-        G = rng.integers(0, field.q, size=(4, n)).astype(np.uint8)
-        T, add, weight = _packed_rows(field, G)
-        msgs = rng.integers(0, field.q, size=(50, 4))
+    q = field.q
+    for n in (5, 64, 100, 255, 300):
+        G = rng.integers(0, q, size=(4, n)).astype(np.uint8)
+        G[0] = rng.integers(1, q, size=n)
+        T, add, weights = _packed_rows(field, G)
+        msgs = rng.integers(0, q, size=(50, 4))
+        msgs[: q - 1] = [[c, 0, 0, 0] for c in range(1, q)]
         acc = T[0, msgs[:, 0]]
         for i in range(1, 4):
             acc = add(acc, T[i, msgs[:, i]])
-        for m, w in zip(msgs, weight(acc)):
-            word = [0] * n
-            for i in range(4):
-                word = [field.add[a][field.mul[m[i]][g]] for a, g in zip(word, G[i])]
-            assert w == sum(1 for c in word if c)
+        block = np.ascontiguousarray(acc.T)
+        for shift in (np.zeros(4, dtype=int), rng.integers(0, q, size=4)):
+            offset = T[0, shift[0]]
+            for i in range(1, 4):
+                offset = add(offset, T[i, shift[i]])
+            out = np.empty(len(msgs), dtype=np.min_scalar_type(n))
+            assert out.dtype == (np.uint8 if n <= 255 else np.uint16)
+            weights(block, offset, out)
+            for m, w in zip(msgs, out):
+                word = [0] * n
+                for i in range(4):
+                    c = field.add[m[i]][shift[i]]
+                    word = [field.add[a][field.mul[c][g]] for a, g in zip(word, G[i])]
+                assert w == sum(1 for c in word if c)
+            if not shift.any():
+                assert list(out[: q - 1]) == [n] * (q - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +220,58 @@ def test_methods_agree_on_medium_code():
     counts, d = gray_oracle(code)
     assert min_distance(code).d == d
     assert weight_enumerator(code).counts == counts
+
+
+def multiword_code(s, l, k, seed):
+    """A GF(4) code [l*s, k] spanned by k shifts of (g, f_1*g, ...), with g
+    a degree-(s - k) right divisor of x^s - 1 and random multipliers."""
+    rng = random.Random(seed)
+    divisors = modulus_right_divisors(F, s, degree=s - k)
+    g = divisors[rng.randrange(len(divisors))]
+    fs = [SkewPoly(F, [rng.randrange(4) for _ in range(s)]) for _ in range(l - 1)]
+    return build_degenerate_code(F, s, g, fs)
+
+
+@pytest.mark.parametrize(
+    "s, l, words", [(36, 2, 2), (48, 3, 3), (96, 3, 5)], ids=["n72", "n144", "n288"]
+)
+def test_engine_matches_gray_oracle_on_multiword_rows(s, l, words):
+    """Rows of two, three and five uint64 words per bit plane; n = 288 also
+    takes the uint16 accumulator, and its heaviest codewords weigh 288."""
+    code = multiword_code(s, l, 6, seed=s)
+    assert code.k == 6 and (code.n + 63) // 64 == words
+    counts, d = gray_oracle(code)
+    assert weight_enumerator(code).counts == counts
+    rep = min_distance(code)
+    assert rep.exact and rep.d == d
+    assert code.is_codeword(rep.witness)
+    assert int(np.count_nonzero(rep.witness)) == d
+    assert np.array_equal(code.encode(rep.witness_message), rep.witness)
+
+
+# (d, exact, enumerated, witness message) for stop_at = 0, 22 and n: they fix
+# the order in which the engine visits messages, not only the minimum
+ROW_ORDER_PINS = {
+    "index2-l2-40-9-21": {
+        0: (21, True, 87381, "100310000"),
+        22: (21, False, 65536, "100310000"),
+        40: (21, False, 65536, "100310000"),
+    },
+    "large-index-l6-72-12-38": {
+        0: (38, True, 5592405, "100030000000"),
+        22: (38, True, 5592405, "100030000000"),
+        72: (38, False, 65536, "100030000000"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_ORDER_PINS))
+def test_row_order_is_pinned(name):
+    code = get(name).build()
+    for stop_at, pinned in ROW_ORDER_PINS[name].items():
+        rep = min_distance(code, stop_at=stop_at)
+        message = "".join(str(c) for c in rep.witness_message)
+        assert (rep.d, rep.exact, rep.enumerated, message) == pinned
 
 
 def test_workers_do_not_change_the_answer():
@@ -296,6 +368,14 @@ def test_sampled_distance_over_gf9():
         assert code.is_codeword(rep.witness)
         assert int(np.count_nonzero(rep.witness)) == rep.d
         assert np.array_equal(code.encode(rep.witness_message), rep.witness)
+
+
+def test_sampled_distance_skips_the_zero_message():
+    code = build_code(F, 4, (parse_coeff_string(F, "1111"),))  # k = 1, d = 4
+    assert code.k == 1
+    rep = min_distance_sampled(code, trials=64, seed=0)  # about 16 zero messages
+    assert rep.d == 4 and rep.witness_message.any()
+    assert int(np.count_nonzero(rep.witness)) == 4
 
 
 def test_zero_dimensional_code_reports_none():

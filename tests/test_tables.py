@@ -131,6 +131,7 @@ def test_published_h_strings_match_computed_parity():
         "index2-l2-40-9-21",
         "index2-l2-48-11-24",
         "index34-l4-56-11-29",
+        "index34-l4-56-12-28",
         "nondegenerate-l3-30-10-14",
         "large-index-l6-60-10-33",
     ],
@@ -144,7 +145,7 @@ def test_small_row_distances_exact(name):
 
 def test_emended_rows_carry_notes():
     for e in catalog():
-        if e.name in ("index2-l2-48-13-22", "index34-l4-64-15-30"):
+        if e.name in ("index2-l2-48-13-22", "index34-l4-56-12-28", "index34-l4-64-15-30"):
             assert e.note.startswith("emended")
 
 
