@@ -121,7 +121,8 @@ def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[np.ndarray, Callable, Cal
 
     Over GF(4) a row is its lo and hi planes side by side in uint64 words and
     ``add`` is XOR; over any other field a row is its n symbols and ``add``
-    is the F.np_add lookup.  ``add`` acts elementwise and broadcasts.
+    is one lookup in the flattened F.np_add.  ``add`` acts elementwise and
+    broadcasts.
 
     ``weights(block, offset, out)`` reads ``block`` word-major, shape
     (width, R) with one column per vector, and writes the weight of each
@@ -137,7 +138,9 @@ def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[np.ndarray, Callable, Cal
         def symbol_weights(block: np.ndarray, offset: np.ndarray, out: np.ndarray) -> None:
             np.add.reduce(block != F.np_neg[offset][:, None], axis=0, dtype=out.dtype, out=out)
 
-        return T, lambda a, b: F.np_add[a, b], symbol_weights
+        # one flat lookup; the index a*q + b < q^2 <= 65,536 fits uint16
+        flat_add, q = F.np_add.reshape(-1), F.q
+        return T, lambda a, b: flat_add.take(a.astype(np.uint16) * q + b), symbol_weights
     lo, hi = pack_gf4(T)
     nw = lo.shape[-1]
     scratch: List[np.ndarray] = []

@@ -171,7 +171,7 @@ def modulus_right_divisors(
 
 def _monic_index(q: int, g: SkewPoly) -> int:
     """Rank of monic g in the scan order of its degree (x^0 varies fastest)."""
-    return sum(int(c) * q**j for j, c in enumerate(g.coeffs[:-1]))
+    return sum(c * q**j for j, c in enumerate(g.coeffs[:-1]))
 
 
 def _scan_modulus_divisors(

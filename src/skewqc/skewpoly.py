@@ -20,11 +20,20 @@ The extended Euclid algorithm runs in one place per side: gcrd and lclm read
 the last two rows of one right-division run (``_right_euclid``), gcld and
 lcrm those of one left-division run (``_left_euclid``).  The row that
 reaches zero, ``u*f + v*g = 0``, gives the least common multiple (Ore, 1933).
+
+The arithmetic runs on plain coefficient lists through three kernels: one
+product, ``_mul_acc`` (for ``*`` and both Euclid updates), and one reduction
+loop per side, ``_right_reduce`` / ``_left_reduce`` (for the public division
+and the Euclid loop of that side).  ``SkewPoly(field, coeffs)`` is the one
+validating constructor: it takes any integer-like coefficients (numpy
+integers included), rejects floats and out-of-range values, and stores
+Python ints.  Results computed here go through the trusted ``_make``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Tuple
+import operator
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .field import FieldSpec
 
@@ -35,7 +44,7 @@ class SkewPoly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldSpec, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
+        cs = list(map(operator.index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         for c in cs:
@@ -98,7 +107,7 @@ class SkewPoly:
     # -- ring operations ----------------------------------------------------
 
     def _check(self, other: "SkewPoly") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed-field arithmetic is not defined")
 
     def __add__(self, other: "SkewPoly") -> "SkewPoly":
@@ -110,11 +119,11 @@ class SkewPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = add[out[i]][c]
-        return SkewPoly(self.field, out)
+        return _make(self.field, out)
 
     def __neg__(self) -> "SkewPoly":
         neg = self.field.neg
-        return SkewPoly(self.field, [neg[c] for c in self.coeffs])
+        return _make(self.field, [neg[c] for c in self.coeffs])
 
     def __sub__(self, other: "SkewPoly") -> "SkewPoly":
         return self + (-other)
@@ -122,20 +131,9 @@ class SkewPoly:
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
         self._check(other)
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return SkewPoly.zero(self.field)
-        F = self.field
-        add, mul, tp, m = F.add, F.mul, F.theta_pows, F.m
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                trow = tp[i % m]
-                mrow = mul[ai]
-                for j, bj in enumerate(b):
-                    if bj:
-                        k = i + j
-                        out[k] = add[out[k]][mrow[trow[bj]]]
-        return SkewPoly(self.field, out)
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        _mul_acc(self.field, out, a, b, self.field.add)
+        return _make(self.field, out)
 
     def __pow__(self, n: int) -> "SkewPoly":
         if n < 0:
@@ -152,15 +150,13 @@ class SkewPoly:
     def scale_left(self, c: int) -> "SkewPoly":
         """c * f  (multiply every coefficient by c on the left)."""
         mul = self.field.mul[c]
-        return SkewPoly(self.field, [mul[x] for x in self.coeffs])
+        return _make(self.field, [mul[x] for x in self.coeffs])
 
     def scale_right(self, c: int) -> "SkewPoly":
         """f * c  (coefficient i picks up theta^i(c))."""
         F = self.field
         mul, tp, m = F.mul, F.theta_pows, F.m
-        return SkewPoly(
-            F, [mul[x][tp[i % m][c]] for i, x in enumerate(self.coeffs)]
-        )
+        return _make(F, [mul[x][tp[i % m][c]] for i, x in enumerate(self.coeffs)])
 
     def monic_left(self) -> "SkewPoly":
         """The unique monic left-scalar multiple c * f."""
@@ -179,13 +175,13 @@ class SkewPoly:
     def apply_theta(self, k: int = 1) -> "SkewPoly":
         """Apply the field automorphism to every coefficient."""
         trow = self.field.theta_pows[k % self.field.m]
-        return SkewPoly(self.field, [trow[c] for c in self.coeffs])
+        return _make(self.field, [trow[c] for c in self.coeffs])
 
     def times_x_pow(self, k: int) -> "SkewPoly":
         """f * x^k  (shift exponents up; no coefficient twist)."""
         if self.is_zero or k == 0:
             return self
-        return SkewPoly(self.field, (0,) * k + self.coeffs)
+        return _make(self.field, [0] * k + list(self.coeffs))
 
     # -- dunder plumbing -------------------------------------------------
 
@@ -205,6 +201,32 @@ class SkewPoly:
         return f"SkewPoly({poly_to_terms(self)})"
 
 
+def _make(field: FieldSpec, cs: List[int]) -> SkewPoly:
+    """The trusted constructor for results computed here: trims trailing
+    zeros off the list ``cs`` of in-range ints, with no range check."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    p = object.__new__(SkewPoly)
+    object.__setattr__(p, "field", field)
+    object.__setattr__(p, "coeffs", tuple(cs))
+    return p
+
+
+def _mul_acc(F: FieldSpec, out: List[int], a: Sequence[int], b: Sequence[int], op) -> None:
+    """out[i+j] = op[out[i+j]][a_i * theta^i(b_j)] in place: ``op = F.add``
+    adds the product a*b to out, ``op = F.sub`` subtracts it.  out must have
+    at least len(a) + len(b) - 1 entries."""
+    mul, tp, m = F.mul, F.theta_pows, F.m
+    for i, ai in enumerate(a):
+        if ai:
+            trow = tp[i % m]
+            mrow = mul[ai]
+            for j, bj in enumerate(b):
+                if bj:
+                    k = i + j
+                    out[k] = op[out[k]][mrow[trow[bj]]]
+
+
 def x_pow_minus_one(field: FieldSpec, s: int) -> SkewPoly:
     """The modulus polynomial x^s - 1."""
     if s < 1:
@@ -220,66 +242,74 @@ class ExtendedGcdResult(NamedTuple):
     side: str
 
 
-def right_divmod(g: SkewPoly, f: SkewPoly) -> Tuple[SkewPoly, SkewPoly]:
-    """Quotient and remainder with g = q*f + r, deg r < deg f."""
+def _right_reduce(F: FieldSpec, r: List[int], f: Sequence[int]) -> List[int]:
+    """Reduce r in place to its remainder on dividing by f on the right
+    (r = q*f + remainder), trimmed; return q.  f is nonzero and trimmed."""
+    mul, sub, inv, tp, m = F.mul, F.sub, F.inv, F.theta_pows, F.m
+    df = len(f) - 1
+    flead = f[-1]
+    q = [0] * max(len(r) - df, 0)
+    for top in range(len(r) - 1, df - 1, -1):
+        if r[top]:
+            k = top - df
+            trow = tp[k % m]
+            c = mul[r[top]][inv[trow[flead]]]
+            q[k] = c
+            crow = mul[c]
+            for j in range(df):
+                fj = f[j]
+                if fj:
+                    kj = k + j
+                    r[kj] = sub[r[kj]][crow[trow[fj]]]
+    del r[df:]
+    while r and r[-1] == 0:
+        r.pop()
+    return q
+
+
+def _left_reduce(F: FieldSpec, r: List[int], f: Sequence[int]) -> List[int]:
+    """The mirror of _right_reduce: r = f*q + remainder."""
+    mul, sub, inv, tp, m = F.mul, F.sub, F.inv, F.theta_pows, F.m
+    df = len(f) - 1
+    inv_lead = inv[f[-1]]
+    tlead = tp[(-df) % m]
+    q = [0] * max(len(r) - df, 0)
+    for top in range(len(r) - 1, df - 1, -1):
+        if r[top]:
+            k = top - df
+            c = tlead[mul[inv_lead][r[top]]]
+            q[k] = c
+            for j in range(df):
+                fj = f[j]
+                if fj:
+                    kj = k + j
+                    r[kj] = sub[r[kj]][mul[fj][tp[j % m][c]]]
+    del r[df:]
+    while r and r[-1] == 0:
+        r.pop()
+    return q
+
+
+def _divmod(g: SkewPoly, f: SkewPoly, reduce) -> Tuple[SkewPoly, SkewPoly]:
     g._check(f)
     if f.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     F = g.field
-    df = f.degree
-    if g.degree < df:
-        return SkewPoly.zero(F), g
-    mul, sub, inv, tp, m = F.mul, F.sub, F.inv, F.theta_pows, F.m
-    fl = f.coeffs
-    flead = fl[-1]
+    if g.degree < f.degree:
+        return _make(F, []), g
     r = list(g.coeffs)
-    q = [0] * (len(r) - df)
-    top = len(r) - 1
-    while top >= df:
-        if r[top]:
-            k = top - df
-            c = mul[r[top]][inv[tp[k % m][flead]]]
-            q[k] = c
-            trow = tp[k % m]
-            crow = mul[c]
-            for j in range(df):
-                fj = fl[j]
-                if fj:
-                    kj = k + j
-                    r[kj] = sub[r[kj]][crow[trow[fj]]]
-            r[top] = 0
-        top -= 1
-    return SkewPoly(F, q), SkewPoly(F, r[:df])
+    q = reduce(F, r, f.coeffs)
+    return _make(F, q), _make(F, r)
+
+
+def right_divmod(g: SkewPoly, f: SkewPoly) -> Tuple[SkewPoly, SkewPoly]:
+    """Quotient and remainder with g = q*f + r, deg r < deg f."""
+    return _divmod(g, f, _right_reduce)
 
 
 def left_divmod(g: SkewPoly, f: SkewPoly) -> Tuple[SkewPoly, SkewPoly]:
     """Quotient and remainder with g = f*q + r, deg r < deg f."""
-    g._check(f)
-    if f.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    F = g.field
-    df = f.degree
-    if g.degree < df:
-        return SkewPoly.zero(F), g
-    mul, sub, inv, tp, m = F.mul, F.sub, F.inv, F.theta_pows, F.m
-    fl = f.coeffs
-    inv_lead = inv[fl[-1]]
-    r = list(g.coeffs)
-    q = [0] * (len(r) - df)
-    top = len(r) - 1
-    while top >= df:
-        if r[top]:
-            k = top - df
-            c = tp[(-df) % m][mul[inv_lead][r[top]]]
-            q[k] = c
-            for j in range(df):
-                fj = fl[j]
-                if fj:
-                    kj = k + j
-                    r[kj] = sub[r[kj]][mul[fj][tp[j % m][c]]]
-            r[top] = 0
-        top -= 1
-    return SkewPoly(F, q), SkewPoly(F, r[:df])
+    return _divmod(g, f, _left_reduce)
 
 
 def right_divides(f: SkewPoly, g: SkewPoly) -> bool:
@@ -287,33 +317,38 @@ def right_divides(f: SkewPoly, g: SkewPoly) -> bool:
     return right_divmod(g, f)[1].is_zero
 
 
+def _euclid(f: SkewPoly, g: SkewPoly, right: bool) -> Tuple[SkewPoly, ...]:
+    """Both extended Euclid runs on coefficient lists: one reduction loop per
+    side, and each row update x0 -= q*x1 (right) or x1*q (left) in place."""
+    f._check(g)
+    F = f.field
+    reduce, sub = (_right_reduce if right else _left_reduce), F.sub
+    r0, a0, b0 = list(f.coeffs), [1], []
+    r1, a1, b1 = list(g.coeffs), [], [1]
+    while r1:
+        q = reduce(F, r0, r1)  # r0 becomes the remainder r2
+        for x0, x1 in ((a0, a1), (b0, b1)):
+            if x1:
+                x0 += [0] * (len(q) + len(x1) - 1 - len(x0))
+                if right:
+                    _mul_acc(F, x0, q, x1, sub)
+                else:
+                    _mul_acc(F, x0, x1, q, sub)
+        r0, a0, b0, r1, a1, b1 = r1, a1, b1, r0, a0, b0
+    return _make(F, r0), _make(F, a0), _make(F, b0), _make(F, a1), _make(F, b1)
+
+
 def _right_euclid(f: SkewPoly, g: SkewPoly) -> Tuple[SkewPoly, ...]:
     """Extended Euclid with right division; its last two rows (r0, a0, b0,
     a1, b1) satisfy a0*f + b0*g = r0, a gcrd up to a unit, and
     a1*f + b1*g = 0, a common left multiple of least degree."""
-    f._check(g)
-    F = f.field
-    one, zero = SkewPoly.one(F), SkewPoly.zero(F)
-    r0, a0, b0 = f, one, zero
-    r1, a1, b1 = g, zero, one
-    while not r1.is_zero:
-        q, r2 = right_divmod(r0, r1)
-        r0, a0, b0, r1, a1, b1 = r1, a1, b1, r2, a0 - q * a1, b0 - q * b1
-    return r0, a0, b0, a1, b1
+    return _euclid(f, g, True)
 
 
 def _left_euclid(f: SkewPoly, g: SkewPoly) -> Tuple[SkewPoly, ...]:
     """The mirror of _right_euclid with left division: f*a0 + g*b0 = r0, a
     gcld up to a unit, and f*a1 + g*b1 = 0."""
-    f._check(g)
-    F = f.field
-    one, zero = SkewPoly.one(F), SkewPoly.zero(F)
-    r0, a0, b0 = f, one, zero
-    r1, a1, b1 = g, zero, one
-    while not r1.is_zero:
-        q, r2 = left_divmod(r0, r1)
-        r0, a0, b0, r1, a1, b1 = r1, a1, b1, r2, a0 - a1 * q, b0 - b1 * q
-    return r0, a0, b0, a1, b1
+    return _euclid(f, g, False)
 
 
 def gcrd(f: SkewPoly, g: SkewPoly) -> ExtendedGcdResult:

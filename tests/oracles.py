@@ -1,12 +1,16 @@
 """Cross-check oracles for the ring layer: the least common left multiple and
-both one-sided divisions recast as dense linear systems over F, and the plain
-right-divisor scan that tries every monic candidate with a schoolbook
-division.
+both one-sided divisions recast as dense linear systems over F, the extended
+Euclid runs written with SkewPoly arithmetic, and the plain right-divisor scan
+that tries every monic candidate with a schoolbook division.
 
 The linear systems share no code with the schoolbook division loop or the
 extended Euclid rows in ``skewqc.skewpoly``, and the plain scan shares none
 with the batched residue scan of ``modulus_right_divisors``, so agreement
-between each pair is evidence for both.  Imported by ``test_skewpoly.py``,
+between each pair is evidence for both.  The object-level Euclid runs step
+through public divisions and operators, one new SkewPoly per step, so they
+check the list bookkeeping of ``_right_euclid`` / ``_left_euclid`` (row
+sizing, in-place updates, factor order); the kernels underneath are checked
+by the linear systems.  Imported by ``test_skewpoly.py``,
 ``test_factorization.py`` and ``test_acceptance.py``.
 """
 
@@ -14,7 +18,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from skewqc.field import FieldSpec
 from skewqc.linalg import rref
-from skewqc.skewpoly import SkewPoly, gcrd, right_divmod
+from skewqc.skewpoly import SkewPoly, gcrd, left_divmod, right_divmod
 
 
 def monic_polys(field: FieldSpec, degree: int) -> Iterator[SkewPoly]:
@@ -184,3 +188,29 @@ def left_divmod_linalg(g: SkewPoly, f: SkewPoly) -> Tuple[SkewPoly, SkewPoly]:
     qc = [tp[i % m][sol[i]] for i in range(dq + 1)]
     rc = [tp[n % m][sol[dq + 1 + n]] for n in range(df)]
     return SkewPoly(F, qc), SkewPoly(F, rc)
+
+
+def right_euclid_reference(f: SkewPoly, g: SkewPoly) -> Tuple[SkewPoly, ...]:
+    """Extended Euclid with right division, one SkewPoly per step:
+    (r0, a0, b0, a1, b1) with a0*f + b0*g = r0 and a1*f + b1*g = 0."""
+    f._check(g)
+    one, zero = SkewPoly.one(f.field), SkewPoly.zero(f.field)
+    r0, a0, b0 = f, one, zero
+    r1, a1, b1 = g, zero, one
+    while not r1.is_zero:
+        q, r2 = right_divmod(r0, r1)
+        r0, a0, b0, r1, a1, b1 = r1, a1, b1, r2, a0 - q * a1, b0 - q * b1
+    return r0, a0, b0, a1, b1
+
+
+def left_euclid_reference(f: SkewPoly, g: SkewPoly) -> Tuple[SkewPoly, ...]:
+    """The mirror of right_euclid_reference with left division:
+    f*a0 + g*b0 = r0 and f*a1 + g*b1 = 0."""
+    f._check(g)
+    one, zero = SkewPoly.one(f.field), SkewPoly.zero(f.field)
+    r0, a0, b0 = f, one, zero
+    r1, a1, b1 = g, zero, one
+    while not r1.is_zero:
+        q, r2 = left_divmod(r0, r1)
+        r0, a0, b0, r1, a1, b1 = r1, a1, b1, r2, a0 - a1 * q, b0 - b1 * q
+    return r0, a0, b0, a1, b1

@@ -100,6 +100,14 @@ def test_block_poly_round_trip():
         assert all(p.is_zero or p.degree < 4 for p in polys)
 
 
+def test_blocks_to_polys_stores_python_ints():
+    spec = CodeSpec(F, 4, (SkewPoly.one(F), SkewPoly.one(F)))
+    vec = np.array([1, 0, 2, 3, 0, 3, 0, 0], dtype=np.uint8)
+    polys = blocks_to_polys(spec, vec)
+    assert [p.coeffs for p in polys] == [(1, 0, 2, 3), (0, 3)]
+    assert all(type(c) is int for p in polys for c in p.coeffs)
+
+
 def test_interleave_permutation_is_a_permutation():
     for s, l in [(2, 1), (4, 2), (6, 3)]:
         perm = interleave_permutation(s, l)

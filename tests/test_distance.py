@@ -370,6 +370,18 @@ def test_sampled_distance_over_gf9():
         assert np.array_equal(code.encode(rep.witness_message), rep.witness)
 
 
+def test_sampled_distance_over_gf9_is_pinned():
+    """The GF(9) [16,8,6] code of the benchmark's exact-deep workload: its
+    sampled batches add rows through the flat F.np_add lookup, and the
+    answer is the one the two-index lookup gave."""
+    code = build_code(F9, 8, (
+        SkewPoly(F9, [1, 2, 0, 1, 3, 0, 5, 1]), SkewPoly(F9, [4, 0, 7, 1, 2, 8, 3])
+    ))
+    rep = min_distance_sampled(code, trials=300000, seed=1)
+    assert rep.d == 6 and rep.enumerated == 300000
+    assert rep.witness_message.tolist() == [0, 0, 0, 0, 0, 7, 3, 8]
+
+
 def test_sampled_distance_skips_the_zero_message():
     code = build_code(F, 4, (parse_coeff_string(F, "1111"),))  # k = 1, d = 4
     assert code.k == 1

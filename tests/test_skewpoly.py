@@ -1,11 +1,21 @@
+import json
 import random
 
+import numpy as np
 import pytest
 
-from oracles import lclm_linalg, left_divmod_linalg, right_divmod_linalg
+from oracles import (
+    lclm_linalg,
+    left_divmod_linalg,
+    left_euclid_reference,
+    right_divmod_linalg,
+    right_euclid_reference,
+)
 from skewqc.field import gf4, make_field
 from skewqc.skewpoly import (
     SkewPoly,
+    _left_euclid,
+    _right_euclid,
     gcld,
     gcld_many,
     gcrd,
@@ -101,6 +111,25 @@ def test_canonical_trimmed_form():
     assert SkewPoly(F, [0, 1]).lead == 1
 
 
+def test_constructor_stores_python_ints_from_numpy():
+    p = SkewPoly(F, np.array([1, 2, 0], dtype=np.uint8))
+    assert p.coeffs == (1, 2) and all(type(c) is int for c in p.coeffs)
+    assert json.dumps(p.coeffs) == "[1, 2]"
+    assert SkewPoly(F, [np.int64(3), True]).coeffs == (3, 1)
+
+
+def test_constructor_rejects_non_integers():
+    for coeffs in ([1.0, 2], [1, np.float64(2)], ["1"]):
+        with pytest.raises(TypeError):
+            SkewPoly(F, coeffs)
+
+
+def test_constructor_rejects_out_of_range_coefficients():
+    for coeffs in ([4], [1, -1], [0, np.uint8(200)]):
+        with pytest.raises(ValueError, match="outside field of order 4"):
+            SkewPoly(F, coeffs)
+
+
 # ---------------------------------------------------------------------------
 # division
 # ---------------------------------------------------------------------------
@@ -167,6 +196,41 @@ def test_bezout_identities_random(field):
         assert left.gcd.is_monic
         assert left_divmod(f, left.gcd)[1].is_zero
         assert left_divmod(g, left.gcd)[1].is_zero
+
+
+def _euclid_cases(field, rng):
+    """Seeded pairs plus the edge cases: deg g > deg f, g dividing f on
+    either side, a constant argument, f == g and one zero argument."""
+    for _ in range(2000):
+        yield rand_poly(rng, field, 9), rand_poly(rng, field, 9)
+    for _ in range(40):
+        f = rand_poly(rng, field, 4, allow_zero=False)
+        g = rand_poly(rng, field, 4, allow_zero=False)
+        h = f * g + SkewPoly.one(field)
+        c = SkewPoly.constant(field, rng.randrange(1, field.q))
+        yield from [(f, h), (h, f), (f * g, g), (g * f, g), (f, c), (c, f), (f, f),
+                    (f, SkewPoly.zero(field)), (SkewPoly.zero(field), f)]
+
+
+def _is_canonical(p, field):
+    return (
+        SkewPoly(field, p.coeffs) == p
+        and (not p.coeffs or p.coeffs[-1] != 0)
+        and all(type(c) is int and 0 <= c < field.q for c in p.coeffs)
+    )
+
+
+@ORACLE_FIELDS
+def test_euclid_rows_match_the_object_reference(field):
+    """All five rows of both list-kernel Euclid runs equal those of the
+    object-level runs in oracles.py, and every row is canonical."""
+    rng = random.Random(808)
+    for f, g in _euclid_cases(field, rng):
+        for fast, ref in ((_right_euclid, right_euclid_reference),
+                          (_left_euclid, left_euclid_reference)):
+            rows = fast(f, g)
+            assert rows == ref(f, g)
+            assert all(_is_canonical(p, field) for p in rows)
 
 
 @ORACLE_FIELDS
