@@ -6,7 +6,8 @@ sampled minimum distance), ``similar`` (similarity of two skew polynomials),
 ``search`` (seeded campaign over generator tuples), ``verify-table``
 (re-check the shipped catalog; exits nonzero if any asserted row fails).
 
-Thread count defaults to the SKEWQC_THREADS environment variable.
+Every command runs in this one process.  A catalog name that does not exist
+is reported as an error (exit status 1), not a traceback.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ import sys
 from typing import List, Optional
 
 from .codes import CodeSpec, CodeStructure, build_code, build_degenerate_code
-from .distance import (
-    default_workers,
-    min_distance,
-    min_distance_sampled,
-    weight_enumerator,
-)
+from .distance import min_distance, min_distance_sampled, weight_enumerator
 from .errors import DEFAULT_BUDGET, DEFAULT_OPEN_BUDGET, BudgetExceededError
 from .factorization import all_linear_factorizations, modulus_right_divisors
 from .field import FieldSpec, make_field
@@ -37,7 +33,7 @@ from .search import (
 )
 from .similarity import are_similar
 from .skewpoly import x_pow_minus_one
-from .tables import catalog, entries, families, get
+from .tables import CatalogEntry, catalog, entries, families, get
 
 
 def _field_from(text: str) -> FieldSpec:
@@ -50,14 +46,31 @@ def _field_from(text: str) -> FieldSpec:
     return make_field(p, t, m)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int, kind: str):
+    """argparse type: an integer >= ``low``, else "expected a <kind> integer"."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1  # reported below like any other value out of range
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_seed = _int_at_least(0, "non-negative")
+
+
+def _entry(name: str) -> CatalogEntry:
     try:
-        value = int(text)
-    except ValueError:
-        value = 0  # reported below like any other non-positive value
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+        return get(name)
+    except KeyError:
+        raise SystemExit(f"unknown catalog entry {name!r}; see 'skewqc verify-table' "
+                         "for the names") from None
 
 
 def _add_field_flag(parser: argparse.ArgumentParser) -> None:
@@ -110,7 +123,7 @@ def cmd_factor(args) -> int:
 
 def _resolve_code(args) -> CodeStructure:
     if args.name:
-        return get(args.name).build()
+        return _entry(args.name).build()
     F = _field(args)
     if args.s is None:
         raise SystemExit("either --name or --s with a tuple is required")
@@ -171,13 +184,12 @@ def cmd_build(args) -> int:
 
 def cmd_distance(args) -> int:
     code = _resolve_code(args)
-    workers = args.workers if args.workers else default_workers()
     if args.sampled is not None:
         rep = min_distance_sampled(code, trials=args.sampled, seed=args.seed)
         kind = f"sampled upper bound over {args.sampled} codewords"
     else:
         try:
-            rep = min_distance(code, budget=args.budget, workers=workers)
+            rep = min_distance(code, budget=args.budget)
         except BudgetExceededError as exc:
             print(f"error: {exc}", file=sys.stderr)
             print("hint: raise --budget or use --sampled N", file=sys.stderr)
@@ -190,7 +202,7 @@ def cmd_distance(args) -> int:
         print("witness: " + " ".join(tokens[c] for c in rep.witness))
     if args.enumerator:
         try:
-            we = weight_enumerator(code, budget=args.budget, workers=workers)
+            we = weight_enumerator(code, budget=args.budget)
         except BudgetExceededError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -228,9 +240,8 @@ def cmd_search(args) -> int:
         config = load_config(args.config, overrides)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    workers = args.workers if args.workers else default_workers()
     progress = (lambda msg: print(msg, file=sys.stderr)) if args.progress else None
-    records = list(run_search(config, workers=workers, progress=progress))
+    records = list(run_search(config, progress=progress))
     text = export_records(records, args.format)
     if config.output:
         with open(config.output, "w", encoding="utf-8") as fh:
@@ -243,7 +254,7 @@ def cmd_search(args) -> int:
 
 def cmd_verify_table(args) -> int:
     if args.name:
-        rows = [get(n) for n in args.name]
+        rows = [_entry(n) for n in args.name]
     elif args.family:
         unknown = set(args.family) - set(families())
         if unknown:
@@ -254,14 +265,12 @@ def cmd_verify_table(args) -> int:
         rows = catalog()
     if args.max_k is not None:
         rows = [e for e in rows if e.k <= args.max_k]
-    workers = args.workers if args.workers else default_workers()
     progress = None if args.quiet else print
     reports = verify_table(
         rows,
         budget=args.budget,
         sample_trials=args.trials,
         seed=args.seed,
-        workers=workers,
         progress=progress,
     )
     ok = sum(1 for r in reports if r.passed is True)
@@ -308,9 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    "(default %(default)s)")
     p.add_argument("--sampled", type=_positive_int, metavar="TRIALS",
                    help="sampled upper bound instead of exact enumeration")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=0,
-                   help="parallel workers (default: SKEWQC_THREADS or 1)")
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--witness", action="store_true",
                    help="print a codeword achieving the reported weight")
     p.add_argument("--enumerator", action="store_true",
@@ -333,11 +340,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int)
     p.add_argument("--l", type=int)
     p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--output", help="write records here (default: config output "
                    "path, else stdout)")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.add_argument("--workers", type=int, default=0)
     p.add_argument("--progress", action="store_true",
                    help="stream per-candidate lines to stderr")
     p.set_defaults(func=cmd_search)
@@ -354,8 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=DEFAULT_SAMPLE_TRIALS,
                    help="sampled codewords for rows beyond the budget "
                    "(default %(default)s)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--quiet", action="store_true", help="summary line only")
     p.set_defaults(func=cmd_verify_table)
 

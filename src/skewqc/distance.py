@@ -32,18 +32,15 @@ exhaustive reach.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .codes import CodeStructure
 from .errors import DEFAULT_BUDGET, BudgetExceededError
-from .field import FieldSpec, make_field
+from .field import FieldSpec
 
 INNER_TABLE_LIMIT = 2**16
 
@@ -189,6 +186,12 @@ def _gray_steps(radix: int, ndigits: int):
 # scalar-orbit block enumeration
 
 
+def _check_workers(workers: int) -> None:
+    """Refuse any worker count but 1, before work starts."""
+    if workers != 1:
+        raise ValueError(f"workers must be 1 (enumeration runs in-process), got {workers}")
+
+
 def exact_cost(code: CodeStructure) -> int:
     """Price of an exact scan of ``code`` in the budget unit: its q^k messages."""
     return code.spec.field.q ** code.k
@@ -267,67 +270,31 @@ def _lead_block(
     return hist, best, best_msg, rows_seen
 
 
-def _lead_worker(args):
-    p, t, m, g_bytes, shape, lead, want_hist, stop_at = args
-    F = make_field(p, t, m)
-    G = np.frombuffer(g_bytes, dtype=np.uint8).reshape(shape)
-    return _lead_block(F, shape[1], _packed_rows(F, G), lead, want_hist, stop_at=stop_at)
-
-
-def _lead_results(
-    F: FieldSpec, G: np.ndarray, want_hist: bool, workers: int, stop_at: int
-) -> Iterator[Tuple[Optional[np.ndarray], int, Optional[np.ndarray], int]]:
-    """Per-lead block results, in lead order, on ``workers`` processes."""
-    k, n = G.shape
-    if workers <= 1:
-        rows = _packed_rows(F, G)
-        for lead in range(k):
-            yield _lead_block(F, n, rows, lead, want_hist, stop_at=stop_at)
-        return
-    jobs = [
-        (F.p, F.t, F.m, G.tobytes(), G.shape, lead, want_hist, stop_at)
-        for lead in range(k)
-    ]
-    # pool.map yields in submission order, so the merge is deterministic no
-    # matter which worker finishes first; closing this generator early
-    # cancels the leads not yet started
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_lead_worker, jobs)
-
-
 def _enumerate_blocks(
-    F: FieldSpec,
-    G: np.ndarray,
-    want_hist: bool,
-    workers: int = 1,
-    stop_at: int = 0,
+    F: FieldSpec, G: np.ndarray, want_hist: bool, stop_at: int = 0
 ) -> Tuple[Optional[np.ndarray], int, Optional[np.ndarray], int]:
     """Merge the lead blocks in lead order.
 
     Each block stops on its own once its best weight is <= stop_at, and the
-    merge stops at the first such lead, so every field of the result is the
-    same for any worker count.
+    merge stops at the first such lead.
     """
     k, n = G.shape
+    rows = _packed_rows(F, G)
     hist = np.zeros(n + 1, dtype=np.int64) if want_hist else None
     best, best_msg, total_rows = n + 1, None, 0
-    with closing(_lead_results(F, G, want_hist, workers, stop_at)) as results:
-        for h, b, bm, rows in results:
-            total_rows += rows
-            if want_hist:
-                hist += h
-            if b < best:
-                best, best_msg = b, bm
-            if not want_hist and best <= stop_at:
-                break
+    for lead in range(k):
+        h, b, bm, seen = _lead_block(F, n, rows, lead, want_hist, stop_at=stop_at)
+        total_rows += seen
+        if want_hist:
+            hist += h
+        if b < best:
+            best, best_msg = b, bm
+        if not want_hist and best <= stop_at:
+            break
     return hist, best, best_msg, total_rows
 
 
-def weight_enumerator(
-    code: CodeStructure,
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
-) -> WeightEnumerator:
+def weight_enumerator(code: CodeStructure, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
     """Exact weight distribution of the code (sums to q^k); refused up
     front, like min_distance, when exact_cost(code) exceeds ``budget``."""
     F = code.spec.field
@@ -337,7 +304,7 @@ def weight_enumerator(
     cost = exact_cost(code)
     if cost > budget:
         raise BudgetExceededError("weight enumeration too large", cost, budget)
-    hist, _, _, _ = _enumerate_blocks(F, code.genmatrix, True, workers=workers)
+    hist, _, _, _ = _enumerate_blocks(F, code.genmatrix, True)
     counts = {w: int(c) * (q - 1) for w, c in enumerate(hist) if c}
     counts[0] = 1
     return WeightEnumerator(n, k, q, counts)
@@ -346,7 +313,7 @@ def weight_enumerator(
 def min_distance(
     code: CodeStructure,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
+    workers: int = 1,  # only 1 is accepted; the keyword goes with the next benchmark change
     stop_at: int = 0,
 ) -> DistanceReport:
     """Exact minimum distance with a witness codeword.
@@ -359,7 +326,10 @@ def min_distance(
     (the true minimum can never be smaller than 1, so stop_at=0 never stops
     early and d stays exact; a positive value turns the result into a
     certified upper bound whenever it triggers).
+
+    ``workers`` must be 1: enumeration runs in this process.
     """
+    _check_workers(workers)
     F = code.spec.field
     q, k, n = F.q, code.k, code.n
     t0 = time.perf_counter()
@@ -368,9 +338,7 @@ def min_distance(
     cost = exact_cost(code)
     if cost > budget:
         raise BudgetExceededError("distance enumeration too large", cost, budget)
-    _, best, best_msg, rows = _enumerate_blocks(
-        F, code.genmatrix, False, workers=workers, stop_at=stop_at
-    )
+    _, best, best_msg, rows = _enumerate_blocks(F, code.genmatrix, False, stop_at=stop_at)
     witness = code.encode(best_msg)
     exact = stop_at < best
     return DistanceReport(
@@ -431,11 +399,3 @@ def min_distance_sampled(
         witness_message=best_msg,
         elapsed=time.perf_counter() - t0,
     )
-
-
-def default_workers() -> int:
-    """Worker count for CLI use, from SKEWQC_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("SKEWQC_THREADS", "1")))
-    except ValueError:
-        return 1

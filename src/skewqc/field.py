@@ -126,6 +126,8 @@ class FieldSpec:
         self.p = p
         self.t = t
         self.m = m
+        self._key = (p, t, m)
+        self._hash = hash(self._key)
         self.degree = t * m
         self.q = q
         self.modulus = _canonical_modulus(p, self.degree) if self.degree > 1 else (0, 1)
@@ -271,13 +273,12 @@ class FieldSpec:
     # -- misc -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldSpec)
-            and (self.p, self.t, self.m) == (other.p, other.t, other.m)
-        )
+        # make_field shares one instance per (p, t, m), so identity is the
+        # common case
+        return self is other or (isinstance(other, FieldSpec) and self._key == other._key)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.t, self.m))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, t={self.t}, m={self.m})"

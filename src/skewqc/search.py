@@ -26,7 +26,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .codes import CodeStructure, build_code
-from .distance import DistanceReport, exact_cost, min_distance, min_distance_sampled
+from .distance import (
+    DistanceReport,
+    _check_workers,
+    exact_cost,
+    min_distance,
+    min_distance_sampled,
+)
 from .errors import DEFAULT_BUDGET as DEFAULT_DISTANCE_BUDGET
 from .factorization import modulus_right_divisors
 from .field import FieldSpec, make_field
@@ -87,6 +93,9 @@ class SearchConfig:
             raise ValueError(f"unknown sampling policy {self.sampling!r}")
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
+        if self.seed < 0:
+            # sampled candidates draw from seed + index
+            raise ValueError("seed must be non-negative")
         if self.budget < 1 or self.distance_trials < 1:
             raise ValueError("budget and distance_trials must be positive")
         gmax = self.s - 1 if self.g_degree_max is None else self.g_degree_max
@@ -299,13 +308,11 @@ def export_records(records: Sequence[SearchRecord], fmt: str = "tsv") -> str:
 # the campaign itself
 
 
-def _distance(
-    code: CodeStructure, budget: int, trials: int, seed: int, workers: int
-) -> DistanceReport:
+def _distance(code: CodeStructure, budget: int, trials: int, seed: int) -> DistanceReport:
     """Exact distance when exact_cost(code) = q^k fits the budget, otherwise
     an upper bound from ``trials`` seeded random codewords."""
     if exact_cost(code) <= budget:
-        return min_distance(code, budget=budget, workers=workers)
+        return min_distance(code, budget=budget)
     return min_distance_sampled(code, trials=trials, seed=seed)
 
 
@@ -363,13 +370,15 @@ def _candidate_stream(
 
 def run_search(
     config: SearchConfig,
-    workers: int = 1,
+    workers: int = 1,  # only 1 is accepted; the keyword goes with the next benchmark change
     progress: Optional[Callable[[str], None]] = None,
 ) -> Iterator[SearchRecord]:
     """Evaluate up to config.trials candidate tuples, yielding one record per
     candidate that generates a nonzero code.  Fully deterministic for a fixed
-    config; ``workers`` only parallelizes the distance enumeration inside a
-    candidate, so emission order never changes."""
+    config: candidates are evaluated one at a time, in stream order, in this
+    process.  ``workers`` must be 1; any other value raises ValueError before
+    the first candidate."""
+    _check_workers(workers)
     if config.trials == 0:
         return
     field = make_field(config.p, config.t, config.m)
@@ -390,9 +399,7 @@ def run_search(
             if progress:
                 progress(f"candidate {index}: zero code, skipped")
             continue
-        report = _distance(
-            code, config.budget, config.distance_trials, config.seed + index, workers
-        )
+        report = _distance(code, config.budget, config.distance_trials, config.seed + index)
         record = SearchRecord(
             n=code.n,
             k=code.k,
@@ -453,20 +460,25 @@ class RowReport:
         return body
 
 
+def _check_verify_args(budget: int, sample_trials: int, seed: int) -> None:
+    if budget < 1 or sample_trials < 1:
+        raise ValueError(f"budget {budget} and sample_trials {sample_trials} must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def verify_entry(
     entry: CatalogEntry,
     budget: int = DEFAULT_DISTANCE_BUDGET,
     sample_trials: int = DEFAULT_SAMPLE_TRIALS,
     seed: int = 0,
-    workers: int = 1,
 ) -> RowReport:
     """Re-check one row: dimension always; distance exact when the code's
     q^k messages fit ``budget`` (candidates examined, default
     DEFAULT_BUDGET = 2^26), otherwise sampled consistency over
     ``sample_trials`` codewords (no codeword below the claim).  Rows shipped
     as unverified transcriptions are reported, never asserted."""
-    if budget < 1 or sample_trials < 1:
-        raise ValueError(f"budget {budget} and sample_trials {sample_trials} must be positive")
+    _check_verify_args(budget, sample_trials, seed)
     t0 = time.perf_counter()
     name, n, k, d = entry.name, entry.n, entry.k, entry.d
     unverified = entry.note == "unverified-transcription"
@@ -489,7 +501,7 @@ def verify_entry(
         return report("unverified", k_found=code.k, detail=note)
     if code.k != k:
         return report("fail", k_found=code.k, detail=f"dimension {code.k} != {k}")
-    rep = _distance(code, budget, sample_trials, seed, workers)
+    rep = _distance(code, budget, sample_trials, seed)
     if rep.exact:
         if rep.d != d:
             return report(
@@ -513,18 +525,17 @@ def verify_table(
     budget: int = DEFAULT_DISTANCE_BUDGET,
     sample_trials: int = DEFAULT_SAMPLE_TRIALS,
     seed: int = 0,
-    workers: int = 1,
+    workers: int = 1,  # only 1 is accepted; the keyword goes with the next benchmark change
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[RowReport]:
-    """Re-check a batch of catalog rows (the whole catalog by default)."""
-    if budget < 1 or sample_trials < 1:
-        raise ValueError(f"budget {budget} and sample_trials {sample_trials} must be positive")
+    """Re-check a batch of catalog rows (the whole catalog by default).
+    ``workers`` must be 1."""
+    _check_workers(workers)
+    _check_verify_args(budget, sample_trials, seed)
     rows = list(entries) if entries is not None else catalog()
     reports = []
     for entry in rows:
-        rep = verify_entry(
-            entry, budget=budget, sample_trials=sample_trials, seed=seed, workers=workers
-        )
+        rep = verify_entry(entry, budget=budget, sample_trials=sample_trials, seed=seed)
         if progress:
             progress(rep.line())
         reports.append(rep)

@@ -185,7 +185,7 @@ def test_criterion_06_record_code_full_enumeration():
     t0 = time.perf_counter()
     code = get("new-l2-48-12-24").build()
     assert (code.n, code.k) == (48, 12)
-    enum = weight_enumerator(code, budget=EXTENDED_BUDGET, workers=1)
+    enum = weight_enumerator(code, budget=EXTENDED_BUDGET)
     assert enum.total == 4**12 == 16_777_216
     assert sum(enum.counts.values()) == 4**12
     assert enum.distance == 24
@@ -255,9 +255,9 @@ def test_criterion_08_large_code_consistency():
 
 def test_criterion_08_exact_and_extended_large_codes():
     t0 = time.perf_counter()
-    rep = min_distance(get("new-l3-48-16-20").build(), budget=EXTENDED_BUDGET, workers=1)
+    rep = min_distance(get("new-l3-48-16-20").build(), budget=EXTENDED_BUDGET)
     assert rep.exact and rep.d == 20
-    rep = min_distance(get("new-l6-96-16-49").build(), budget=EXTENDED_BUDGET, workers=1)
+    rep = min_distance(get("new-l6-96-16-49").build(), budget=EXTENDED_BUDGET)
     assert rep.exact and rep.d == 49
     report(8, "[48,16,20] and [96,16,49] verified exactly under the 2^32 budget", t0)
 

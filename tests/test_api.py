@@ -1,6 +1,11 @@
 """The public surface of the package: adding or removing a name from
 ``skewqc.__all__`` is a deliberate change to this list."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import skewqc
 
 PUBLIC_NAMES = [
@@ -24,7 +29,6 @@ PUBLIC_NAMES = [
     "build_degenerate_code",
     "catalog",
     "classify",
-    "default_workers",
     "degenerate_tuple",
     "entries",
     "export_records",
@@ -75,3 +79,18 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in skewqc.__all__:
         assert getattr(skewqc, name) is not None, name
+
+
+def test_import_loads_no_process_machinery():
+    """Enumeration runs in-process, so importing the package pulls in neither
+    multiprocessing nor concurrent.futures."""
+    src = str(Path(skewqc.__file__).resolve().parent.parent)
+    code = (
+        "import sys; import skewqc; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

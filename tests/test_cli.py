@@ -256,3 +256,40 @@ def test_verify_table_unverified_rows_do_not_fail(capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "1 reported unverified" in out
+
+
+# ---------------------------------------------------------------------------
+# flags shared by several commands
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["build", "distance", "verify-table"])
+def test_unknown_catalog_name_is_an_error(command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--name", "nope"])
+    assert isinstance(exc.value.code, str)  # printed to stderr, exit status 1
+    assert "unknown catalog entry 'nope'" in exc.value.code
+
+
+SEED_COMMANDS = {
+    "distance": ["distance", "--name", "index2-l2-40-9-21", "--sampled", "10"],
+    "search": ["search", "--s", "8", "--trials", "2"],
+    "verify-table": ["verify-table", "--name", "index2-l2-40-9-21"],
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+def test_seed_flags_reject_negative(command, seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(SEED_COMMANDS[command] + ["--seed", seed])
+    assert exc.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(SEED_COMMANDS))
+def test_workers_flag_is_gone(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(SEED_COMMANDS[command] + ["--workers", "1"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err

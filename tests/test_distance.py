@@ -274,29 +274,6 @@ def test_row_order_is_pinned(name):
         assert (rep.d, rep.exact, rep.enumerated, message) == pinned
 
 
-def test_workers_do_not_change_the_answer():
-    code = build_code(
-        F, 10, (parse_coeff_string(F, "1a011"), parse_coeff_string(F, "0a^2111"))
-    )
-    r1 = min_distance(code, workers=1)
-    r2 = min_distance(code, workers=2)
-    assert r1.d == r2.d
-    w1 = weight_enumerator(code, workers=1)
-    w2 = weight_enumerator(code, workers=2)
-    assert w1.counts == w2.counts
-
-
-def test_stop_at_does_not_depend_on_workers():
-    code = get("index2-l2-40-9-21").build()
-    for stop_at in (code.n, 22, 0):
-        r1 = min_distance(code, workers=1, stop_at=stop_at)
-        r2 = min_distance(code, workers=2, stop_at=stop_at)
-        assert (r1.d, r1.exact, r1.enumerated) == (r2.d, r2.exact, r2.enumerated)
-        assert np.array_equal(r1.witness_message, r2.witness_message)
-    stopped = min_distance(code, workers=2, stop_at=code.n)
-    assert not stopped.exact and stopped.enumerated < (4**code.k - 1) // 3
-
-
 def test_gray_handles_gf9():
     code = build_code(
         F9, 4, (SkewPoly(F9, [1, 1]), SkewPoly(F9, [2, 0, 1]))

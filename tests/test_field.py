@@ -1,6 +1,7 @@
 import pytest
 
-from skewqc.field import gf4, make_field
+from skewqc.field import FieldSpec, gf4, make_field
+from skewqc.skewpoly import SkewPoly
 
 # ---------------------------------------------------------------------------
 # GF(4) basics: {0, 1, a, a^2} encoded as 0, 1, 2, 3
@@ -72,6 +73,17 @@ def test_make_field_rejects_bad_parameters():
         make_field(4, 1, 2)  # p not prime
     with pytest.raises(ValueError):
         make_field(2, 3, 4)  # 2^12 > 256
+
+
+def test_directly_built_field_equals_the_shared_one():
+    direct, shared = FieldSpec(2, 1, 2), make_field(2, 1, 2)
+    assert direct is not shared
+    assert direct == shared and shared == direct
+    assert hash(direct) == hash(shared)
+    assert direct != make_field(2, 1, 4) and direct != (2, 1, 2)
+    f, g = SkewPoly(direct, [1, 2, 3]), SkewPoly(shared, [1, 2, 3])
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g}) == 1
 
 
 def test_fixed_subfield_size_is_p_to_t():

@@ -264,9 +264,20 @@ def test_campaign_skips_zero_code():
     assert messages == ["candidate 0: zero code, skipped"]
 
 
-def test_campaign_workers_do_not_change_output():
+def test_only_one_worker_is_accepted():
+    code = get("index2-l2-40-9-21").build()
     config = SearchConfig(s=4, l=2, trials=8, seed=3)
-    assert list(run_search(config, workers=1)) == list(run_search(config, workers=2))
+    rows = [get("index2-l2-40-9-21")]
+    for workers in (2, 0):
+        with pytest.raises(ValueError, match="workers"):
+            min_distance(code, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            next(run_search(config, workers=workers))
+        with pytest.raises(ValueError, match="workers"):
+            verify_table(rows, workers=workers)
+    assert min_distance(code, workers=1).d == min_distance(code).d == 21
+    assert list(run_search(config, workers=1)) == list(run_search(config))
+    assert [r.status for r in verify_table(rows, workers=1)] == ["ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +345,27 @@ def test_verify_rejects_nonpositive_budget(budget):
     with pytest.raises(ValueError, match="budget"):
         verify_table([entry], budget=budget, progress=lines.append)
     assert lines == []
+
+
+def test_verify_rejects_negative_seed():
+    """numpy refuses a negative seed only at the first sampled row, after the
+    exact rows' work; both calls refuse before building anything."""
+    exact_row, sampled_row = get("index2-l2-40-9-21"), get("new-l3-72-21-29")
+    lines = []
+    with pytest.raises(ValueError, match="seed"):
+        verify_entry(sampled_row, seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        verify_table([exact_row, sampled_row], seed=-1, progress=lines.append)
+    assert lines == []
+
+
+def test_config_rejects_negative_seed():
+    """Sampled candidates draw from seed + index, which numpy refuses below 0."""
+    with pytest.raises(ValueError, match="seed"):
+        SearchConfig(s=8, seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        load_config(None, overrides={"s": 8, "seed": "-3"})
+    assert SearchConfig(s=8, seed=0).seed == 0
 
 
 def test_one_budget_unit_for_distance_and_verification():
