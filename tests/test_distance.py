@@ -274,6 +274,31 @@ def test_row_order_is_pinned(name):
         assert (rep.d, rep.exact, rep.enumerated, message) == pinned
 
 
+def test_workers_do_not_change_the_answer():
+    code = build_code(
+        F, 10, (parse_coeff_string(F, "1a011"), parse_coeff_string(F, "0a^2111"))
+    )
+    r1 = min_distance(code, workers=1)
+    r0 = min_distance(code)
+    assert r1.d == r0.d
+    assert r1.d == min(w for w in weight_enumerator(code).counts if w > 0)
+    with pytest.raises(ValueError, match="workers"):
+        min_distance(code, workers=2)
+
+
+def test_stop_at_does_not_depend_on_workers():
+    code = get("index2-l2-40-9-21").build()
+    for stop_at in (code.n, 22, 0):
+        r1 = min_distance(code, workers=1, stop_at=stop_at)
+        r0 = min_distance(code, stop_at=stop_at)
+        assert (r1.d, r1.exact, r1.enumerated) == (r0.d, r0.exact, r0.enumerated)
+        assert np.array_equal(r1.witness_message, r0.witness_message)
+        with pytest.raises(ValueError, match="workers"):
+            min_distance(code, workers=2, stop_at=stop_at)
+    stopped = min_distance(code, workers=1, stop_at=code.n)
+    assert not stopped.exact and stopped.enumerated < (4**code.k - 1) // 3
+
+
 def test_gray_handles_gf9():
     code = build_code(
         F9, 4, (SkewPoly(F9, [1, 1]), SkewPoly(F9, [2, 0, 1]))

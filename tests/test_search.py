@@ -276,8 +276,14 @@ def test_only_one_worker_is_accepted():
         with pytest.raises(ValueError, match="workers"):
             verify_table(rows, workers=workers)
     assert min_distance(code, workers=1).d == min_distance(code).d == 21
-    assert list(run_search(config, workers=1)) == list(run_search(config))
     assert [r.status for r in verify_table(rows, workers=1)] == ["ok"]
+
+
+def test_campaign_workers_do_not_change_output():
+    config = SearchConfig(s=4, l=2, trials=8, seed=3)
+    assert list(run_search(config, workers=1)) == list(run_search(config))
+    with pytest.raises(ValueError, match="workers"):
+        next(run_search(config, workers=2))
 
 
 # ---------------------------------------------------------------------------
