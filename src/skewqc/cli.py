@@ -6,19 +6,22 @@ sampled minimum distance), ``similar`` (similarity of two skew polynomials),
 ``search`` (seeded campaign over generator tuples), ``verify-table``
 (re-check the shipped catalog; exits nonzero if any asserted row fails).
 
-Every command runs in this one process.  A catalog name that does not exist
-is reported as an error (exit status 1), not a traceback.
+Every command runs in this one process.  A catalog name that does not exist,
+and a polynomial or code given on the command line that cannot be parsed or
+built, are reported as errors (exit status 1), not tracebacks.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional
 
 from .codes import CodeSpec, CodeStructure, build_code, build_degenerate_code
 from .distance import min_distance, min_distance_sampled, weight_enumerator
 from .errors import DEFAULT_BUDGET, DEFAULT_OPEN_BUDGET, BudgetExceededError
+from .errors import ConsistencyError
 from .factorization import all_linear_factorizations, modulus_right_divisors
 from .field import FieldSpec, make_field
 from .notation import parse_coeff_string, poly_coeff_string, poly_to_terms
@@ -73,6 +76,16 @@ def _entry(name: str) -> CatalogEntry:
                          "for the names") from None
 
 
+@contextlib.contextmanager
+def _input_errors():
+    """Report a ValueError or ConsistencyError raised by polynomials or codes
+    from the command line as "error: ..." with exit status 1."""
+    try:
+        yield
+    except (ValueError, ConsistencyError) as exc:
+        raise SystemExit(f"error: {exc}") from None
+
+
 def _add_field_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--field",
@@ -121,6 +134,7 @@ def cmd_factor(args) -> int:
     return 0
 
 
+@_input_errors()
 def _resolve_code(args) -> CodeStructure:
     if args.name:
         return _entry(args.name).build()
@@ -147,7 +161,7 @@ def _resolve_code(args) -> CodeStructure:
 def _add_code_flags(parser: argparse.ArgumentParser) -> None:
     _add_field_flag(parser)
     parser.add_argument("--name", help="catalog entry name (see verify-table output)")
-    parser.add_argument("--s", type=int, help="block length s (m must divide s)")
+    parser.add_argument("--s", type=_positive_int, help="block length s (m must divide s)")
     parser.add_argument(
         "--tuple",
         help="comma-separated coefficient strings: the generating tuple components",
@@ -211,6 +225,7 @@ def cmd_distance(args) -> int:
     return 0
 
 
+@_input_errors()
 def cmd_similar(args) -> int:
     F = _field(args)
     a = parse_coeff_string(F, args.f)
@@ -295,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor", help="factor x^s - 1 over F[x;theta]")
     _add_field_flag(p)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--s", type=_positive_int, required=True)
     p.add_argument("--degree", type=int,
                    help="list monic right divisors of this degree instead of "
                    "complete linear factorizations")

@@ -10,17 +10,18 @@ by x on each component.
 From a generating tuple (f_1, ..., f_l) the code is the left R-submodule
 { u * (f_1, ..., f_l) : u in R }.  Its F-dimension k, generator polynomial
 g = gcld(f_1, ..., f_l, x^s - 1) and parity polynomial h with
-g*h = h*g = x^s - 1 satisfy k = s - deg g = deg h; the constructor checks
-this identity and raises ConsistencyError when the row-space rank disagrees.
+g*h = h*g = x^s - 1 satisfy k = s - deg g = deg h.  As a left module the
+code is R/R*h' for a right divisor h' of x^s - 1 of degree k, and the basis
+1, x, ..., x^(k-1) of that quotient maps to the first k shift images
+T^i(f_1, ..., f_l), which are therefore a basis of the code.
 
-Alternatively, a code may be built from an explicit right factor g of
-x^s - 1 (CodeStructure(spec, generator=g)): the spanning matrix then takes
-exactly k = s - deg g shift images of the tuple.  Those rows are always
-independent, so the dimension is k by construction.  When the tuple is
-closed under the shift this is the same code as the full module span
-(module_closed is True); otherwise the span is a proper k-dimensional
-subspace of the module closure, which some published generator matrices
-turn out to be.
+Both build modes row-reduce just the first k shift images; the span is
+*closed* (module_closed) when the other s - k images lie in it, i.e. when it
+is T-invariant.  Either mode raises ConsistencyError if the k images are
+dependent, and the module build also if the span is not closed.  A build
+from an explicit right factor g of x^s - 1 (CodeStructure(spec,
+generator=g)) that is not closed spans a proper k-dimensional subspace of
+the module closure, which some published generator matrices turn out to be.
 """
 
 from __future__ import annotations
@@ -110,7 +111,9 @@ def polys_to_blocks(spec: CodeSpec, polys: Sequence[SkewPoly]) -> List[int]:
 
 
 class CodeStructure:
-    """A fully built code: generator/parity polynomials plus an RREF basis."""
+    """A fully built code: generator/parity polynomials plus the RREF basis
+    of the first k shift images; module_closed says whether the other s - k
+    images lie in their span (required unless ``generator`` is given)."""
 
     def __init__(self, spec: CodeSpec, generator: Optional[SkewPoly] = None):
         self.spec = spec
@@ -134,33 +137,20 @@ class CodeStructure:
         self.k = s - self.g.degree
         self.n = spec.n
 
-        # span: rows T^i(generating tuple), then row reduce.  The module
-        # span uses all s shift images; the explicit-generator span only the
-        # first k (always independent when g right-divides x^s - 1).
+        # rows T^i(generating tuple); the first k are a basis (see above)
         row = polys_to_blocks(spec, spec.generators)
         rows = []
         for _ in range(s):
             rows.append(row)
             row = skew_shift(F, s, row)
-        full_rank = linalg.rank(F, rows)
-        if generator is None:
-            if full_rank != self.k:
-                raise ConsistencyError(
-                    f"row-space rank {full_rank} != s - deg g = {self.k}"
-                )
-            self.module_closed = True
-            reduced, pivots = linalg.rref(F, rows)
-        else:
-            self.module_closed = full_rank == self.k
-            reduced, pivots = linalg.rref(F, rows[: self.k])
-            if len(pivots) != self.k:
-                raise ConsistencyError(
-                    f"first {self.k} shift images have rank {len(pivots)}"
-                )
+        reduced, pivots = linalg.rref(F, rows[: self.k])
+        if len(pivots) != self.k:
+            raise ConsistencyError(f"first {self.k} shift images have rank {len(pivots)}")
         self.pivots = pivots
-        self.genmatrix = np.array(
-            [reduced[i] for i in range(self.k)], dtype=np.uint8
-        ).reshape(self.k, self.n)
+        self.genmatrix = np.array(reduced, dtype=np.uint8).reshape(self.k, self.n)
+        self.module_closed = all(self.is_codeword(r) for r in rows[self.k :])
+        if generator is None and not self.module_closed:
+            raise ConsistencyError(f"shift images beyond the first {self.k} leave their span")
 
     # -- coding operations ------------------------------------------------
 

@@ -43,6 +43,7 @@ from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .field import FieldSpec
 
 INNER_TABLE_LIMIT = 2**16
+SAMPLE_BATCH = 2**14
 
 
 @dataclass
@@ -356,7 +357,6 @@ def min_distance_sampled(
     code: CodeStructure,
     trials: int,
     seed: int = 0,
-    batch: int = 1 << 14,
 ) -> DistanceReport:
     """Seeded random-message upper bound on the distance (exact=False)."""
     if trials < 1:
@@ -373,7 +373,7 @@ def min_distance_sampled(
     best_msg = None
     done = 0
     while done < trials:
-        b = min(batch, trials - done)
+        b = min(SAMPLE_BATCH, trials - done)
         msgs = rng.integers(0, q, size=(b, k), dtype=np.uint8)
         done += b
         # take() gathers whole rows far faster than T[i, msgs[:, i]]

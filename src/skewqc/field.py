@@ -218,7 +218,6 @@ class FieldSpec:
         self.np_sub = np.array(self.sub, dtype=np.uint8)
         self.np_mul = np.array(self.mul, dtype=np.uint8)
         self.np_neg = np.array(self.neg, dtype=np.uint8)
-        self.np_inv = np.array(self.inv, dtype=np.uint8)
         self.np_theta = np.array(self.theta_pows, dtype=np.uint8)
 
     def _build_tokens(self) -> None:
@@ -240,9 +239,6 @@ class FieldSpec:
     def elements(self) -> range:
         return range(self.q)
 
-    def units(self) -> range:
-        return range(1, self.q)
-
     def invert(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
@@ -260,9 +256,6 @@ class FieldSpec:
     def theta(self, e: int, k: int = 1) -> int:
         """Apply the field automorphism k times."""
         return self.theta_pows[k % self.m][e]
-
-    def element_token(self, e: int) -> str:
-        return self.tokens[e]
 
     def parse_token(self, tok: str) -> int:
         try:

@@ -44,6 +44,3 @@ def rref(field: FieldSpec, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int
             break
     return mat, pivots
 
-
-def rank(field: FieldSpec, rows: Sequence[Sequence[int]]) -> int:
-    return len(rref(field, rows)[1])

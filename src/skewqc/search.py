@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .codes import CodeStructure, build_code
+from .codes import CodeStructure, build_code, degenerate_tuple
 from .distance import (
     DistanceReport,
     _check_workers,
@@ -114,7 +114,7 @@ class SearchConfig:
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(SearchConfig)}
 
 
-def _parse_value(name: str, raw: str):
+def _parse_value(raw: str):
     raw = raw.strip()
     if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in ("'", '"'):
         return raw[1:-1]
@@ -139,7 +139,7 @@ def parse_config_text(text: str) -> Dict[str, object]:
         key = key.strip().replace("-", "_")
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(key, raw)
+        values[key] = _parse_value(raw)
     return values
 
 
@@ -155,7 +155,7 @@ def load_config(
         key = key.replace("-", "_")
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"unknown config key {key!r}")
-        values[key] = _parse_value(key, val) if isinstance(val, str) else val
+        values[key] = _parse_value(val) if isinstance(val, str) else val
     if "s" not in values:
         raise ValueError("config must set s (the block length)")
     return SearchConfig(**values)
@@ -393,8 +393,7 @@ def run_search(
             return
     stream = _candidate_stream(config, field, divisors)
     for index, (g, fs) in enumerate(itertools.islice(stream, config.trials)):
-        components = (g,) + tuple(f * g for f in fs)
-        code = build_code(field, s, components)
+        code = build_code(field, s, degenerate_tuple(g, fs, s))
         if code.k == 0:
             if progress:
                 progress(f"candidate {index}: zero code, skipped")

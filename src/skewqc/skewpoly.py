@@ -172,11 +172,6 @@ class SkewPoly:
         c = F.theta(F.inv[self.lead], -self.degree)
         return self.scale_right(c)
 
-    def apply_theta(self, k: int = 1) -> "SkewPoly":
-        """Apply the field automorphism to every coefficient."""
-        trow = self.field.theta_pows[k % self.field.m]
-        return _make(self.field, [trow[c] for c in self.coeffs])
-
     def times_x_pow(self, k: int) -> "SkewPoly":
         """f * x^k  (shift exponents up; no coefficient twist)."""
         if self.is_zero or k == 0:
@@ -188,12 +183,12 @@ class SkewPoly:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SkewPoly)
-            and self.field == other.field
             and self.coeffs == other.coeffs
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
+        return hash(self.coeffs)  # equal polynomials have equal coefficients
 
     def __repr__(self) -> str:
         from .notation import poly_to_terms

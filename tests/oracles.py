@@ -10,15 +10,31 @@ between each pair is evidence for both.  The object-level Euclid runs step
 through public divisions and operators, one new SkewPoly per step, so they
 check the list bookkeeping of ``_right_euclid`` / ``_left_euclid`` (row
 sizing, in-place updates, factor order); the kernels underneath are checked
-by the linear systems.  Imported by ``test_skewpoly.py``,
-``test_factorization.py`` and ``test_acceptance.py``.
+by the linear systems.
+
+``reference_build`` is the code construction that ranks all s shift images
+and then row-reduces their whole span; ``CodeStructure`` reduces only the
+first k images and tests the rest for membership, so agreement checks the
+R/R*h' basis argument it relies on.  Imported by ``test_skewpoly.py``,
+``test_factorization.py``, ``test_codes.py`` and ``test_acceptance.py``.
 """
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
+from skewqc.codes import CodeSpec, polys_to_blocks, skew_shift
+from skewqc.errors import ConsistencyError
 from skewqc.field import FieldSpec
 from skewqc.linalg import rref
-from skewqc.skewpoly import SkewPoly, gcrd, left_divmod, right_divmod
+from skewqc.skewpoly import (
+    SkewPoly,
+    gcld_many,
+    gcrd,
+    left_divmod,
+    right_divmod,
+    x_pow_minus_one,
+)
 
 
 def monic_polys(field: FieldSpec, degree: int) -> Iterator[SkewPoly]:
@@ -214,3 +230,55 @@ def left_euclid_reference(f: SkewPoly, g: SkewPoly) -> Tuple[SkewPoly, ...]:
         q, r2 = left_divmod(r0, r1)
         r0, a0, b0, r1, a1, b1 = r1, a1, b1, r2, a0 - a1 * q, b0 - b1 * q
     return r0, a0, b0, a1, b1
+
+
+def rank(field: FieldSpec, rows: Sequence[Sequence[int]]) -> int:
+    return len(rref(field, rows)[1])
+
+
+class ReferenceBuild(NamedTuple):
+    k: int
+    pivots: List[int]
+    genmatrix: np.ndarray
+    module_closed: bool
+
+
+def reference_build(spec: CodeSpec, generator: Optional[SkewPoly] = None) -> ReferenceBuild:
+    """The code construction of ``CodeStructure`` by ranks of whole spans.
+
+    The module build (no ``generator``) takes g = gcld(f_1, ..., f_l,
+    x^s - 1), requires the rank of all s shift images to be k = s - deg g and
+    row-reduces all of them.  The explicit-generator build row-reduces the
+    first k images, requires them to be independent, and is closed when all
+    s images have rank k.  Refuses what ``CodeStructure`` refuses, with the
+    same exception types."""
+    F, s = spec.field, spec.s
+    modulus = x_pow_minus_one(F, s)
+    if generator is None:
+        g = gcld_many(list(spec.generators) + [modulus])
+    else:
+        if generator.field != F:
+            raise ValueError("generator over the wrong field")
+        if generator.is_zero or generator.degree >= s:
+            raise ValueError("generator must be nonzero of degree < s")
+        g = generator.monic_left()
+    h, r = left_divmod(modulus, g)
+    if not r.is_zero or h * g != modulus:
+        raise ConsistencyError("generator polynomial does not divide x^s - 1")
+    k = s - g.degree
+    row = polys_to_blocks(spec, spec.generators)
+    rows = []
+    for _ in range(s):
+        rows.append(row)
+        row = skew_shift(F, s, row)
+    full_rank = rank(F, rows)
+    if generator is None:
+        if full_rank != k:
+            raise ConsistencyError(f"row-space rank {full_rank} != s - deg g = {k}")
+        reduced, pivots = rref(F, rows)
+    else:
+        reduced, pivots = rref(F, rows[:k])
+        if len(pivots) != k:
+            raise ConsistencyError(f"first {k} shift images have rank {len(pivots)}")
+    genmatrix = np.array(reduced[:k], dtype=np.uint8).reshape(k, spec.n)
+    return ReferenceBuild(k, pivots, genmatrix, full_rank == k)

@@ -14,12 +14,11 @@ import time
 
 import pytest
 
-from oracles import left_divmod_linalg, right_divmod_linalg
+from oracles import left_divmod_linalg, rank, right_divmod_linalg
 from skewqc.cli import main as cli_main
 from skewqc.distance import min_distance, min_distance_sampled, weight_enumerator
 from skewqc.factorization import is_central, verify_factorization
 from skewqc.field import gf4, make_field
-from skewqc.linalg import rank
 from skewqc.search import SearchConfig, export_records, run_search, verify_entry
 from skewqc.similarity import are_similar, linear_similar
 from skewqc.skewpoly import (

@@ -271,6 +271,34 @@ def test_unknown_catalog_name_is_an_error(command):
     assert "unknown catalog entry 'nope'" in exc.value.code
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", "--s", "4", "--tuple", "0", "--generator", "11"],
+         "first 3 shift images have rank 0"),
+        (["build", "--s", "4", "--tuple", "1", "--generator", "a01"],
+         "does not divide x^s - 1"),
+        (["build", "--s", "4", "--tuple", "zz"], "invalid character 'z'"),
+        (["build", "--s", "3", "--tuple", "11"], "not central"),
+        (["distance", "--s", "4", "--tuple", "1", "--generator", "a01"],
+         "does not divide x^s - 1"),
+        (["similar", "--f", "zz", "--g", "11"], "invalid character 'z'"),
+        (["factor", "--s", "0"], "expected a positive integer"),
+        (["build", "--s", "0", "--tuple", "1"], "expected a positive integer"),
+    ],
+    ids=["dependent-images", "nondivisor", "bad-tuple", "noncentral",
+         "distance-nondivisor", "similar-bad-poly", "factor-s0", "build-s0"],
+)
+def test_bad_input_is_an_error_not_a_traceback(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    code = exc.value.code
+    # a str code is printed to stderr with exit status 1; argparse exits 2
+    err = code if isinstance(code, str) else capsys.readouterr().err
+    assert code == 2 or err.startswith("error: ")
+    assert "error: " in err and message in err
+
+
 SEED_COMMANDS = {
     "distance": ["distance", "--name", "index2-l2-40-9-21", "--sampled", "10"],
     "search": ["search", "--s", "8", "--trials", "2"],

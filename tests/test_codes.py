@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from skewqc import linalg
+from oracles import rank, reference_build
 from skewqc.codes import (
     CodeSpec,
     CodeStructure,
@@ -20,6 +20,7 @@ from skewqc.factorization import modulus_right_divisors
 from skewqc.field import gf4, make_field
 from skewqc.notation import parse_coeff_string
 from skewqc.skewpoly import SkewPoly, gcld_many, x_pow_minus_one
+from skewqc.tables import catalog
 
 F = gf4()
 A, A2 = 2, 3
@@ -229,7 +230,7 @@ def test_degenerate_build_dimension_always_s_minus_deg_g():
             code = build_degenerate_code(F, s, g, [f])
             assert code.k == s - g.degree
             assert code.h.degree == code.k
-            assert linalg.rank(F, [list(r) for r in code.genmatrix]) == code.k
+            assert rank(F, [list(r) for r in code.genmatrix]) == code.k
 
 
 def test_module_closed_flag_detects_closure():
@@ -247,7 +248,7 @@ def test_module_closed_flag_detects_closure():
             for _ in range(s):
                 vec = skew_shift(F, s, vec)
                 extra.append(vec)
-            closed = linalg.rank(F, extra) == code.k
+            closed = rank(F, extra) == code.k
             assert code.module_closed == closed
             seen_closed = seen_closed or closed
             seen_open = seen_open or not closed
@@ -277,6 +278,74 @@ def test_explicit_generator_must_divide_modulus():
     f = parse_coeff_string(F, "1")
     with pytest.raises(ConsistencyError):
         build_degenerate_code(F, 4, g, [f])
+
+
+def test_pinned_build_refuses_dependent_first_images():
+    x_plus_1 = parse_coeff_string(F, "11")  # right-divides x^4 - 1
+    spec = CodeSpec(F, 4, (SkewPoly.zero(F),))
+    with pytest.raises(ConsistencyError, match="first 3 shift images have rank 0"):
+        CodeStructure(spec, generator=x_plus_1)
+
+
+# ---------------------------------------------------------------------------
+# the first-k-images build against the whole-span reference build
+# ---------------------------------------------------------------------------
+
+
+def _outcome(build, spec, generator=None):
+    """(k, pivots, genmatrix, module_closed), or the refusal's exception type."""
+    try:
+        code = build(spec, generator)
+    except (ConsistencyError, ValueError) as exc:
+        return type(exc)
+    return code.k, list(code.pivots), code.genmatrix.tolist(), code.module_closed
+
+
+def _assert_same_build(spec, generator=None):
+    got = _outcome(CodeStructure, spec, generator)
+    assert got == _outcome(reference_build, spec, generator)
+    return got
+
+
+def test_catalog_builds_match_the_reference_build():
+    for entry in catalog():
+        generator = parse_coeff_string(F, entry.g) if entry.degenerate else None
+        _assert_same_build(entry.build().spec, generator)
+
+
+def test_seeded_builds_match_the_reference_build():
+    """Module builds of random and (g, f*g, ...) tuples, degenerate builds,
+    and explicit generators (divisors or not) on arbitrary tuples, over
+    GF(4), GF(9) and GF(8)."""
+    rng = random.Random(2468)
+    outcomes = []
+    for field, sizes in (
+        (gf4(), (2, 4, 6, 8)),
+        (make_field(3, 1, 2), (2, 4, 6)),
+        (make_field(2, 1, 3), (3, 6)),
+    ):
+        for s in sizes:
+            divisors = [g for g in modulus_right_divisors(field, s) if 0 < g.degree < s]
+            for _ in range(40):
+                l = rng.choice((1, 2, 3))
+                g = rng.choice(divisors)
+                fs = [rand_poly(rng, field, s - 1) for _ in range(l - 1)]
+                tup = tuple(rand_poly(rng, field, rng.randrange(s)) for _ in range(l))
+                degenerate = degenerate_tuple(g, fs, s)
+                # pinning a lower-degree divisor on a (g, f*g, ...) tuple makes
+                # the first s - deg(pinned) images dependent
+                arbitrary = rng.choice((tup, degenerate))
+                pinned = rng.choice(divisors + [rand_poly(rng, field, s - 1)])
+                outcomes += [
+                    _assert_same_build(CodeSpec(field, s, tup)),
+                    _assert_same_build(CodeSpec(field, s, degenerate)),
+                    _assert_same_build(CodeSpec(field, s, degenerate), g),
+                    _assert_same_build(CodeSpec(field, s, arbitrary), pinned),
+                ]
+    assert len(outcomes) >= 1000
+    built = [o for o in outcomes if isinstance(o, tuple)]
+    assert ConsistencyError in outcomes
+    assert any(o[3] for o in built) and not all(o[3] for o in built)
 
 
 # ---------------------------------------------------------------------------
