@@ -65,7 +65,7 @@ def _int_at_least(low: int, kind: str):
 
 
 _positive_int = _int_at_least(1, "positive")
-_seed = _int_at_least(0, "non-negative")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _entry(name: str) -> CatalogEntry:
@@ -209,8 +209,12 @@ def cmd_distance(args) -> int:
             print("hint: raise --budget or use --sampled N", file=sys.stderr)
             return 1
         kind = "exact" if rep.exact else "upper bound (scan stopped early)"
-    print(f"[{code.n},{code.k},{rep.d}]  d is {kind}  "
-          f"({rep.enumerated} rows in {rep.elapsed:.2f}s)")
+    if rep.d is None:
+        print(f"[{code.n},{code.k}]  zero code: it has no nonzero codeword, "
+              "so its minimum distance is undefined")
+    else:
+        print(f"[{code.n},{code.k},{rep.d}]  d is {kind}  "
+              f"({rep.enumerated} rows in {rep.elapsed:.2f}s)")
     if rep.witness is not None and args.witness:
         tokens = code.spec.field.tokens
         print("witness: " + " ".join(tokens[c] for c in rep.witness))
@@ -332,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    "(default %(default)s)")
     p.add_argument("--sampled", type=_positive_int, metavar="TRIALS",
                    help="sampled upper bound instead of exact enumeration")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--witness", action="store_true",
                    help="print a codeword achieving the reported weight")
     p.add_argument("--enumerator", action="store_true",
@@ -352,10 +356,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config key (repeatable)")
-    p.add_argument("--s", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=_seed)
+    p.add_argument("--s", type=_positive_int)
+    p.add_argument("--l", type=_positive_int)
+    p.add_argument("--trials", type=_non_negative_int,
+                   help="candidate tuples to evaluate (0 runs an empty campaign)")
+    p.add_argument("--seed", type=_non_negative_int)
     p.add_argument("--output", help="write records here (default: config output "
                    "path, else stdout)")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
@@ -375,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=DEFAULT_SAMPLE_TRIALS,
                    help="sampled codewords for rows beyond the budget "
                    "(default %(default)s)")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--quiet", action="store_true", help="summary line only")
     p.set_defaults(func=cmd_verify_table)
 

@@ -6,8 +6,18 @@ an inner table of q^ki precomputed combinations and an outer Gray walk; every
 batch of q^ki weights is histogrammed at once, and nonzero counts are
 multiplied by q - 1 at the end.  All rows come from one table of scaled
 generator rows, built once per code: over GF(4) they are bitsliced into two
-uint64 bit planes and weights come from popcounts, which is what makes full
-4^16 enumerations practical; other fields keep their symbols.
+bit planes and weights come from popcounts, which is what makes full 4^16
+enumerations practical; other fields keep their symbols.  The plane words
+are sized to n: uint32 when n <= 32 (n = 24 fills 24 of 32 bits, where a
+uint64 word carried 40 bits of padding), uint64 above.
+
+The inner table is built once per code too: every combination of the last
+ki rows, ki the largest value with q^ki <= INNER_TABLE_LIMIT and ki <= k - 1.
+A lead row with that many free rows or more scans all of it; a lead with
+kf < ki free rows scans the strided view of the columns whose first ki - kf
+digits are zero, which is the table of its last kf rows.  The lead row
+itself enters through the offset, so every message is visited in the order
+of one table per lead.
 
 The inner table is stored word-major, shape (width, q^ki): one contiguous
 run of q^ki entries per bit-plane word or per symbol.  One weight kernel
@@ -25,9 +35,12 @@ messages (``exact_cost``), whether or not scalar orbits let it visit fewer,
 and the price is checked against the budget (default DEFAULT_BUDGET = 2^26)
 *before* any work starts (BudgetExceededError), so oversized requests fail
 fast instead of hanging; ``DistanceReport.enumerated`` counts the rows
-actually scanned.  ``min_distance_sampled`` sums rows of the same table for
-seeded random messages: a reproducible upper bound for codes beyond
-exhaustive reach.
+actually scanned.  ``min_distance_sampled`` draws seeded random messages and
+sums ceil(k/c) chunk tables per message instead of k single rows: chunk
+tables hold every combination of c consecutive rows (q^c <= CHUNK_TABLE_LIMIT),
+built by the same filler as the inner table, and a chunk's column is its c
+digits read in base q.  The result is a reproducible upper bound for codes
+beyond exhaustive reach.
 """
 
 from __future__ import annotations
@@ -44,6 +57,7 @@ from .field import FieldSpec
 
 INNER_TABLE_LIMIT = 2**16
 SAMPLE_BATCH = 2**14
+CHUNK_TABLE_LIMIT = 2**10
 
 
 @dataclass
@@ -92,35 +106,40 @@ class DistanceReport:
 
 
 # ---------------------------------------------------------------------------
-# packed rows: GF(4) symbols 0..3 = lo_bit + 2 * hi_bit go into two uint64 bit
-# planes, where addition is XOR of both planes and the weight of a vector is
-# popcount(lo | hi); any other field keeps its symbols
+# packed rows: GF(4) symbols 0..3 = lo_bit + 2 * hi_bit go into two bit planes
+# of uint32 words when n <= 32 and of uint64 words above, where addition is XOR
+# of both planes and the weight of a vector is popcount(lo | hi); any other
+# field keeps its symbols
 
 
 def pack_gf4(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Pack (..., n) symbols into (..., ceil(n/64)) uint64 bit planes.
+    """Pack (..., n) symbols into (..., ceil(n/b)) bit planes of b-bit words:
+    b = 32 (uint32) when n <= 32, else b = 64 (uint64).
 
-    Symbol j lands in bit j % 64 of word j // 64; both planes are packed in
-    one pass by np.packbits over the symbols zero-padded to 64 * nw.
+    Symbol j lands in bit j % b of word j // b; both planes are packed in
+    one pass by np.packbits over the symbols zero-padded to b * nw.
     """
     mat = np.asarray(mat, dtype=np.uint8)
     n = mat.shape[-1]
-    nw = (n + 63) // 64
-    bits = np.zeros((2,) + mat.shape[:-1] + (64 * nw,), dtype=np.uint8)
+    word = np.dtype(np.uint32 if n <= 32 else np.uint64)
+    b = 8 * word.itemsize
+    nw = (n + b - 1) // b
+    bits = np.zeros((2,) + mat.shape[:-1] + (b * nw,), dtype=np.uint8)
     bits[0, ..., :n] = mat & 1
     bits[1, ..., :n] = (mat >> 1) & 1
-    planes = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
-    planes = planes.astype(np.uint64, copy=False)
+    planes = np.packbits(bits, axis=-1, bitorder="little").view(word.newbyteorder("<"))
+    planes = planes.astype(word, copy=False)  # native order
     return planes[0], planes[1]
 
 
 def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[np.ndarray, Callable, Callable]:
     """(T, add, weights): the table T[i, lam] = lam * G[i] of shape (k, q, width).
 
-    Over GF(4) a row is its lo and hi planes side by side in uint64 words and
-    ``add`` is XOR; over any other field a row is its n symbols and ``add``
-    is one lookup in the flattened F.np_add.  ``add`` acts elementwise and
-    broadcasts.
+    Over GF(4) a row is its lo and hi planes side by side in the words of
+    pack_gf4 (uint32 when n <= 32, else uint64) and ``add`` is XOR; over any
+    other field a row is its n symbols and ``add`` is one lookup in the
+    flattened F.np_add.  ``add(a, b, out=None)`` acts elementwise,
+    broadcasts and writes into ``out`` when given.
 
     ``weights(block, offset, out)`` reads ``block`` word-major, shape
     (width, R) with one column per vector, and writes the weight of each
@@ -138,14 +157,19 @@ def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[np.ndarray, Callable, Cal
 
         # one flat lookup; the index a*q + b < q^2 <= 65,536 fits uint16
         flat_add, q = F.np_add.reshape(-1), F.q
-        return T, lambda a, b: flat_add.take(a.astype(np.uint16) * q + b), symbol_weights
+
+        def symbol_add(a: np.ndarray, b: np.ndarray,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+            return flat_add.take(a.astype(np.uint16) * q + b, out=out)
+
+        return T, symbol_add, symbol_weights
     lo, hi = pack_gf4(T)
     nw = lo.shape[-1]
     scratch: List[np.ndarray] = []
 
     def weights(block: np.ndarray, offset: np.ndarray, out: np.ndarray) -> None:
         if not scratch or scratch[0].shape != out.shape:
-            scratch[:] = [np.empty(out.shape, np.uint64), np.empty(out.shape, np.uint64),
+            scratch[:] = [np.empty(out.shape, block.dtype), np.empty(out.shape, block.dtype),
                           np.empty(out.shape, np.uint8)]
         x, y, c = scratch
         for j in range(nw):
@@ -198,45 +222,66 @@ def exact_cost(code: CodeStructure) -> int:
     return code.spec.field.q ** code.k
 
 
+def _combination_table(T: np.ndarray, add: Callable, first: int, count: int) -> np.ndarray:
+    """Word-major table, shape (width, q^count), of every combination of the
+    rows first .. first + count - 1 of T: column u carries digit u % q on row
+    first, (u // q) % q on the next, ...  Filled in place, each row adding its
+    nonzero multiples to the columns so far (T[r, 0] is the zero row)."""
+    q = T.shape[1]
+    B = np.empty((T.shape[-1], q**count), dtype=T.dtype)
+    B[:, 0] = 0
+    size = 1
+    for r in range(first, first + count):
+        for lam in range(1, q):
+            add(B[:, :size], T[r, lam][:, None], out=B[:, lam * size : (lam + 1) * size])
+        size *= q
+    return B
+
+
+def _inner_table(T: np.ndarray, add: Callable) -> np.ndarray:
+    """The one inner table of a code: every combination of its last ki rows,
+    ki the largest value with q^ki <= INNER_TABLE_LIMIT and ki <= k - 1."""
+    k, q = T.shape[:2]
+    ki = 0
+    while ki < k - 1 and q ** (ki + 1) <= INNER_TABLE_LIMIT:
+        ki += 1
+    return _combination_table(T, add, k - ki, ki)
+
+
 def _lead_block(
     F: FieldSpec,
     n: int,
     rows: Tuple[np.ndarray, Callable, Callable],
+    inner: np.ndarray,
     lead: int,
     want_hist: bool,
     stop_at: int = 0,
 ) -> Tuple[Optional[np.ndarray], int, Optional[np.ndarray], int]:
     """Enumerate messages with first nonzero digit 1 at row ``lead``.
 
-    ``rows`` is the code's _packed_rows table.  Returns (histogram-or-None,
-    best weight, best message, rows seen).
+    ``rows`` is the code's _packed_rows table and ``inner`` its _inner_table
+    over the last ki rows.  A lead with kf < ki free rows scans the strided
+    view inner[:, ::q^(ki - kf)], the columns whose first ki - kf digits are
+    zero: the table of its last kf rows.  Returns (histogram-or-None, best
+    weight, best message, rows seen).
     """
     T, add, weights = rows
     q, k = F.q, T.shape[0]
     kf = k - lead - 1
     ki = 0
-    while ki < kf and q ** (ki + 1) <= INNER_TABLE_LIMIT:
+    while q**ki < inner.shape[1]:
         ki += 1
+    if kf < ki:
+        inner, ki = inner[:, :: q ** (ki - kf)], kf
     ko = kf - ki
     outer0 = lead + 1  # outer rows lead+1 .. lead+ko, inner rows after them
-
-    # word-major inner table: column u is row lead plus the inner rows with
-    # digit u % q on the first, (u // q) % q on the next, ...; filled in
-    # place, each inner row adding its nonzero multiples to the columns so far
-    B = np.empty((T.shape[-1], q**ki), dtype=T.dtype)
-    B[:, 0] = T[lead, 1]
-    size = 1
-    for r in range(outer0 + ko, k):
-        for lam in range(1, q):
-            B[:, lam * size : (lam + 1) * size] = add(B[:, :size], T[r, lam][:, None])
-        size *= q
-    w = np.empty(B.shape[1], dtype=np.min_scalar_type(n))
+    w = np.empty(inner.shape[1], dtype=np.min_scalar_type(n))
 
     hist = np.zeros(n + 1, dtype=np.int64) if want_hist else None
     best = n + 1
     best_msg: Optional[np.ndarray] = None
     rows_seen = 0
-    offset = np.zeros(T.shape[-1], dtype=T.dtype)
+    offset = T[lead, 1]
     odometer = [0] * ko
 
     def record(idx: int) -> np.ndarray:
@@ -250,7 +295,7 @@ def _lead_block(
 
     def scan() -> bool:
         nonlocal best, best_msg, rows_seen
-        weights(B, offset, w)
+        weights(inner, offset, w)
         rows_seen += w.shape[0]
         if want_hist:
             hist_part = np.bincount(w, minlength=n + 1)
@@ -274,17 +319,19 @@ def _lead_block(
 def _enumerate_blocks(
     F: FieldSpec, G: np.ndarray, want_hist: bool, stop_at: int = 0
 ) -> Tuple[Optional[np.ndarray], int, Optional[np.ndarray], int]:
-    """Merge the lead blocks in lead order.
+    """Merge the lead blocks in lead order; the rows table and the inner
+    table are built once for all of them.
 
     Each block stops on its own once its best weight is <= stop_at, and the
     merge stops at the first such lead.
     """
     k, n = G.shape
     rows = _packed_rows(F, G)
+    inner = _inner_table(rows[0], rows[1])
     hist = np.zeros(n + 1, dtype=np.int64) if want_hist else None
     best, best_msg, total_rows = n + 1, None, 0
     for lead in range(k):
-        h, b, bm, seen = _lead_block(F, n, rows, lead, want_hist, stop_at=stop_at)
+        h, b, bm, seen = _lead_block(F, n, rows, inner, lead, want_hist, stop_at=stop_at)
         total_rows += seen
         if want_hist:
             hist += h
@@ -368,20 +415,40 @@ def min_distance_sampled(
         return DistanceReport(None, True, "empty", 0, elapsed=time.perf_counter() - t0)
     rng = np.random.Generator(np.random.PCG64(seed))
     T, add, weights = _packed_rows(F, code.genmatrix)
+    c = 1
+    while q ** (c + 1) <= CHUNK_TABLE_LIMIT:
+        c += 1
+    # chunk (first, last, table): every combination of the rows first..last
+    chunks = [(i, min(i + c, k) - 1, _combination_table(T, add, i, min(c, k - i)))
+              for i in range(0, k, c)]
     zero = np.zeros(T.shape[-1], dtype=T.dtype)
     best = n + 1
     best_msg = None
     done = 0
+    w = np.empty(0)
     while done < trials:
         b = min(SAMPLE_BATCH, trials - done)
         msgs = rng.integers(0, q, size=(b, k), dtype=np.uint8)
         done += b
-        # take() gathers whole rows far faster than T[i, msgs[:, i]]
-        acc = T[0].take(msgs[:, 0], axis=0)
-        for i in range(1, k):
-            acc = add(acc, T[i].take(msgs[:, i], axis=0))
-        w = np.empty(b, dtype=np.int64)
-        weights(acc.T, zero, w)
+        if w.shape[0] != b:
+            acc, part = np.empty((2, T.shape[-1], b), dtype=T.dtype)
+            idx = np.empty(b, dtype=np.uint16)
+            w = np.empty(b, dtype=np.min_scalar_type(n + 1))
+        digits = msgs.T
+        for first, last, table in chunks:
+            # the column of this chunk's digits, by Horner's rule from its last row
+            np.copyto(idx, digits[last])
+            for i in range(last - 1, first - 1, -1):
+                np.multiply(idx, q, out=idx)
+                np.add(idx, digits[i], out=idx)
+            # every index is in range; mode="clip" spares the copy that the
+            # default mode="raise" makes of ``out``
+            if first == 0:
+                np.take(table, idx, axis=1, out=acc, mode="clip")
+            else:
+                np.take(table, idx, axis=1, out=part, mode="clip")
+                add(acc, part, out=acc)
+        weights(acc, zero, w)
         # the rows of G are independent, so only the zero message weighs 0;
         # n + 1 keeps it out of the minimum
         w[w == 0] = n + 1

@@ -312,9 +312,14 @@ def right_divides(f: SkewPoly, g: SkewPoly) -> bool:
     return right_divmod(g, f)[1].is_zero
 
 
-def _euclid(f: SkewPoly, g: SkewPoly, right: bool) -> Tuple[SkewPoly, ...]:
+def _euclid(
+    f: SkewPoly, g: SkewPoly, right: bool, cofactors: bool = True
+) -> Tuple[SkewPoly, ...]:
     """Both extended Euclid runs on coefficient lists: one reduction loop per
-    side, and each row update x0 -= q*x1 (right) or x1*q (left) in place."""
+    side, and each row update x0 -= q*x1 (right) or x1*q (left) in place.
+
+    With ``cofactors=False`` the cofactor rows are never updated, for callers
+    that keep only r0: the other four entries are then meaningless."""
     f._check(g)
     F = f.field
     reduce, sub = (_right_reduce if right else _left_reduce), F.sub
@@ -322,7 +327,7 @@ def _euclid(f: SkewPoly, g: SkewPoly, right: bool) -> Tuple[SkewPoly, ...]:
     r1, a1, b1 = list(g.coeffs), [], [1]
     while r1:
         q = reduce(F, r0, r1)  # r0 becomes the remainder r2
-        for x0, x1 in ((a0, a1), (b0, b1)):
+        for x0, x1 in ((a0, a1), (b0, b1)) if cofactors else ():
             if x1:
                 x0 += [0] * (len(q) + len(x1) - 1 - len(x0))
                 if right:
@@ -370,12 +375,13 @@ def gcld(f: SkewPoly, g: SkewPoly) -> ExtendedGcdResult:
 
 
 def gcrd_many(polys: Iterable[SkewPoly]) -> SkewPoly:
-    """Monic gcrd of a sequence (ignoring zero entries)."""
+    """Monic gcrd of a sequence (ignoring zero entries); runs Euclid without
+    the Bezout cofactors, which it does not return."""
     acc: Optional[SkewPoly] = None
     for p in polys:
         if p.is_zero:
             continue
-        acc = p if acc is None else gcrd(acc, p).gcd
+        acc = p if acc is None else _euclid(acc, p, True, cofactors=False)[0]
         if acc.degree == 0:
             break
     if acc is None:
@@ -384,12 +390,13 @@ def gcrd_many(polys: Iterable[SkewPoly]) -> SkewPoly:
 
 
 def gcld_many(polys: Iterable[SkewPoly]) -> SkewPoly:
-    """Monic gcld of a sequence (ignoring zero entries)."""
+    """Monic gcld of a sequence (ignoring zero entries); runs Euclid without
+    the Bezout cofactors, which it does not return."""
     acc: Optional[SkewPoly] = None
     for p in polys:
         if p.is_zero:
             continue
-        acc = p if acc is None else gcld(acc, p).gcd
+        acc = p if acc is None else _euclid(acc, p, False, cofactors=False)[0]
         if acc.degree == 0:
             break
     if acc is None:

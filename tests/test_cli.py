@@ -112,6 +112,16 @@ def test_distance_sampled_rejects_nonpositive_trials(trials, capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--sampled", "10"], ["--witness"]],
+                         ids=["exact", "sampled", "witness"])
+def test_distance_of_zero_code_says_so(extra, capsys):
+    assert main(["distance", "--s", "4", "--tuple", "0"] + extra) == 0
+    out = capsys.readouterr().out
+    assert out == ("[4,0]  zero code: it has no nonzero codeword, "
+                   "so its minimum distance is undefined\n")
+    assert "None" not in out
+
+
 def test_distance_budget_exceeded_is_an_error(capsys):
     rc = main(["distance", "--name", "new-l3-72-21-29", "--budget", "65536"])
     assert rc == 1
@@ -214,6 +224,29 @@ def test_search_set_overrides(capsys):
     assert main(["search", "--s", "8", "--set", "trials=2", "--set", "seed=4"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("n\tk\td")
+
+
+@pytest.mark.parametrize(
+    "flag, value, kind",
+    [("--s", "0", "positive"), ("--s", "-4", "positive"), ("--s", "x", "positive"),
+     ("--l", "0", "positive"), ("--l", "-1", "positive"),
+     ("--trials", "-1", "non-negative"), ("--trials", "2.5", "non-negative")],
+)
+def test_search_flags_rejected_at_argparse(flag, value, kind, capsys):
+    argv = {"--s": "8", "--l": "2", "--trials": "2"}
+    argv[flag] = value
+    with pytest.raises(SystemExit) as exc:
+        main(["search"] + [tok for item in argv.items() for tok in item])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected a {kind} integer, got '{value}'" in err
+
+
+def test_search_zero_trials_is_an_empty_campaign(capsys):
+    assert main(["search", "--s", "8", "--trials", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "n\tk\td\texact\tcomparison\tgenerators\ttimestamp"
+    ]
 
 
 def test_search_rejects_unknown_key(capsys):

@@ -62,31 +62,42 @@ def naive_distribution(code):
     return counts
 
 
+def word_dtype(n):
+    """The width rule: uint32 words when n <= 32, uint64 words above."""
+    return np.dtype(np.uint32) if n <= 32 else np.dtype(np.uint64)
+
+
 def column_loop_pack_gf4(mat):
-    """Reference packing, one column at a time."""
+    """Reference packing, one column at a time, in words of word_dtype(n)."""
     mat = np.asarray(mat, dtype=np.uint8)
     n = mat.shape[-1]
-    nw = (n + 63) // 64
+    word = word_dtype(n)
+    bits = 8 * word.itemsize
+    nw = (n + bits - 1) // bits
     lead = mat.shape[:-1]
-    lo = np.zeros(lead + (nw,), dtype=np.uint64)
-    hi = np.zeros(lead + (nw,), dtype=np.uint64)
+    lo = np.zeros(lead + (nw,), dtype=word)
+    hi = np.zeros(lead + (nw,), dtype=word)
     for j in range(n):
-        w, b = divmod(j, 64)
-        bit = np.uint64(1) << np.uint64(b)
+        w, b = divmod(j, bits)
+        bit = word.type(1) << word.type(b)
         col = mat[..., j]
-        lo[..., w] |= np.where(col & 1, bit, np.uint64(0))
-        hi[..., w] |= np.where(col & 2, bit, np.uint64(0))
+        lo[..., w] |= np.where(col & 1, bit, word.type(0))
+        hi[..., w] |= np.where(col & 2, bit, word.type(0))
     return lo, hi
 
 
 def unpack_gf4(lo, hi, n):
     """Inverse of pack_gf4: (..., nw) bit planes back to (..., n) symbols."""
+    word = word_dtype(n)
+    assert lo.dtype == hi.dtype == word
+    bits = 8 * word.itemsize
+    one = word.type(1)
     out = np.zeros(lo.shape[:-1] + (n,), dtype=np.uint8)
     for j in range(n):
-        w, b = divmod(j, 64)
-        bit = np.uint64(b)
-        out[..., j] = (((lo[..., w] >> bit) & np.uint64(1))
-                       | (((hi[..., w] >> bit) & np.uint64(1)) << np.uint64(1)))
+        w, b = divmod(j, bits)
+        bit = word.type(b)
+        out[..., j] = (((lo[..., w] >> bit) & one)
+                       | (((hi[..., w] >> bit) & one) << one))
     return out
 
 
@@ -111,19 +122,20 @@ def gray_oracle(code):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 48, 64, 72, 130])
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 48, 64, 72, 130])
 @pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
 def test_pack_gf4_matches_column_loop(lead, n):
     rng = np.random.default_rng(n)
     mat = rng.integers(0, 4, size=lead + (n,)).astype(np.uint8)
     for got, want in zip(pack_gf4(mat), column_loop_pack_gf4(mat)):
-        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.dtype == want.dtype == word_dtype(n)
+        assert got.shape == want.shape == lead + (1 if n <= 32 else (n + 63) // 64,)
         assert np.array_equal(got, want)
 
 
 def test_pack_unpack_round_trip():
     rng = np.random.default_rng(11)
-    for n in (1, 7, 64, 65, 130):
+    for n in (1, 7, 32, 33, 64, 65, 130):
         vec = rng.integers(0, 4, size=n).astype(np.uint8)
         lo, hi = pack_gf4(vec)
         assert np.array_equal(unpack_gf4(lo, hi, n), vec)
@@ -132,11 +144,12 @@ def test_pack_unpack_round_trip():
 def test_gf4_scale_matches_table():
     """Each packed row T[i, lam] unpacks to lam * G[i] by the mul table."""
     rng = np.random.default_rng(33)
-    for n in (5, 64, 70, 130):
+    for n in (5, 31, 32, 33, 64, 70, 130):
         G = rng.integers(0, 4, size=(3, n)).astype(np.uint8)
         T, _, _ = _packed_rows(F, G)
-        nw = (n + 63) // 64
-        assert T.shape == (3, 4, 2 * nw) and T.dtype == np.uint64
+        nw = 1 if n <= 32 else (n + 63) // 64
+        assert T.shape == (3, 4, 2 * nw)
+        assert T.dtype == word_dtype(n)
         for i in range(3):
             for lam in range(4):
                 got = unpack_gf4(T[i, lam, :nw], T[i, lam, nw:], n)
@@ -152,7 +165,7 @@ def test_packed_rows_weight_matches_count_nonzero(field):
     range and 300 needs the wider one."""
     rng = np.random.default_rng(22)
     q = field.q
-    for n in (5, 64, 100, 255, 300):
+    for n in (5, 32, 64, 100, 255, 300):
         G = rng.integers(0, q, size=(4, n)).astype(np.uint8)
         G[0] = rng.integers(1, q, size=n)
         T, add, weights = _packed_rows(field, G)
@@ -249,9 +262,46 @@ def test_engine_matches_gray_oracle_on_multiword_rows(s, l, words):
     assert np.array_equal(code.encode(rep.witness_message), rep.witness)
 
 
-# (d, exact, enumerated, witness message) for stop_at = 0, 22 and n: they fix
-# the order in which the engine visits messages, not only the minimum
+@pytest.mark.parametrize("s, l", [(12, 2), (16, 2)], ids=["n24", "n32"])
+def test_engine_matches_gray_oracle_on_uint32_rows(s, l):
+    """Rows of one uint32 word per bit plane; with k = 6 the inner table
+    holds the last 5 rows and every lead after the first scans a strided
+    view of it."""
+    code = multiword_code(s, l, 6, seed=s)
+    assert code.k == 6 and code.n <= 32
+    assert _packed_rows(F, code.genmatrix)[0].dtype == np.uint32
+    counts, d = gray_oracle(code)
+    assert weight_enumerator(code).counts == counts
+    rep = min_distance(code)
+    assert rep.exact and rep.d == d
+    assert rep.enumerated == (4**6 - 1) // 3
+    assert np.array_equal(code.encode(rep.witness_message), rep.witness)
+    assert int(np.count_nonzero(rep.witness)) == d
+
+
+# codes pinned below that are not catalog rows: a [24,12,6] code from the
+# s=12 l=2 seed-3 campaign, given by its tuple (g, f*g)
+CAMPAIGN_TUPLES = {
+    "campaign-s12-24-12-6": (12, ("aaa^2a^21", "aaaa11a^2a^20aaa")),
+}
+
+
+def pinned_code(name):
+    if name in CAMPAIGN_TUPLES:
+        s, tup = CAMPAIGN_TUPLES[name]
+        return build_code(F, s, tuple(parse_coeff_string(F, t) for t in tup))
+    return get(name).build()
+
+
+# (d, exact, enumerated, witness message) for stop_at = 0, an intermediate
+# value and n: they fix the order in which the engine visits messages, not
+# only the minimum
 ROW_ORDER_PINS = {
+    "campaign-s12-24-12-6": {
+        0: (6, True, 5592405, "102030100000"),
+        6: (6, False, 589824, "102030100000"),
+        24: (7, False, 65536, "100010000000"),
+    },
     "index2-l2-40-9-21": {
         0: (21, True, 87381, "100310000"),
         22: (21, False, 65536, "100310000"),
@@ -267,7 +317,7 @@ ROW_ORDER_PINS = {
 
 @pytest.mark.parametrize("name", sorted(ROW_ORDER_PINS))
 def test_row_order_is_pinned(name):
-    code = get(name).build()
+    code = pinned_code(name)
     for stop_at, pinned in ROW_ORDER_PINS[name].items():
         rep = min_distance(code, stop_at=stop_at)
         message = "".join(str(c) for c in rep.witness_message)
@@ -382,6 +432,20 @@ def test_sampled_distance_over_gf9_is_pinned():
     rep = min_distance_sampled(code, trials=300000, seed=1)
     assert rep.d == 6 and rep.enumerated == 300000
     assert rep.witness_message.tolist() == [0, 0, 0, 0, 0, 7, 3, 8]
+
+
+def test_sampled_distance_on_a_long_row_is_pinned():
+    """k = 23 over GF(4): four chunk tables of 5 rows and one of 3; d and the
+    witness message are the ones the row-by-row sum gave."""
+    code = get("index34-l4-96-23-41").build()
+    assert code.k == 23
+    rep = min_distance_sampled(code, trials=20000, seed=7)
+    assert rep.d == 54 and rep.enumerated == 20000
+    assert rep.witness_message.tolist() == [
+        0, 2, 0, 3, 0, 0, 3, 0, 2, 1, 2, 0, 2, 3, 1, 3, 3, 0, 1, 0, 2, 1, 1
+    ]
+    assert np.array_equal(code.encode(rep.witness_message), rep.witness)
+    assert int(np.count_nonzero(rep.witness)) == 54
 
 
 def test_sampled_distance_skips_the_zero_message():

@@ -279,6 +279,23 @@ def test_gcd_many_divides_all():
             assert left_divmod(p, dl)[1].is_zero
 
 
+@ORACLE_FIELDS
+def test_gcd_many_matches_the_extended_gcd_chain(field):
+    """gcrd_many and gcld_many run Euclid without the Bezout cofactors; the
+    gcd is still the one a chain of gcrd / gcld calls gives."""
+    rng = random.Random(78)
+    for _ in range(30):
+        c = rand_poly(rng, field, 3, allow_zero=False)
+        right = [rand_poly(rng, field, 5, allow_zero=False) * c for _ in range(3)]
+        left = [c * rand_poly(rng, field, 5, allow_zero=False) for _ in range(3)]
+        dr, dl = right[0], left[0]
+        for p, q in zip(right[1:], left[1:]):
+            dr, dl = gcrd(dr, p).gcd, gcld(dl, q).gcd
+        assert gcrd_many(right) == dr.monic_left()
+        assert gcld_many(left) == dl.monic_right()
+        assert gcrd_many(right).degree >= c.degree and gcld_many(left).degree >= c.degree
+
+
 def test_gcrd_of_zero_pair_raises():
     with pytest.raises(ValueError):
         gcrd(SkewPoly.zero(F), SkewPoly.zero(F))

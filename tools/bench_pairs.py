@@ -1,0 +1,159 @@
+"""Alternating parent/change pairs of the benchmark, summarised as BENCH_*.json.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR \
+        --workload campaign-s12=10 --workload exact-deep=4 \
+        --seed-base 2101 --seconds 30 --traced-seed 3 \
+        --parent-commit SHA --topic "what the change does" --out BENCH_name.json
+
+DIR are two copies of the repository tree: the parent commit and the change.
+For every workload, pair i runs ``perfbench/run.py --workload W --seed S
+--seconds T --trace 0`` once in each copy, back to back, the parent first on
+even i and the change first on odd i; S is seed-base + i.  With
+``--traced-seed`` each side also makes one traced run (``--trace 1``) per
+workload.  The end-to-end metrics and their directions come from the
+``BENCHMARK.json`` of the parent copy.  Each side is summarised by the median
+and quartiles of its runs (linear interpolation, numpy.percentile), and a pair
+is won when the change reads strictly better.  The output is rewritten after
+every pair, so an interrupted run keeps what it measured; its ``notes`` list
+is left empty for the reading of the numbers.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SIDES = ("parent", "change")
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    """One perfbench run in ``tree``: its meta line and its last JSON line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True, check=False,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree}: {workload} seed {seed} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    lines = proc.stdout.strip().splitlines()
+    meta = next(json.loads(line[5:]) for line in lines if line.startswith("meta "))
+    result = json.loads(lines[-1])
+    result["meta"] = meta
+    return result
+
+
+def _summary(values: list) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(float(median), 4), "q1": round(float(q1), 4),
+            "q3": round(float(q3), 4), "runs": [round(v, 4) for v in values]}
+
+
+def _metrics(runs: dict, end_to_end: list) -> dict:
+    out = {}
+    for spec in end_to_end:
+        name, lower = spec["name"], spec["better"] == "lower"
+        vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(vals["parent"], vals["change"]))
+        entry = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"]}
+        entry.update({side: _summary(vals[side]) for side in SIDES})
+        entry["change_wins"] = f"{wins}/{len(vals['change'])}"
+        base = entry["parent"]["median"]
+        entry["ratio_change_over_parent"] = (
+            round(entry["change"]["median"] / base, 4) if base else None)
+        out[name] = entry
+    return out
+
+
+def _checks(runs: list) -> dict:
+    return {"correct": all(r["correct"] for r in runs),
+            "failed": sum(r["failed"] for r in runs),
+            "attempted": sum(r["attempted"] for r in runs)}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="tree copy of the parent")
+    ap.add_argument("--change", type=Path, required=True, help="tree copy of the change")
+    ap.add_argument("--parent-commit", help="commit the parent copy was made from")
+    ap.add_argument("--workload", action="append", required=True, metavar="NAME=PAIRS")
+    ap.add_argument("--seed-base", type=int, required=True)
+    ap.add_argument("--seconds", type=int, default=30)
+    ap.add_argument("--traced-seed", type=int, help="one traced run per side at this seed")
+    ap.add_argument("--topic", required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args()
+
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
+    plan = []
+    for item in args.workload:
+        name, _, pairs = item.partition("=")
+        plan.append((name, int(pairs)))
+
+    doc = {
+        "topic": args.topic,
+        "command": (f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} "
+                    "--trace 0 (traced runs: --trace 1)"),
+        "machine": {},
+        "method": (f"parent and change run back to back from separate copies of the tree, "
+                   f"parent first on even pairs (0, 2, ...) and change first on odd ones; "
+                   f"pair i uses seed {args.seed_base} + i; "
+                   + ", ".join(f"{name} {pairs} pairs" for name, pairs in plan)
+                   + "; each value is one run's median over its passes; quartiles by linear "
+                   "interpolation (numpy.percentile); a pair is won when the change reads "
+                   "strictly better"
+                   + (f"; traced runs (--trace 1) one per side at seed {args.traced_seed}"
+                      if args.traced_seed is not None else "")),
+        "parent": {"commit": args.parent_commit},
+        "change": {},
+        "workloads": {},
+        "traced": {},
+        "notes": [],
+    }
+
+    def save():
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+    for name, pairs in plan:
+        runs = {side: [] for side in SIDES}
+        seeds, first = [], []
+        for i in range(pairs):
+            seed = args.seed_base + i
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for side in order:
+                res = _run(trees[side], name, seed, args.seconds, 0)
+                runs[side].append(res)
+                meta = res["meta"]
+                doc[side]["src_sha256"] = meta["src_sha256"]
+                doc["machine"] = {key: meta[key] for key in
+                                  ("cpu_model", "nproc", "python", "numpy")}
+                print(f"{name} pair {i} {side}: wall_s "
+                      f"{res['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
+            seeds.append(seed)
+            first.append(order[0])
+            doc["workloads"][name] = {
+                "pairs": len(seeds), "seeds": seeds, "first": first,
+                "metrics": _metrics(runs, bench["end_to_end"]),
+                **{f"{side}_checks": _checks(runs[side]) for side in SIDES},
+            }
+            save()
+        if args.traced_seed is not None:
+            doc["traced"][name] = {}
+            for side in SIDES:
+                res = _run(trees[side], name, args.traced_seed, args.seconds, 1)
+                doc["traced"][name][side] = {
+                    "seed": args.traced_seed, **_checks([res]),
+                    "metrics": {m: v["value"] for m, v in res["metrics"].items()},
+                }
+            save()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
