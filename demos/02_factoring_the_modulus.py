@@ -11,11 +11,10 @@ from skewqc.factorization import (
     is_central,
     linear_right_roots,
     modulus_right_divisors,
-    split_linear,
 )
 from skewqc.field import gf4
 from skewqc.notation import poly_to_terms
-from skewqc.skewpoly import SkewPoly, x_pow_minus_one
+from skewqc.skewpoly import x_pow_minus_one
 
 F = gf4()
 
@@ -43,7 +42,7 @@ x6 = x_pow_minus_one(F, 6)
 roots = linear_right_roots(x6)
 print("linear right factors exist (roots:",
       ", ".join(F.tokens[c] for c in roots) + "),")
-print("but no chain of them completes:", split_linear(x6))
+print("but no chain of them completes:", all_linear_factorizations(x6))
 
 print()
 print("== counting right divisors of x^20 - 1 by degree ==")

@@ -30,7 +30,7 @@ print("every nonzero element has norm 1, so all of x-1, x-a, x-a^2 are similar:"
 for c1, c2 in itertools.combinations((1, A, A2), 2):
     result = are_similar(x_minus(F, c1), x_minus(F, c2))
     print(f"  {poly_to_terms(x_minus(F, c1))} ~ {poly_to_terms(x_minus(F, c2))}: "
-          f"{result.status}, witness u = {poly_to_terms(result.witness.u)}")
+          f"{result.status}, witness u = {poly_to_terms(result.witness)}")
 
 print()
 print("== GF(9) splits into two classes ==")

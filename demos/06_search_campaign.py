@@ -41,9 +41,11 @@ with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as fh:
 bounds = load_bounds(bounds_path)
 sample = next(iter(best.values()))
 print(f"a [{sample.n},{sample.k},{sample.d}] code against that table:",
-      classify(sample.n, sample.k, sample.d, bounds))
-print(f"and a hypothetical one better by 1:",
-      classify(sample.n, sample.k, sample.d + 1, bounds))
+      classify(sample.n, sample.k, sample.d, sample.exact, bounds))
+print("and a hypothetical one better by 1, exact:",
+      classify(sample.n, sample.k, sample.d + 1, True, bounds))
+print("the same d as a sampled upper bound:",
+      classify(sample.n, sample.k, sample.d + 1, False, bounds))
 
 print("\n== determinism ==")
 again = list(run_search(config))

@@ -9,7 +9,6 @@ from .codes import (
     build_code,
     build_degenerate_code,
     degenerate_tuple,
-    interleave_permutation,
     skew_shift,
 )
 from .distance import (
@@ -25,7 +24,6 @@ from .factorization import (
     is_central,
     linear_right_roots,
     modulus_right_divisors,
-    split_linear,
     verify_factorization,
 )
 from .field import FieldSpec, gf4, make_field
@@ -53,7 +51,6 @@ from .skewpoly import (
     gcld,
     gcld_many,
     gcrd,
-    gcrd_many,
     lclm,
     lcrm,
     left_divmod,
@@ -92,10 +89,8 @@ __all__ = [
     "gcld",
     "gcld_many",
     "gcrd",
-    "gcrd_many",
     "get",
     "gf4",
-    "interleave_permutation",
     "is_central",
     "lclm",
     "lcrm",
@@ -118,7 +113,6 @@ __all__ = [
     "right_divmod",
     "run_search",
     "skew_shift",
-    "split_linear",
     "table_ok",
     "verify_entry",
     "verify_factorization",

@@ -4,7 +4,8 @@ Subcommands: ``factor`` (divisors and linear factorizations of x^s - 1),
 ``build`` (construct a code and show its structure), ``distance`` (exact or
 sampled minimum distance), ``similar`` (similarity of two skew polynomials),
 ``search`` (seeded campaign over generator tuples), ``verify-table``
-(re-check the shipped catalog; exits nonzero if any asserted row fails).
+(re-check the shipped catalog; exits nonzero if any asserted row fails or
+the selection holds no row).
 
 Every command runs in this one process.  A catalog name that does not exist,
 and a polynomial or code given on the command line that cannot be parsed or
@@ -27,7 +28,6 @@ from .field import FieldSpec, make_field
 from .notation import parse_coeff_string, poly_coeff_string, poly_to_terms
 from .search import (
     DEFAULT_SAMPLE_TRIALS,
-    SearchConfig,
     export_records,
     load_config,
     run_search,
@@ -237,8 +237,8 @@ def cmd_similar(args) -> int:
     result = are_similar(a, b, side=args.side, budget=args.budget)
     print(f"{poly_to_terms(a)}  vs  {poly_to_terms(b)}: {result.status}")
     if result.witness is not None:
-        print(f"witness u = {poly_coeff_string(result.witness.u)}  "
-              f"({poly_to_terms(result.witness.u)})")
+        print(f"witness u = {poly_coeff_string(result.witness)}  "
+              f"({poly_to_terms(result.witness)})")
     return 0
 
 
@@ -284,6 +284,8 @@ def cmd_verify_table(args) -> int:
         rows = catalog()
     if args.max_k is not None:
         rows = [e for e in rows if e.k <= args.max_k]
+    if not rows:
+        raise SystemExit("error: no catalog row matches the selection")
     progress = None if args.quiet else print
     reports = verify_table(
         rows,

@@ -22,6 +22,11 @@ dependent, and the module build also if the span is not closed.  A build
 from an explicit right factor g of x^s - 1 (CodeStructure(spec,
 generator=g)) that is not closed spans a proper k-dimensional subspace of
 the module closure, which some published generator matrices turn out to be.
+
+A built code has one encoder, ``encode`` (message times the RREF basis), and
+one membership test, ``is_codeword`` (reduction against that basis); the
+components of u*(f_1, ..., f_l) are laid out as a vector by
+``polys_to_blocks``.
 """
 
 from __future__ import annotations
@@ -84,24 +89,8 @@ def skew_shift(field: FieldSpec, s: int, vec: Sequence[int]) -> List[int]:
     return out
 
 
-def interleave_permutation(s: int, l: int) -> List[int]:
-    """perm with interleaved[i] = block_layout[perm[i]].
-
-    Block layout groups the l components contiguously; the interleaved view
-    lists coordinate j of every block before coordinate j+1 of any.
-    """
-    return [b * s + j for j in range(s) for b in range(l)]
-
-
-def blocks_to_polys(spec: CodeSpec, vec: Sequence[int]) -> List[SkewPoly]:
-    """Read a block-layout vector back as its l component polynomials."""
-    s = spec.s
-    if len(vec) != spec.n:
-        raise ValueError("vector length mismatch")
-    return [SkewPoly(spec.field, vec[b * s : (b + 1) * s]) for b in range(spec.l)]
-
-
 def polys_to_blocks(spec: CodeSpec, polys: Sequence[SkewPoly]) -> List[int]:
+    """The block-layout vector of l component polynomials of degree < s."""
     out = []
     for f in polys:
         if f.degree >= spec.s:
@@ -176,15 +165,6 @@ class CodeStructure:
             if c:
                 v = F.np_sub[v, F.np_mul[c][self.genmatrix[i]]]
         return not v.any()
-
-    def poly_is_codeword(self, polys: Sequence[SkewPoly]) -> bool:
-        return self.is_codeword(polys_to_blocks(self.spec, list(polys)))
-
-    def codeword_from_poly(self, u: SkewPoly) -> np.ndarray:
-        """Codeword u * (f_1, ..., f_l) reduced mod x^s - 1."""
-        modulus = x_pow_minus_one(self.spec.field, self.spec.s)
-        comps = [right_divmod(u * f, modulus)[1] for f in self.spec.generators]
-        return np.asarray(polys_to_blocks(self.spec, comps), dtype=np.uint8)
 
     def params(self, d: Optional[int] = None) -> str:
         return f"[{self.n},{self.k}]" if d is None else f"[{self.n},{self.k},{d}]"

@@ -78,18 +78,6 @@ class WeightEnumerator:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def polynomial_string(self) -> str:
-        parts = []
-        for w in sorted(self.counts):
-            c = self.counts[w]
-            if not c:
-                continue
-            if w == 0:
-                parts.append(str(c))
-            else:
-                parts.append(f"{c}*y^{w}" if c != 1 else f"y^{w}")
-        return " + ".join(parts) if parts else "0"
-
     def tsv_lines(self) -> List[str]:
         return [f"{w}\t{self.counts[w]}" for w in sorted(self.counts) if self.counts[w]]
 

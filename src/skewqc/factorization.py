@@ -3,9 +3,11 @@
 Because F[x; theta] is non-commutative, factorizations are one-sided and far
 from unique: x^s - 1 typically splits into linear factors in many distinct
 orders.  This module provides the divisor scan of x^s - 1 (with a work
-budget checked up front), linear-factor peeling, and checks tied to *central*
-polynomials (those commuting with everything), for which left and right
-divisors coincide and complementary factors commute.
+budget checked up front), the depth-first search for every ordered
+factorization into linear factors (``all_linear_factorizations``; an empty
+list means f does not split), and checks tied to *central* polynomials
+(those commuting with everything), for which left and right divisors
+coincide and complementary factors commute.
 """
 
 from __future__ import annotations
@@ -42,28 +44,6 @@ def linear_right_roots(f: SkewPoly) -> List[int]:
         if right_divmod(f, lin)[1].is_zero:
             out.append(alpha)
     return out
-
-
-def split_linear(f: SkewPoly) -> Optional[List[SkewPoly]]:
-    """Greedily peel linear right factors; None if f does not fully split.
-
-    Returns factors left-to-right, i.e. f = product(factors) up to the
-    leading coefficient of f (the factors are monic).
-    """
-    if f.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
-    F = f.field
-    rest = f.monic_left()
-    tail: List[SkewPoly] = []
-    while rest.degree > 0:
-        roots = linear_right_roots(rest)
-        if not roots:
-            return None
-        lin = SkewPoly(F, (F.neg[roots[0]], 1))
-        rest = right_divmod(rest, lin)[0]
-        tail.append(lin)
-    tail.reverse()
-    return tail
 
 
 def all_linear_factorizations(

@@ -7,7 +7,7 @@ f_1, ..., f_{l-1}, and evaluate the code generated by the tuple
 (g, f_1*g, ..., f_{l-1}*g).  Each candidate yields one SearchRecord carrying
 the measured [n, k, d], the reduced generating tuple as coefficient strings,
 whether d is exact or a sampled upper bound, and a classification against a
-user-supplied table of best-known minimum distances.
+user-supplied table of best-known minimum distances (see ``classify``).
 
 Determinism contract: all random choices are drawn from the config seed, the
 candidate stream is indexed before evaluation, and exports use a stable field
@@ -54,9 +54,9 @@ class SearchConfig:
 
     ``g``/``fs`` pin the campaign to a single explicit tuple (coefficient
     strings; ``fs`` comma-separated) instead of enumerating candidates —
-    useful for replaying a known code.  ``trials`` caps the total number of
-    candidates evaluated under either sampling policy; 0 means an empty
-    campaign.  ``budget`` counts candidates examined (default
+    useful for replaying a known code; ``fs`` without ``g`` is an error.
+    ``trials`` caps the total number of candidates evaluated under either
+    sampling policy; 0 means an empty campaign.  ``budget`` counts candidates examined (default
     DEFAULT_BUDGET = 2^26): it bounds the divisor scan, priced as in
     modulus_right_divisors, and picks each candidate's distance method, exact
     when its q^k messages fit the budget, otherwise ``distance_trials``
@@ -98,6 +98,8 @@ class SearchConfig:
             raise ValueError("seed must be non-negative")
         if self.budget < 1 or self.distance_trials < 1:
             raise ValueError("budget and distance_trials must be positive")
+        if self.fs and not self.g:
+            raise ValueError("fs requires g: the multipliers need a generator")
         gmax = self.s - 1 if self.g_degree_max is None else self.g_degree_max
         if not self.g and not 1 <= self.g_degree_min <= gmax <= self.s - 1:
             raise ValueError(
@@ -190,20 +192,24 @@ def load_bounds(path: str) -> Dict[Tuple[int, int], int]:
     return table
 
 
-def classify(n: int, k: int, d: Optional[int], bounds: Dict[Tuple[int, int], int]) -> str:
-    """new (beats the table), good (ties it), below (worse).
+def classify(
+    n: int, k: int, d: Optional[int], exact: bool, bounds: Dict[Tuple[int, int], int]
+) -> str:
+    """An exact d is new (beats the table), good (ties it) or below (worse).
+    A sampled d is only an upper bound: below when it is under the table,
+    otherwise open, since the true distance may still be smaller.
 
     Parameters absent from the table count as best_d = 0, so relative to an
-    empty table every nonzero distance is new.
+    empty table every nonzero exact distance is new.
     """
     if d is None:
         return "below"
     best = bounds.get((n, k), 0)
-    if d > best:
-        return "new"
-    if d == best:
-        return "good"
-    return "below"
+    if d < best:
+        return "below"
+    if not exact:
+        return "open"
+    return "new" if d > best else "good"
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +410,7 @@ def run_search(
             k=code.k,
             d=report.d,
             exact=report.exact,
-            comparison=classify(code.n, code.k, report.d, bounds),
+            comparison=classify(code.n, code.k, report.d, report.exact, bounds),
             generators=tuple(poly_coeff_string(p) for p in code.spec.generators),
             field=(config.p, config.t, config.m),
         )

@@ -13,7 +13,9 @@ similar without being equal.
 
 The mirror ("left") orientation swaps the roles: gcrd(u, b) = 1 and
 b right-divides a*u.  Both decide the same relation; the module exposes the
-two sides so the equivalence can itself be exercised in tests.
+two sides so the equivalence can itself be exercised in tests.  A result
+carries its status, the witness u itself (None unless similar) and the
+number of candidates tried.
 
 For monic linear polynomials there is a closed form: x - alpha and x - beta
 are similar iff alpha/beta is a ratio c*theta(c)^-1, i.e. iff alpha and beta
@@ -36,22 +38,12 @@ from .skewpoly import (
     right_divmod,
 )
 
-@dataclass(frozen=True)
-class SimilarityWitness:
-    """A confirmed witness u for the pair (a, b) on one side."""
-
-    u: SkewPoly
-    lhs: SkewPoly  # u*a (right side) or a*u (left side)
-    coprime: bool  # gcld(u, b) = 1 (right) / gcrd(u, b) = 1 (left)
-    side: str
-
 
 @dataclass(frozen=True)
 class SimilarityResult:
     status: str  # "similar" | "dissimilar" | "unknown"
-    witness: Optional[SimilarityWitness]
+    witness: Optional[SkewPoly]  # the u found, on the side asked for
     checked: int
-    side: str
 
     def __bool__(self) -> bool:
         return self.status == "similar"
@@ -100,23 +92,20 @@ def are_similar(
         raise ValueError(f"unknown side {side!r}")
     check = _check_right if side == "right" else _check_left
     if a.degree != b.degree:
-        return SimilarityResult("dissimilar", None, 0, side)
+        return SimilarityResult("dissimilar", None, 0)
     if a.degree == 0:
-        witness = SimilarityWitness(SkewPoly.one(a.field), a, True, side)
-        return SimilarityResult("similar", witness, 0, side)
+        return SimilarityResult("similar", SkewPoly.one(a.field), 0)
     q = a.field.q
     space = q**b.degree - 1
     checked = 0
     for u in _candidates(a.field, b.degree):
         if checked >= budget:
-            return SimilarityResult("unknown", None, checked, side)
+            return SimilarityResult("unknown", None, checked)
         checked += 1
         if check(a, b, u):
-            lhs = u * a if side == "right" else a * u
-            witness = SimilarityWitness(u, lhs, True, side)
-            return SimilarityResult("similar", witness, checked, side)
+            return SimilarityResult("similar", u, checked)
     assert checked == space
-    return SimilarityResult("dissimilar", None, checked, side)
+    return SimilarityResult("dissimilar", None, checked)
 
 
 def norm_to_fixed(field: FieldSpec, alpha: int) -> int:

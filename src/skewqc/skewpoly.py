@@ -16,10 +16,11 @@ Every one-sided operation exists in two flavours:
 ``gcrd(f, g)`` returns Bezout multipliers with ``a*f + b*g = d`` (multipliers
 act on the left); ``gcld`` mirrors this with ``f*a + g*b = d``.
 
-The extended Euclid algorithm runs in one place per side: gcrd and lclm read
-the last two rows of one right-division run (``_right_euclid``), gcld and
-lcrm those of one left-division run (``_left_euclid``).  The row that
-reaches zero, ``u*f + v*g = 0``, gives the least common multiple (Ore, 1933).
+One extended Euclid run, ``_euclid``, serves both sides: gcrd and lclm read
+the last two rows of a right-division run, gcld and lcrm those of a
+left-division run.  The row that reaches zero, ``u*f + v*g = 0``, gives the
+least common multiple (Ore, 1933); lclm and lcrm return only that multiple,
+made monic.
 
 The arithmetic runs on plain coefficient lists through three kernels: one
 product, ``_mul_acc`` (for ``*`` and both Euclid updates), and one reduction
@@ -65,10 +66,6 @@ class SkewPoly:
     @classmethod
     def one(cls, field: FieldSpec) -> "SkewPoly":
         return cls(field, (1,))
-
-    @classmethod
-    def constant(cls, field: FieldSpec, c: int) -> "SkewPoly":
-        return cls(field, (c,))
 
     @classmethod
     def x(cls, field: FieldSpec) -> "SkewPoly":
@@ -135,18 +132,6 @@ class SkewPoly:
         _mul_acc(self.field, out, a, b, self.field.add)
         return _make(self.field, out)
 
-    def __pow__(self, n: int) -> "SkewPoly":
-        if n < 0:
-            raise ValueError("negative power of a skew polynomial")
-        out = SkewPoly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def scale_left(self, c: int) -> "SkewPoly":
         """c * f  (multiply every coefficient by c on the left)."""
         mul = self.field.mul[c]
@@ -171,12 +156,6 @@ class SkewPoly:
         F = self.field
         c = F.theta(F.inv[self.lead], -self.degree)
         return self.scale_right(c)
-
-    def times_x_pow(self, k: int) -> "SkewPoly":
-        """f * x^k  (shift exponents up; no coefficient twist)."""
-        if self.is_zero or k == 0:
-            return self
-        return _make(self.field, [0] * k + list(self.coeffs))
 
     # -- dunder plumbing -------------------------------------------------
 
@@ -234,7 +213,6 @@ class ExtendedGcdResult(NamedTuple):
     gcd: SkewPoly
     cofactor_f: SkewPoly
     cofactor_g: SkewPoly
-    side: str
 
 
 def _right_reduce(F: FieldSpec, r: List[int], f: Sequence[int]) -> List[int]:
@@ -307,19 +285,19 @@ def left_divmod(g: SkewPoly, f: SkewPoly) -> Tuple[SkewPoly, SkewPoly]:
     return _divmod(g, f, _left_reduce)
 
 
-def right_divides(f: SkewPoly, g: SkewPoly) -> bool:
-    """True when g = q*f for some q."""
-    return right_divmod(g, f)[1].is_zero
-
-
 def _euclid(
     f: SkewPoly, g: SkewPoly, right: bool, cofactors: bool = True
 ) -> Tuple[SkewPoly, ...]:
-    """Both extended Euclid runs on coefficient lists: one reduction loop per
-    side, and each row update x0 -= q*x1 (right) or x1*q (left) in place.
+    """Extended Euclid on coefficient lists, with right division when
+    ``right`` and left division otherwise: one reduction loop per side, and
+    each row update x0 -= q*x1 (right) or x1*q (left) in place.
 
-    With ``cofactors=False`` the cofactor rows are never updated, for callers
-    that keep only r0: the other four entries are then meaningless."""
+    Returns the last two rows (r0, a0, b0, a1, b1).  On the right side
+    a0*f + b0*g = r0, a gcrd up to a unit, and a1*f + b1*g = 0, a common
+    left multiple of least degree; on the left side f*a0 + g*b0 = r0, a gcld
+    up to a unit, and f*a1 + g*b1 = 0.  With ``cofactors=False`` the
+    cofactor rows are never updated, for callers that keep only r0: the
+    other four entries are then meaningless."""
     f._check(g)
     F = f.field
     reduce, sub = (_right_reduce if right else _left_reduce), F.sub
@@ -338,28 +316,13 @@ def _euclid(
     return _make(F, r0), _make(F, a0), _make(F, b0), _make(F, a1), _make(F, b1)
 
 
-def _right_euclid(f: SkewPoly, g: SkewPoly) -> Tuple[SkewPoly, ...]:
-    """Extended Euclid with right division; its last two rows (r0, a0, b0,
-    a1, b1) satisfy a0*f + b0*g = r0, a gcrd up to a unit, and
-    a1*f + b1*g = 0, a common left multiple of least degree."""
-    return _euclid(f, g, True)
-
-
-def _left_euclid(f: SkewPoly, g: SkewPoly) -> Tuple[SkewPoly, ...]:
-    """The mirror of _right_euclid with left division: f*a0 + g*b0 = r0, a
-    gcld up to a unit, and f*a1 + g*b1 = 0."""
-    return _euclid(f, g, False)
-
-
 def gcrd(f: SkewPoly, g: SkewPoly) -> ExtendedGcdResult:
     """Monic greatest common right divisor d with a*f + b*g = d."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcrd(0, 0) is undefined")
-    r0, a0, b0, _, _ = _right_euclid(f, g)
+    r0, a0, b0, _, _ = _euclid(f, g, True)
     c = f.field.inv[r0.lead]
-    return ExtendedGcdResult(
-        r0.scale_left(c), a0.scale_left(c), b0.scale_left(c), "right"
-    )
+    return ExtendedGcdResult(r0.scale_left(c), a0.scale_left(c), b0.scale_left(c))
 
 
 def gcld(f: SkewPoly, g: SkewPoly) -> ExtendedGcdResult:
@@ -367,26 +330,9 @@ def gcld(f: SkewPoly, g: SkewPoly) -> ExtendedGcdResult:
     if f.is_zero and g.is_zero:
         raise ValueError("gcld(0, 0) is undefined")
     F = f.field
-    r0, a0, b0, _, _ = _left_euclid(f, g)
+    r0, a0, b0, _, _ = _euclid(f, g, False)
     c = F.theta(F.inv[r0.lead], -r0.degree)
-    return ExtendedGcdResult(
-        r0.scale_right(c), a0.scale_right(c), b0.scale_right(c), "left"
-    )
-
-
-def gcrd_many(polys: Iterable[SkewPoly]) -> SkewPoly:
-    """Monic gcrd of a sequence (ignoring zero entries); runs Euclid without
-    the Bezout cofactors, which it does not return."""
-    acc: Optional[SkewPoly] = None
-    for p in polys:
-        if p.is_zero:
-            continue
-        acc = p if acc is None else _euclid(acc, p, True, cofactors=False)[0]
-        if acc.degree == 0:
-            break
-    if acc is None:
-        raise ValueError("gcrd of all-zero sequence is undefined")
-    return acc.monic_left()
+    return ExtendedGcdResult(r0.scale_right(c), a0.scale_right(c), b0.scale_right(c))
 
 
 def gcld_many(polys: Iterable[SkewPoly]) -> SkewPoly:
@@ -404,36 +350,17 @@ def gcld_many(polys: Iterable[SkewPoly]) -> SkewPoly:
     return acc.monic_right()
 
 
-def lclm_with_cofactors(
-    f: SkewPoly, g: SkewPoly
-) -> Tuple[SkewPoly, SkewPoly, SkewPoly]:
-    """(m, u, v) with monic m = u*f = v*g of minimal degree."""
-    if f.is_zero or g.is_zero:
-        raise ValueError("lclm requires nonzero arguments")
-    _, _, _, a1, b1 = _right_euclid(f, g)
-    m = a1 * f
-    c = f.field.inv[m.lead]
-    return m.scale_left(c), a1.scale_left(c), (-b1).scale_left(c)
-
-
 def lclm(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     """Monic least common left multiple m = u*f = v*g of minimal degree."""
-    return lclm_with_cofactors(f, g)[0]
-
-
-def lcrm_with_cofactors(
-    f: SkewPoly, g: SkewPoly
-) -> Tuple[SkewPoly, SkewPoly, SkewPoly]:
-    """(m, u, v) with monic m = f*u = g*v of minimal degree."""
     if f.is_zero or g.is_zero:
-        raise ValueError("lcrm requires nonzero arguments")
-    F = f.field
-    _, _, _, a1, b1 = _left_euclid(f, g)
-    m = f * a1
-    c = F.theta(F.inv[m.lead], -m.degree)
-    return m.scale_right(c), a1.scale_right(c), (-b1).scale_right(c)
+        raise ValueError("lclm requires nonzero arguments")
+    u = _euclid(f, g, True)[3]
+    return (u * f).monic_left()
 
 
 def lcrm(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     """Monic least common right multiple m = f*u = g*v of minimal degree."""
-    return lcrm_with_cofactors(f, g)[0]
+    if f.is_zero or g.is_zero:
+        raise ValueError("lcrm requires nonzero arguments")
+    u = _euclid(f, g, False)[3]
+    return (f * u).monic_right()

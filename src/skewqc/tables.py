@@ -17,7 +17,7 @@ asserted, by the verification tools.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .codes import CodeStructure, build_code, build_degenerate_code

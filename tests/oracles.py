@@ -8,22 +8,25 @@ extended Euclid rows in ``skewqc.skewpoly``, and the plain scan shares none
 with the batched residue scan of ``modulus_right_divisors``, so agreement
 between each pair is evidence for both.  The object-level Euclid runs step
 through public divisions and operators, one new SkewPoly per step, so they
-check the list bookkeeping of ``_right_euclid`` / ``_left_euclid`` (row
-sizing, in-place updates, factor order); the kernels underneath are checked
-by the linear systems.
+check the list bookkeeping of ``_euclid`` on either side (row sizing,
+in-place updates, factor order); the kernels underneath are checked by the
+linear systems.
 
 ``reference_build`` is the code construction that ranks all s shift images
 and then row-reduces their whole span; ``CodeStructure`` reduces only the
 first k images and tests the rest for membership, so agreement checks the
-R/R*h' basis argument it relies on.  Imported by ``test_skewpoly.py``,
-``test_factorization.py``, ``test_codes.py`` and ``test_acceptance.py``.
+R/R*h' basis argument it relies on.  ``blocks_to_polys`` reads a codeword
+back as its component polynomials, and ``codeword_set`` lists every codeword
+of a small code from one vectorized product over all q^k messages.
+Imported by ``test_skewpoly.py``, ``test_factorization.py``,
+``test_codes.py``, ``test_similarity.py`` and ``test_acceptance.py``.
 """
 
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from skewqc.codes import CodeSpec, polys_to_blocks, skew_shift
+from skewqc.codes import CodeSpec, CodeStructure, polys_to_blocks, skew_shift
 from skewqc.errors import ConsistencyError
 from skewqc.field import FieldSpec
 from skewqc.linalg import rref
@@ -282,3 +285,23 @@ def reference_build(spec: CodeSpec, generator: Optional[SkewPoly] = None) -> Ref
             raise ConsistencyError(f"first {k} shift images have rank {len(pivots)}")
     genmatrix = np.array(reduced[:k], dtype=np.uint8).reshape(k, spec.n)
     return ReferenceBuild(k, pivots, genmatrix, full_rank == k)
+
+
+def blocks_to_polys(spec: CodeSpec, vec: Sequence[int]) -> List[SkewPoly]:
+    """Read a block-layout vector back as its l component polynomials."""
+    s = spec.s
+    if len(vec) != spec.n:
+        raise ValueError("vector length mismatch")
+    return [SkewPoly(spec.field, vec[b * s : (b + 1) * s]) for b in range(spec.l)]
+
+
+def codeword_set(code: CodeStructure) -> FrozenSet[Tuple[int, ...]]:
+    """Every codeword as a tuple of ints: message idx has digit i equal to
+    (idx // q^i) % q, and its codeword is the sum of digit_i * row_i."""
+    F, k = code.spec.field, code.k
+    idx = np.arange(F.q**k)
+    words = np.zeros((idx.size, code.n), dtype=np.uint8)
+    for i, row in enumerate(code.genmatrix):
+        digits = (idx // F.q**i) % F.q
+        words = F.np_add[words, F.np_mul[digits[:, None], row[None, :]]]
+    return frozenset(map(tuple, words.tolist()))

@@ -12,9 +12,7 @@ determinism.
 import random
 import time
 
-import pytest
-
-from oracles import left_divmod_linalg, rank, right_divmod_linalg
+from oracles import codeword_set, left_divmod_linalg, rank, right_divmod_linalg
 from skewqc.cli import main as cli_main
 from skewqc.distance import min_distance, min_distance_sampled, weight_enumerator
 from skewqc.factorization import is_central, verify_factorization
@@ -281,16 +279,6 @@ def test_criterion_09_similarity():
                 assert fast == (searched == "similar")
 
     # codes with equal codeword sets have similar parity checks (s <= 8)
-    def codeword_set(code):
-        words = set()
-        for idx in range(4**code.k):
-            v, msg = idx, [0] * code.k
-            for i in range(code.k):
-                msg[i] = v % 4
-                v //= 4
-            words.add(tuple(int(c) for c in code.encode(msg)))
-        return frozenset(words)
-
     from skewqc.codes import build_code
 
     groups_seen = 0

@@ -36,10 +36,8 @@ PUBLIC_NAMES = [
     "gcld",
     "gcld_many",
     "gcrd",
-    "gcrd_many",
     "get",
     "gf4",
-    "interleave_permutation",
     "is_central",
     "lclm",
     "lcrm",
@@ -62,7 +60,6 @@ PUBLIC_NAMES = [
     "right_divmod",
     "run_search",
     "skew_shift",
-    "split_linear",
     "table_ok",
     "verify_entry",
     "verify_factorization",

@@ -254,6 +254,13 @@ def test_search_rejects_unknown_key(capsys):
         main(["search", "--s", "8", "--set", "mystery=1"])
 
 
+def test_search_rejects_fs_without_g(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--set", "fs=a1", "--s", "8", "--trials", "2"])
+    assert "fs requires g" in str(exc.value.code)
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # verify-table
 # ---------------------------------------------------------------------------
@@ -273,6 +280,15 @@ def test_verify_table_family_filter(capsys):
     out = capsys.readouterr().out
     assert "ok   index2-l2-40-9-21" in out
     assert "failed" in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("max_k", ["5", "-3"])
+def test_verify_table_empty_selection_is_an_error(max_k, capsys):
+    """A selection with no row checks nothing, so it must not pass."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-table", "--max-k", max_k])
+    assert exc.value.code == "error: no catalog row matches the selection"
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("trials", ["0", "-5"])

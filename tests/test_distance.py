@@ -472,5 +472,4 @@ def test_weight_enumerator_formatting():
     we = WeightEnumerator(4, 1, 4, {0: 1, 3: 3})
     assert we.distance == 3
     assert we.total == 4
-    assert we.polynomial_string() == "1 + 3*y^3"
     assert we.tsv_lines() == ["0\t1", "3\t3"]

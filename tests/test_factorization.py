@@ -7,11 +7,9 @@ from skewqc.factorization import (
     is_central,
     linear_right_roots,
     modulus_right_divisors,
-    split_linear,
     verify_factorization,
 )
 from skewqc.field import gf4, make_field
-from skewqc.notation import parse_coeff_string
 from skewqc.skewpoly import SkewPoly, left_divmod, right_divmod, x_pow_minus_one
 
 F = gf4()
@@ -87,19 +85,11 @@ def test_linear_right_roots_match_brute_force():
         assert sorted(linear_right_roots(f)) == sorted(expected)
 
 
-def test_split_linear_round_trip():
-    target = x_pow_minus_one(F, 8)
-    factors = split_linear(target)
-    assert factors is not None and len(factors) == 8
-    assert verify_factorization(target, factors)
-
-
 def test_not_every_modulus_splits_into_linear_factors():
     """x^6 - 1 has linear right divisors but no complete linear
-    factorization; the exhaustive search agrees with the greedy peel."""
+    factorization."""
     target = x_pow_minus_one(F, 6)
     assert linear_right_roots(target) == [1, A, A2]
-    assert split_linear(target) is None
     assert all_linear_factorizations(target) == []
 
 

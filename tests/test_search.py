@@ -124,13 +124,31 @@ def test_load_bounds_rejects_bad_rows(tmp_path):
 
 def test_classify():
     bounds = {(40, 9): 21}
-    assert classify(40, 9, 22, bounds) == "new"
-    assert classify(40, 9, 21, bounds) == "good"
-    assert classify(40, 9, 20, bounds) == "below"
-    assert classify(40, 9, None, bounds) == "below"
+    assert classify(40, 9, 22, True, bounds) == "new"
+    assert classify(40, 9, 21, True, bounds) == "good"
+    assert classify(40, 9, 20, True, bounds) == "below"
+    assert classify(40, 9, None, True, bounds) == "below"
     # parameters missing from the table count as best 0
-    assert classify(48, 11, 1, bounds) == "new"
-    assert classify(48, 11, 24, {}) == "new"
+    assert classify(48, 11, 1, True, bounds) == "new"
+    assert classify(48, 11, 24, True, {}) == "new"
+    # a sampled d is an upper bound: below the table is decided, the rest open
+    assert classify(40, 9, 20, False, bounds) == "below"
+    assert classify(40, 9, 21, False, bounds) == "open"
+    assert classify(40, 9, 22, False, bounds) == "open"
+    assert classify(48, 11, 24, False, {}) == "open"
+
+
+def test_sampled_replay_is_open_not_new(tmp_path):
+    """A sampled upper bound above the table is not a record: the row's exact
+    d is 19, and 10^5 samples only reach 22."""
+    entry = get("index2-l2-48-16-19")
+    path = tmp_path / "bounds.txt"
+    path.write_text("48 16 19\n")
+    config = SearchConfig(s=entry.s, l=entry.l, trials=1, g=entry.g,
+                          fs=",".join(entry.fs), bounds=str(path))
+    (record,) = list(run_search(config))
+    assert (record.n, record.k, record.exact) == (48, 16, False)
+    assert record.d >= 19 and record.comparison == "open"
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +266,11 @@ def test_campaign_fixed_tuple_replay(tmp_path):
     config = SearchConfig(s=entry.s, l=entry.l, trials=1, g=entry.g, fs=",".join(entry.fs))
     (record,) = list(run_search(config))
     assert record.comparison == "new"
+
+
+def test_config_rejects_fs_without_g():
+    with pytest.raises(ValueError, match="fs requires g"):
+        SearchConfig(s=8, l=2, trials=3, seed=1, fs="a1")
 
 
 def test_campaign_fixed_tuple_multiplier_count():

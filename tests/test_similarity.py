@@ -2,12 +2,13 @@ import itertools
 import random
 
 import pytest
+from oracles import codeword_set
 
 from skewqc.codes import build_code
 from skewqc.field import gf4, make_field
 from skewqc.notation import parse_coeff_string
 from skewqc.similarity import are_similar, linear_similar, norm_to_fixed
-from skewqc.skewpoly import SkewPoly, gcld, gcrd, left_divmod, x_pow_minus_one
+from skewqc.skewpoly import SkewPoly, gcld, gcrd, left_divmod
 
 F = gf4()
 A, A2 = 2, 3
@@ -17,10 +18,9 @@ def lin(field, c):
     return SkewPoly(field, [field.neg[c], 1])  # x - c
 
 
-def right_similar_implies_left(a, b, witness):
+def right_similar_implies_left(a, b, u):
     """From a right witness u, recover c with u*a = b*c and validate the
     left-side data (gcrd(c, a) = 1); False on a corrupt witness."""
-    u = witness.u
     if u.is_zero or gcld(u, b).gcd.degree != 0:
         return False
     c, r = left_divmod(u * a, b)
@@ -101,9 +101,8 @@ def test_different_degrees_never_similar():
 
 def test_witness_properties():
     res = are_similar(lin(F, 1), lin(F, A))
-    w = res.witness
-    assert w.coprime
-    assert right_similar_implies_left(lin(F, 1), lin(F, A), w)
+    assert gcld(res.witness, lin(F, A)).gcd.degree == 0  # u is coprime to b
+    assert right_similar_implies_left(lin(F, 1), lin(F, A), res.witness)
 
 
 def test_budget_exhaustion_reports_unknown():
@@ -127,19 +126,6 @@ def test_constants_trivially_similar():
 # ---------------------------------------------------------------------------
 # equal codes have similar parity-check polynomials
 # ---------------------------------------------------------------------------
-
-
-def codeword_set(code):
-    q, k = 4, code.k
-    words = set()
-    msg = [0] * k
-    for idx in range(q**k):
-        v = idx
-        for i in range(k):
-            msg[i] = v % q
-            v //= q
-        words.add(tuple(int(c) for c in code.encode(msg)))
-    return frozenset(words)
 
 
 @pytest.mark.parametrize("s", [2, 4, 6, 8])
