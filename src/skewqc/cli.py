@@ -7,9 +7,11 @@ sampled minimum distance), ``similar`` (similarity of two skew polynomials),
 (re-check the shipped catalog; exits nonzero if any asserted row fails or
 the selection holds no row).
 
-Every command runs in this one process.  A catalog name that does not exist,
-and a polynomial or code given on the command line that cannot be parsed or
-built, are reported as errors (exit status 1), not tracebacks.
+Every command runs in this one process.  Bad input that argparse cannot see
+(a catalog name or family that does not exist, a polynomial or code given on
+the command line that cannot be parsed or built, missing code flags, a bad
+search config) is reported as "error: ..." with exit status 1, not a
+traceback.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def _entry(name: str) -> CatalogEntry:
     try:
         return get(name)
     except KeyError:
-        raise SystemExit(f"unknown catalog entry {name!r}; see 'skewqc verify-table' "
+        raise SystemExit(f"error: unknown catalog entry {name!r}; see 'skewqc verify-table' "
                          "for the names") from None
 
 
@@ -140,15 +142,15 @@ def _resolve_code(args) -> CodeStructure:
         return _entry(args.name).build()
     F = _field(args)
     if args.s is None:
-        raise SystemExit("either --name or --s with a tuple is required")
+        raise SystemExit("error: either --name or --s with a tuple is required")
     if args.multipliers is not None:
         if not args.generator:
-            raise SystemExit("--multipliers requires --generator")
+            raise SystemExit("error: --multipliers requires --generator")
         g = parse_coeff_string(F, args.generator)
         fs = [parse_coeff_string(F, t) for t in _split_strings(args.multipliers)]
         return build_degenerate_code(F, args.s, g, fs)
     if args.tuple is None:
-        raise SystemExit("provide --tuple components or --generator with --multipliers")
+        raise SystemExit("error: provide --tuple components or --generator with --multipliers")
     components = tuple(
         parse_coeff_string(F, t) for t in _split_strings(args.tuple)
     )
@@ -246,7 +248,7 @@ def cmd_search(args) -> int:
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
+            raise SystemExit(f"error: --set expects key=value, got {item!r}")
         key, val = item.split("=", 1)
         overrides[key.strip()] = val
     for key in ("s", "l", "trials", "seed"):
@@ -258,7 +260,7 @@ def cmd_search(args) -> int:
     try:
         config = load_config(args.config, overrides)
     except ValueError as exc:
-        raise SystemExit(str(exc))
+        raise SystemExit(f"error: {exc}") from None
     progress = (lambda msg: print(msg, file=sys.stderr)) if args.progress else None
     records = list(run_search(config, progress=progress))
     text = export_records(records, args.format)
@@ -277,7 +279,7 @@ def cmd_verify_table(args) -> int:
     elif args.family:
         unknown = set(args.family) - set(families())
         if unknown:
-            raise SystemExit(f"unknown families: {sorted(unknown)}; "
+            raise SystemExit(f"error: unknown families: {sorted(unknown)}; "
                              f"known: {families()}")
         rows = [e for f in args.family for e in entries(f)]
     else:

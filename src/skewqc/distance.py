@@ -7,9 +7,14 @@ batch of q^ki weights is histogrammed at once, and nonzero counts are
 multiplied by q - 1 at the end.  All rows come from one table of scaled
 generator rows, built once per code: over GF(4) they are bitsliced into two
 bit planes and weights come from popcounts, which is what makes full 4^16
-enumerations practical; other fields keep their symbols.  The plane words
-are sized to n: uint32 when n <= 32 (n = 24 fills 24 of 32 bits, where a
-uint64 word carried 40 bits of padding), uint64 above.
+enumerations practical; other fields keep their symbols.  One width rule
+sizes the plane words (_word_dtypes): (n - 1) // 64 full uint64 words, then
+a last word of the narrowest of uint8, uint32 and uint64 that holds the
+symbols left, so n = 72 pays a 64-bit and an 8-bit pass per plane, not two
+64-bit ones, and n = 24 one 32-bit pass.  The row table keeps uniform words
+(uint64 when n > 64); every table with one column per vector (the inner
+table, the sampled chunk tables and the sampled accumulator) is a list of
+word groups, one per plane word in that word's dtype.
 
 The inner table is built once per code too: every combination of the last
 ki rows, ki the largest value with q^ki <= INNER_TABLE_LIMIT and ki <= k - 1.
@@ -19,15 +24,16 @@ digits are zero, which is the table of its last kf rows.  The lead row
 itself enters through the offset, so every message is visited in the order
 of one table per lead.
 
-The inner table is stored word-major, shape (width, q^ki): one contiguous
-run of q^ki entries per bit-plane word or per symbol.  One weight kernel
-serves every field and both engines: it walks the table word by word with
-scratch buffers reused from batch to batch (over GF(4): XOR with the
-offset, OR the two planes, popcount, add; elsewhere: compare with the
-negated offset and count), so a row two or three words wide costs two or
-three passes over contiguous memory.  Exact-scan weights are counted in
-uint8 while n <= 255 and in uint16 above (np.min_scalar_type(n)), and the
-histogram and argmin run on those counts.  A full-space Gray walk over all
+The inner table is stored word-major: one contiguous run of q^ki entries
+per bit-plane word or per symbol.  One weight kernel serves every field and
+both engines: it walks the table word by word with scratch buffers reused
+from batch to batch (over GF(4): XOR with the offset's word cast to the
+group's dtype, OR the two planes, popcount, add; elsewhere: compare with
+the negated offset and count), so a row two or three words wide costs two
+or three passes over contiguous memory, the last one as narrow as the rule
+allows.  Exact-scan weights are counted in uint8 while n <= 255 and in
+uint16 above (np.min_scalar_type(n)), and the histogram and argmin run on
+those counts.  A full-space Gray walk over all
 q^k messages, the cross-check oracle, lives in the tests.
 
 Budgets count candidates examined: an exact scan is priced at its q^k
@@ -94,24 +100,35 @@ class DistanceReport:
 
 
 # ---------------------------------------------------------------------------
-# packed rows: GF(4) symbols 0..3 = lo_bit + 2 * hi_bit go into two bit planes
-# of uint32 words when n <= 32 and of uint64 words above, where addition is XOR
-# of both planes and the weight of a vector is popcount(lo | hi); any other
-# field keeps its symbols
+# packed rows: GF(4) symbols 0..3 = lo_bit + 2 * hi_bit go into two bit planes,
+# where addition is XOR of both planes and the weight of a vector is
+# popcount(lo | hi); any other field keeps its symbols
+
+
+def _word_dtypes(n: int) -> Tuple[np.dtype, ...]:
+    """The width rule, one dtype per word of a bit plane of n symbols:
+    (n - 1) // 64 full uint64 words, then a last word of the narrowest of
+    uint8, uint32 and uint64 that holds the symbols left.  uint16 is
+    skipped: its popcount is no faster than uint32's."""
+    full = (n - 1) // 64
+    left = n - 64 * full
+    last = np.uint8 if left <= 8 else np.uint32 if left <= 32 else np.uint64
+    return (np.dtype(np.uint64),) * full + (np.dtype(last),)
 
 
 def pack_gf4(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Pack (..., n) symbols into (..., ceil(n/b)) bit planes of b-bit words:
-    b = 32 (uint32) when n <= 32, else b = 64 (uint64).
+    """Pack (..., n) symbols into (..., nw) bit planes of uniform b-bit
+    words, nw = len(_word_dtypes(n)): b = 64 when n > 64, else the width of
+    the rule's one word (uint8 up to n = 8, uint32 up to 32, uint64).
 
     Symbol j lands in bit j % b of word j // b; both planes are packed in
     one pass by np.packbits over the symbols zero-padded to b * nw.
     """
     mat = np.asarray(mat, dtype=np.uint8)
     n = mat.shape[-1]
-    word = np.dtype(np.uint32 if n <= 32 else np.uint64)
+    dtypes = _word_dtypes(n)
+    word, nw = dtypes[0], len(dtypes)
     b = 8 * word.itemsize
-    nw = (n + b - 1) // b
     bits = np.zeros((2,) + mat.shape[:-1] + (b * nw,), dtype=np.uint8)
     bits[0, ..., :n] = mat & 1
     bits[1, ..., :n] = (mat >> 1) & 1
@@ -120,28 +137,40 @@ def pack_gf4(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return planes[0], planes[1]
 
 
-def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[np.ndarray, Callable, Callable]:
-    """(T, add, weights): the table T[i, lam] = lam * G[i] of shape (k, q, width).
+def _packed_rows(
+    F: FieldSpec, G: np.ndarray
+) -> Tuple[np.ndarray, Callable, Callable, Callable]:
+    """(T, add, weights, groups): the table T[i, lam] = lam * G[i] of shape
+    (k, q, width), its addition, the weight kernel and the split of uniform
+    rows into the kernel's word groups.
 
-    Over GF(4) a row is its lo and hi planes side by side in the words of
-    pack_gf4 (uint32 when n <= 32, else uint64) and ``add`` is XOR; over any
-    other field a row is its n symbols and ``add`` is one lookup in the
-    flattened F.np_add.  ``add(a, b, out=None)`` acts elementwise,
-    broadcasts and writes into ``out`` when given.
+    Over GF(4) a row is its lo and hi planes side by side in the uniform
+    words of pack_gf4 and ``add`` is XOR; over any other field a row is its
+    n symbols and ``add`` is one lookup in the flattened F.np_add.
+    ``add(a, b, out=None)`` acts elementwise, broadcasts and writes into
+    ``out`` when given.
 
-    ``weights(block, offset, out)`` reads ``block`` word-major, shape
-    (width, R) with one column per vector, and writes the weight of each
-    column of ``block + offset`` into ``out`` (shape (R,), any integer dtype
-    that holds n).  Over GF(4) it loops over the words: XOR both planes with
-    the offset word, OR them, popcount and add, all into scratch buffers kept
-    between calls with the same R.  Over other fields a + o is zero exactly
-    when a == -o, so it counts the symbols that differ from -offset.
+    An R-wide table is a list of word groups.  ``groups(a)`` splits a
+    word-major array a of shape (width, R) into them: over GF(4) one group
+    per plane word j, shape (2, R), rows lo word j and hi word j, cast to
+    _word_dtypes(n)[j]; elsewhere the one group a.
+
+    ``weights(block, offset, out)`` reads such a table ``block`` and a
+    uniform row ``offset`` and writes the weight of each column of ``block +
+    offset`` into ``out`` (shape (R,), any integer dtype that holds n).  Over
+    GF(4) it loops over the words, the offset's word cast to its group's
+    dtype: XOR both planes with it, OR them, popcount and add, all into
+    scratch buffers kept between calls with the same R.  Over other fields
+    a + o is zero exactly when a == -o, so it counts the symbols that differ
+    from -offset.
     """
     T = F.np_mul[np.arange(F.q)[None, :, None], G[:, None, :]]
     if F.q != 4:
 
-        def symbol_weights(block: np.ndarray, offset: np.ndarray, out: np.ndarray) -> None:
-            np.add.reduce(block != F.np_neg[offset][:, None], axis=0, dtype=out.dtype, out=out)
+        def symbol_weights(block: List[np.ndarray], offset: np.ndarray,
+                           out: np.ndarray) -> None:
+            np.add.reduce(block[0] != F.np_neg[offset][:, None], axis=0, dtype=out.dtype,
+                          out=out)
 
         # one flat lookup; the index a*q + b < q^2 <= 65,536 fits uint16
         flat_add, q = F.np_add.reshape(-1), F.q
@@ -150,19 +179,27 @@ def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[np.ndarray, Callable, Cal
                        out: Optional[np.ndarray] = None) -> np.ndarray:
             return flat_add.take(a.astype(np.uint16) * q + b, out=out)
 
-        return T, symbol_add, symbol_weights
+        return T, symbol_add, symbol_weights, lambda a: [a]
     lo, hi = pack_gf4(T)
-    nw = lo.shape[-1]
-    scratch: List[np.ndarray] = []
+    dtypes = _word_dtypes(G.shape[1])
+    nw = len(dtypes)
+    scratch: List = []
 
-    def weights(block: np.ndarray, offset: np.ndarray, out: np.ndarray) -> None:
+    def groups(a: np.ndarray) -> List[np.ndarray]:
+        return [np.ascontiguousarray(a[j::nw], dtype=dt) for j, dt in enumerate(dtypes)]
+
+    def weights(block: List[np.ndarray], offset: np.ndarray, out: np.ndarray) -> None:
         if not scratch or scratch[0].shape != out.shape:
-            scratch[:] = [np.empty(out.shape, block.dtype), np.empty(out.shape, block.dtype),
-                          np.empty(out.shape, np.uint8)]
-        x, y, c = scratch
-        for j in range(nw):
-            np.bitwise_xor(block[j], offset[j], out=x)
-            np.bitwise_xor(block[nw + j], offset[nw + j], out=y)
+            scratch[:] = [np.empty(out.shape, np.uint8),
+                          {dt: (np.empty(out.shape, dt), np.empty(out.shape, dt))
+                           for dt in set(dtypes)}]
+        c, buffers = scratch
+        for j, (words, dt) in enumerate(zip(block, dtypes)):
+            x, y = buffers[dt]
+            # NumPy casts Python ints to the group's dtype, and raises rather than wrap
+            lo_word, hi_word = offset[j::nw].tolist()
+            np.bitwise_xor(words[0], lo_word, out=x)
+            np.bitwise_xor(words[1], hi_word, out=y)
             np.bitwise_or(x, y, out=x)
             if j == 0:
                 np.bitwise_count(x, out=out)
@@ -170,7 +207,7 @@ def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[np.ndarray, Callable, Cal
                 np.bitwise_count(x, out=c)
                 np.add(out, c, out=out)
 
-    return np.concatenate([lo, hi], axis=-1), np.bitwise_xor, weights
+    return np.concatenate([lo, hi], axis=-1), np.bitwise_xor, weights, groups
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +247,13 @@ def exact_cost(code: CodeStructure) -> int:
     return code.spec.field.q ** code.k
 
 
-def _combination_table(T: np.ndarray, add: Callable, first: int, count: int) -> np.ndarray:
-    """Word-major table, shape (width, q^count), of every combination of the
-    rows first .. first + count - 1 of T: column u carries digit u % q on row
-    first, (u // q) % q on the next, ...  Filled in place, each row adding its
-    nonzero multiples to the columns so far (T[r, 0] is the zero row)."""
+def _combination_table(rows: Tuple, first: int, count: int) -> List[np.ndarray]:
+    """Table of word groups, q^count wide, of every combination of the rows
+    first .. first + count - 1 of the _packed_rows table T: column u carries
+    digit u % q on row first, (u // q) % q on the next, ...  Filled in place
+    in T's uniform words, each row adding its nonzero multiples to the
+    columns so far (T[r, 0] is the zero row), then split into groups."""
+    T, add, _, groups = rows
     q = T.shape[1]
     B = np.empty((T.shape[-1], q**count), dtype=T.dtype)
     B[:, 0] = 0
@@ -223,24 +262,24 @@ def _combination_table(T: np.ndarray, add: Callable, first: int, count: int) -> 
         for lam in range(1, q):
             add(B[:, :size], T[r, lam][:, None], out=B[:, lam * size : (lam + 1) * size])
         size *= q
-    return B
+    return groups(B)
 
 
-def _inner_table(T: np.ndarray, add: Callable) -> np.ndarray:
+def _inner_table(rows: Tuple) -> List[np.ndarray]:
     """The one inner table of a code: every combination of its last ki rows,
     ki the largest value with q^ki <= INNER_TABLE_LIMIT and ki <= k - 1."""
-    k, q = T.shape[:2]
+    k, q = rows[0].shape[:2]
     ki = 0
     while ki < k - 1 and q ** (ki + 1) <= INNER_TABLE_LIMIT:
         ki += 1
-    return _combination_table(T, add, k - ki, ki)
+    return _combination_table(rows, k - ki, ki)
 
 
 def _lead_block(
     F: FieldSpec,
     n: int,
-    rows: Tuple[np.ndarray, Callable, Callable],
-    inner: np.ndarray,
+    rows: Tuple[np.ndarray, Callable, Callable, Callable],
+    inner: List[np.ndarray],
     lead: int,
     want_hist: bool,
     stop_at: int = 0,
@@ -249,21 +288,21 @@ def _lead_block(
 
     ``rows`` is the code's _packed_rows table and ``inner`` its _inner_table
     over the last ki rows.  A lead with kf < ki free rows scans the strided
-    view inner[:, ::q^(ki - kf)], the columns whose first ki - kf digits are
-    zero: the table of its last kf rows.  Returns (histogram-or-None, best
-    weight, best message, rows seen).
+    view of every group g[:, ::q^(ki - kf)], the columns whose first ki - kf
+    digits are zero: the table of its last kf rows.  Returns
+    (histogram-or-None, best weight, best message, rows seen).
     """
-    T, add, weights = rows
+    T, add, weights, _ = rows
     q, k = F.q, T.shape[0]
     kf = k - lead - 1
     ki = 0
-    while q**ki < inner.shape[1]:
+    while q**ki < inner[0].shape[1]:
         ki += 1
     if kf < ki:
-        inner, ki = inner[:, :: q ** (ki - kf)], kf
+        inner, ki = [g[:, :: q ** (ki - kf)] for g in inner], kf
     ko = kf - ki
     outer0 = lead + 1  # outer rows lead+1 .. lead+ko, inner rows after them
-    w = np.empty(inner.shape[1], dtype=np.min_scalar_type(n))
+    w = np.empty(inner[0].shape[1], dtype=np.min_scalar_type(n))
 
     hist = np.zeros(n + 1, dtype=np.int64) if want_hist else None
     best = n + 1
@@ -315,7 +354,7 @@ def _enumerate_blocks(
     """
     k, n = G.shape
     rows = _packed_rows(F, G)
-    inner = _inner_table(rows[0], rows[1])
+    inner = _inner_table(rows)
     hist = np.zeros(n + 1, dtype=np.int64) if want_hist else None
     best, best_msg, total_rows = n + 1, None, 0
     for lead in range(k):
@@ -402,12 +441,13 @@ def min_distance_sampled(
     if k == 0:
         return DistanceReport(None, True, "empty", 0, elapsed=time.perf_counter() - t0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    T, add, weights = _packed_rows(F, code.genmatrix)
+    rows = _packed_rows(F, code.genmatrix)
+    T, add, weights, _ = rows
     c = 1
     while q ** (c + 1) <= CHUNK_TABLE_LIMIT:
         c += 1
     # chunk (first, last, table): every combination of the rows first..last
-    chunks = [(i, min(i + c, k) - 1, _combination_table(T, add, i, min(c, k - i)))
+    chunks = [(i, min(i + c, k) - 1, _combination_table(rows, i, min(c, k - i)))
               for i in range(0, k, c)]
     zero = np.zeros(T.shape[-1], dtype=T.dtype)
     best = n + 1
@@ -419,7 +459,8 @@ def min_distance_sampled(
         msgs = rng.integers(0, q, size=(b, k), dtype=np.uint8)
         done += b
         if w.shape[0] != b:
-            acc, part = np.empty((2, T.shape[-1], b), dtype=T.dtype)
+            acc = [np.empty((g.shape[0], b), g.dtype) for g in chunks[0][2]]
+            part = [np.empty_like(a) for a in acc]
             idx = np.empty(b, dtype=np.uint16)
             w = np.empty(b, dtype=np.min_scalar_type(n + 1))
         digits = msgs.T
@@ -431,11 +472,12 @@ def min_distance_sampled(
                 np.add(idx, digits[i], out=idx)
             # every index is in range; mode="clip" spares the copy that the
             # default mode="raise" makes of ``out``
-            if first == 0:
-                np.take(table, idx, axis=1, out=acc, mode="clip")
-            else:
-                np.take(table, idx, axis=1, out=part, mode="clip")
-                add(acc, part, out=acc)
+            for g, a, p in zip(table, acc, part):
+                if first == 0:
+                    np.take(g, idx, axis=1, out=a, mode="clip")
+                else:
+                    np.take(g, idx, axis=1, out=p, mode="clip")
+                    add(a, p, out=a)
         weights(acc, zero, w)
         # the rows of G are independent, so only the zero message weighs 0;
         # n + 1 keeps it out of the minimum

@@ -1,0 +1,58 @@
+"""The pair verdicts of tools/bench_pairs.py on hand-made runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
+OPS = {"name": "ops", "unit": "count", "better": "higher", "bound": 0.05}
+
+
+def metrics(spec, parent, change):
+    """_metrics over runs carrying one metric, one value per run."""
+    runs = {side: [{"metrics": {spec["name"]: {"value": v}}} for v in values]
+            for side, values in (("parent", parent), ("change", change))}
+    return bench_pairs._metrics(runs, [spec])[spec["name"]]
+
+
+PARENT = [3.0, 3.1, 3.2, 3.05, 3.15, 3.0, 3.1, 3.2, 3.05, 3.15]  # IQR 0.1 around 3.1
+
+
+@pytest.mark.parametrize(
+    "spec, parent, change, verdict",
+    [
+        # 10/10 won, medians 0.6 apart against an IQR of 0.1
+        (WALL, PARENT, [v - 0.6 for v in PARENT], "gain"),
+        # 9/10 won is enough
+        (WALL, PARENT, [v - 0.6 for v in PARENT[:9]] + [3.3], "gain"),
+        # 8/10 won is not, though the medians are far apart
+        (WALL, PARENT, [v - 0.6 for v in PARENT[:8]] + [3.3, 3.3], "within-bound"),
+        # 4/4 won: too few pairs to claim a gain
+        (WALL, PARENT[:4], [v - 0.6 for v in PARENT[:4]], "within-bound"),
+        # 10/10 won by less than the parent's IQR
+        (WALL, PARENT, [v - 0.01 for v in PARENT], "within-bound"),
+        # median 30% above the parent's, bound 25%
+        (WALL, PARENT, [v * 1.3 for v in PARENT], "worse"),
+        # 20% above: inside the bound
+        (WALL, PARENT, [v * 1.2 for v in PARENT], "within-bound"),
+        # the parent's own spread (IQR 1.75 on a median of 3.25) exceeds the bound
+        (WALL, [2.0, 3.0, 4.0, 5.0, 2.5, 3.5, 4.5, 1.5], [3.4] * 8, "unresolved"),
+        # ... unless every change run beats every parent run
+        (WALL, [2.0, 3.0, 4.0, 5.0, 2.5, 3.5, 4.5, 1.5], [1.0] * 8, "within-bound"),
+        # higher is better: fewer operations by more than 5% is worse
+        (OPS, [100] * 10, [90] * 10, "worse"),
+        (OPS, [100] * 10, [100] * 10, "within-bound"),
+        (OPS, [100, 101] * 5, [110, 111] * 5, "gain"),
+    ],
+    ids=["gain", "gain-9-of-10", "8-of-10", "4-pairs", "inside-iqr", "worse",
+         "inside-bound", "unresolved", "every-run-better", "ops-worse", "ops-equal",
+         "ops-gain"],
+)
+def test_verdict(spec, parent, change, verdict):
+    assert metrics(spec, parent, change)["verdict"] == verdict

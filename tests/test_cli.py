@@ -348,6 +348,32 @@ def test_bad_input_is_an_error_not_a_traceback(argv, message, capsys):
     assert "error: " in err and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["search", "--s", "8", "--set", "s12"], "--set expects key=value, got 's12'"),
+        (["search", "--s", "8", "--set", "mystery=1"], "unknown config key 'mystery'"),
+        (["build", "--tuple", "11"], "either --name or --s with a tuple is required"),
+        (["build", "--s", "4", "--multipliers", "a1"], "--multipliers requires --generator"),
+        (["distance", "--s", "4"],
+         "provide --tuple components or --generator with --multipliers"),
+        (["verify-table", "--family", "nope"], "unknown families: ['nope']"),
+        (["distance", "--name", "nope"], "unknown catalog entry 'nope'"),
+    ],
+    ids=["set-without-equals", "config-error", "no-code", "multipliers-alone",
+         "no-tuple", "unknown-family", "unknown-name"],
+)
+def test_input_errors_exit_1_with_error_prefix(argv, message, capsys):
+    """Errors argparse cannot see print "error: ..." and exit with status 1
+    (a str SystemExit code), before any output."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    code = exc.value.code
+    assert isinstance(code, str) and code.startswith("error: ")
+    assert message in code
+    assert capsys.readouterr().out == ""
+
+
 SEED_COMMANDS = {
     "distance": ["distance", "--name", "index2-l2-40-9-21", "--sampled", "10"],
     "search": ["search", "--s", "8", "--trials", "2"],

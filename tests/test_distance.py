@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from skewqc.codes import build_code, build_degenerate_code
 from skewqc.distance import (
     WeightEnumerator,
     _gray_steps,
+    _inner_table,
     _packed_rows,
     min_distance,
     min_distance_sampled,
@@ -62,16 +64,23 @@ def naive_distribution(code):
     return counts
 
 
-def word_dtype(n):
-    """The width rule: uint32 words when n <= 32, uint64 words above."""
-    return np.dtype(np.uint32) if n <= 32 else np.dtype(np.uint64)
+def word_dtype(n, j):
+    """The width rule for word j of a bit plane of n symbols: words before
+    the last are uint64; the last holds the 1..64 symbols left, in uint8 up
+    to 8 of them, uint32 up to 32, else uint64.  Uniform words, as in the
+    row table T and pack_gf4, are the plane's first word, word_dtype(n, 0)."""
+    left = n - 64 * j
+    if left > 64:
+        return np.dtype(np.uint64)
+    return np.dtype(np.uint8 if left <= 8 else np.uint32 if left <= 32 else np.uint64)
 
 
 def column_loop_pack_gf4(mat):
-    """Reference packing, one column at a time, in words of word_dtype(n)."""
+    """Reference packing, one column at a time, in uniform words of
+    word_dtype(n, 0)."""
     mat = np.asarray(mat, dtype=np.uint8)
     n = mat.shape[-1]
-    word = word_dtype(n)
+    word = word_dtype(n, 0)
     bits = 8 * word.itemsize
     nw = (n + bits - 1) // bits
     lead = mat.shape[:-1]
@@ -88,7 +97,7 @@ def column_loop_pack_gf4(mat):
 
 def unpack_gf4(lo, hi, n):
     """Inverse of pack_gf4: (..., nw) bit planes back to (..., n) symbols."""
-    word = word_dtype(n)
+    word = word_dtype(n, 0)
     assert lo.dtype == hi.dtype == word
     bits = 8 * word.itemsize
     one = word.type(1)
@@ -122,20 +131,20 @@ def gray_oracle(code):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 31, 32, 33, 48, 64, 72, 130])
+@pytest.mark.parametrize("n", [1, 8, 9, 31, 32, 33, 48, 64, 72, 130])
 @pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
 def test_pack_gf4_matches_column_loop(lead, n):
     rng = np.random.default_rng(n)
     mat = rng.integers(0, 4, size=lead + (n,)).astype(np.uint8)
     for got, want in zip(pack_gf4(mat), column_loop_pack_gf4(mat)):
-        assert got.dtype == want.dtype == word_dtype(n)
+        assert got.dtype == want.dtype == word_dtype(n, 0)
         assert got.shape == want.shape == lead + (1 if n <= 32 else (n + 63) // 64,)
         assert np.array_equal(got, want)
 
 
 def test_pack_unpack_round_trip():
     rng = np.random.default_rng(11)
-    for n in (1, 7, 32, 33, 64, 65, 130):
+    for n in (1, 7, 8, 9, 32, 33, 64, 65, 130):
         vec = rng.integers(0, 4, size=n).astype(np.uint8)
         lo, hi = pack_gf4(vec)
         assert np.array_equal(unpack_gf4(lo, hi, n), vec)
@@ -146,10 +155,10 @@ def test_gf4_scale_matches_table():
     rng = np.random.default_rng(33)
     for n in (5, 31, 32, 33, 64, 70, 130):
         G = rng.integers(0, 4, size=(3, n)).astype(np.uint8)
-        T, _, _ = _packed_rows(F, G)
+        T, _, _, _ = _packed_rows(F, G)
         nw = 1 if n <= 32 else (n + 63) // 64
         assert T.shape == (3, 4, 2 * nw)
-        assert T.dtype == word_dtype(n)
+        assert T.dtype == word_dtype(n, 0)
         for i in range(3):
             for lam in range(4):
                 got = unpack_gf4(T[i, lam, :nw], T[i, lam, nw:], n)
@@ -159,22 +168,26 @@ def test_gf4_scale_matches_table():
 @FIELDS
 def test_packed_rows_weight_matches_count_nonzero(field):
     """weights(block, offset, out) writes the weight of each column of the
-    word-major block + offset into out, an accumulator sized as the engine
+    table block + offset into out, an accumulator sized as the engine
     sizes it: uint8 up to n = 255, uint16 above.  Row 0 of G has no zero
     symbol, so the messages c * e_0 reach weight n: 255 fills the uint8
-    range and 300 needs the wider one."""
+    range and 300 needs the wider one.  Over GF(4) the table's word groups
+    follow the width rule: n = 5 is one uint8 word, 32 one uint32 word, 72
+    a uint64 and a uint8 word, and 100, 255 and 300 uint64 words only."""
     rng = np.random.default_rng(22)
     q = field.q
-    for n in (5, 32, 64, 100, 255, 300):
+    for n in (5, 32, 64, 72, 100, 255, 300):
         G = rng.integers(0, q, size=(4, n)).astype(np.uint8)
         G[0] = rng.integers(1, q, size=n)
-        T, add, weights = _packed_rows(field, G)
+        T, add, weights, groups = _packed_rows(field, G)
         msgs = rng.integers(0, q, size=(50, 4))
         msgs[: q - 1] = [[c, 0, 0, 0] for c in range(1, q)]
         acc = T[0, msgs[:, 0]]
         for i in range(1, 4):
             acc = add(acc, T[i, msgs[:, i]])
-        block = np.ascontiguousarray(acc.T)
+        block = groups(np.ascontiguousarray(acc.T))
+        if q == 4:
+            assert [g.dtype for g in block] == [word_dtype(n, j) for j in range(len(block))]
         for shift in (np.zeros(4, dtype=int), rng.integers(0, q, size=4)):
             offset = T[0, shift[0]]
             for i in range(1, 4):
@@ -249,8 +262,10 @@ def multiword_code(s, l, k, seed):
     "s, l, words", [(36, 2, 2), (48, 3, 3), (96, 3, 5)], ids=["n72", "n144", "n288"]
 )
 def test_engine_matches_gray_oracle_on_multiword_rows(s, l, words):
-    """Rows of two, three and five uint64 words per bit plane; n = 288 also
-    takes the uint16 accumulator, and its heaviest codewords weigh 288."""
+    """Rows of two, three and five words per bit plane: one uint64 word and
+    a uint8 last word (n = 72), two and four uint64 words and a uint32 last
+    word (n = 144, 288); n = 288 also takes the uint16 accumulator, and its
+    heaviest codewords weigh 288."""
     code = multiword_code(s, l, 6, seed=s)
     assert code.k == 6 and (code.n + 63) // 64 == words
     counts, d = gray_oracle(code)
@@ -275,6 +290,49 @@ def test_engine_matches_gray_oracle_on_uint32_rows(s, l):
     rep = min_distance(code)
     assert rep.exact and rep.d == d
     assert rep.enumerated == (4**6 - 1) // 3
+    assert np.array_equal(code.encode(rep.witness_message), rep.witness)
+    assert int(np.count_nonzero(rep.witness)) == d
+
+
+class MatrixCode:
+    """A random [n, k] GF(4) code given only by its generator matrix: the
+    identity in k random columns, random symbols elsewhere.  It carries what
+    the engine and the oracles read of a code, and its n need not be l * s,
+    so n can sit on either side of every word-width boundary."""
+
+    def __init__(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        G = rng.integers(0, 4, size=(k, n)).astype(np.uint8)
+        G[:, rng.choice(n, size=k, replace=False)] = np.eye(k, dtype=np.uint8)
+        self.spec = SimpleNamespace(field=F)
+        self.genmatrix, self.k, self.n = G, k, n
+
+    def encode(self, message):
+        word = np.zeros(self.n, dtype=np.uint8)
+        for c, row in zip(message, self.genmatrix):
+            word = F.np_add[word, F.np_mul[c][row]]
+        return word
+
+
+# the last word of a plane widens from uint8 to uint32 after 8 symbols left
+# and to uint64 after 32; a new word starts after every 64
+WIDTH_BOUNDARIES = (8, 9, 32, 33, 64, 65, 72, 73, 96, 97, 136)
+
+
+@pytest.mark.parametrize("n", WIDTH_BOUNDARIES)
+def test_engine_matches_oracles_at_width_boundaries(n):
+    """On both sides of every width boundary: the inner table's words follow
+    the rule, weight_enumerator equals the naive count over all 4^5
+    messages and the Gray-walk oracle, and min_distance finds d with a
+    witness of that weight."""
+    code = MatrixCode(n, 5, seed=n)
+    inner = _inner_table(_packed_rows(F, code.genmatrix))
+    assert [g.dtype for g in inner] == [word_dtype(n, j) for j in range((n + 63) // 64)]
+    counts, d = gray_oracle(code)
+    assert naive_distribution(code) == counts
+    assert weight_enumerator(code).counts == counts
+    rep = min_distance(code)
+    assert rep.exact and rep.d == d and rep.enumerated == (4**5 - 1) // 3
     assert np.array_equal(code.encode(rep.witness_message), rep.witness)
     assert int(np.count_nonzero(rep.witness)) == d
 
@@ -435,8 +493,9 @@ def test_sampled_distance_over_gf9_is_pinned():
 
 
 def test_sampled_distance_on_a_long_row_is_pinned():
-    """k = 23 over GF(4): four chunk tables of 5 rows and one of 3; d and the
-    witness message are the ones the row-by-row sum gave."""
+    """k = 23, n = 96 over GF(4): four chunk tables of 5 rows and one of 3,
+    each plane one uint64 word and a uint32 last word; d and the witness
+    message are the ones the row-by-row sum gave."""
     code = get("index34-l4-96-23-41").build()
     assert code.k == 23
     rep = min_distance_sampled(code, trials=20000, seed=7)
@@ -446,6 +505,21 @@ def test_sampled_distance_on_a_long_row_is_pinned():
     ]
     assert np.array_equal(code.encode(rep.witness_message), rep.witness)
     assert int(np.count_nonzero(rep.witness)) == 54
+
+
+def test_sampled_distance_on_a_uint8_tail_row_is_pinned():
+    """k = 21, n = 72 over GF(4): each plane is one uint64 word and a uint8
+    last word in the chunk tables and the accumulator; d, the witness
+    message and the count are the ones the uniform uint64 words gave."""
+    code = get("new-l3-72-21-29").build()
+    assert (code.n, code.k) == (72, 21)
+    rep = min_distance_sampled(code, trials=20000, seed=7)
+    assert rep.d == 39 and rep.enumerated == 20000
+    assert rep.witness_message.tolist() == [
+        0, 2, 0, 0, 2, 0, 0, 3, 0, 1, 0, 2, 2, 0, 2, 1, 0, 0, 1, 0, 0
+    ]
+    assert np.array_equal(code.encode(rep.witness_message), rep.witness)
+    assert int(np.count_nonzero(rep.witness)) == 39
 
 
 def test_sampled_distance_skips_the_zero_message():

@@ -13,9 +13,18 @@ even i and the change first on odd i; S is seed-base + i.  With
 workload.  The end-to-end metrics and their directions come from the
 ``BENCHMARK.json`` of the parent copy.  Each side is summarised by the median
 and quartiles of its runs (linear interpolation, numpy.percentile), and a pair
-is won when the change reads strictly better.  The output is rewritten after
-every pair, so an interrupted run keeps what it measured; its ``notes`` list
-is left empty for the reading of the numbers.
+is won when the change reads strictly better.  Each metric gets a verdict:
+
+- ``gain``: at least 10 pairs, the change wins at least 9 in 10 of them and
+  its median is better than the parent's by more than the parent's IQR;
+- ``worse``: the change's median is worse than the parent's by more than the
+  metric's bound, a fraction of the parent's median;
+- ``unresolved``: the parent's IQR is wider than the bound, unless every run
+  of the change reads better than every run of the parent;
+- ``within-bound`` otherwise.
+
+The output is rewritten after every pair, so an interrupted run keeps what
+it measured; its ``notes`` list is left empty for the reading of the numbers.
 """
 
 from __future__ import annotations
@@ -54,6 +63,21 @@ def _summary(values: list) -> dict:
             "q3": round(float(q3), 4), "runs": [round(v, 4) for v in values]}
 
 
+def _verdict(parent: list, change: list, wins: int, lower: bool, bound: float) -> str:
+    """gain, worse, unresolved or within-bound for one metric (module docstring)."""
+    q1, base, q3 = np.percentile(parent, [25, 50, 75])
+    median = float(np.median(change))
+    gap = (base - median) if lower else (median - base)  # > 0: the change is better
+    if len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gap > q3 - q1:
+        return "gain"
+    if -gap > bound * abs(base):
+        return "worse"
+    every_run_better = max(change) < min(parent) if lower else min(change) > max(parent)
+    if q3 - q1 > bound * abs(base) and not every_run_better:
+        return "unresolved"
+    return "within-bound"
+
+
 def _metrics(runs: dict, end_to_end: list) -> dict:
     out = {}
     for spec in end_to_end:
@@ -66,6 +90,7 @@ def _metrics(runs: dict, end_to_end: list) -> dict:
         base = entry["parent"]["median"]
         entry["ratio_change_over_parent"] = (
             round(entry["change"]["median"] / base, 4) if base else None)
+        entry["verdict"] = _verdict(vals["parent"], vals["change"], wins, lower, spec["bound"])
         out[name] = entry
     return out
 
@@ -107,7 +132,10 @@ def main() -> int:
                    + ", ".join(f"{name} {pairs} pairs" for name, pairs in plan)
                    + "; each value is one run's median over its passes; quartiles by linear "
                    "interpolation (numpy.percentile); a pair is won when the change reads "
-                   "strictly better"
+                   "strictly better; verdict: gain (>= 10 pairs, >= 9/10 won, medians apart "
+                   "by more than the parent's IQR), worse (median worse by more than the "
+                   "bound), unresolved (parent's IQR wider than the bound, unless every "
+                   "change run beats every parent run), else within-bound"
                    + (f"; traced runs (--trace 1) one per side at seed {args.traced_seed}"
                       if args.traced_seed is not None else "")),
         "parent": {"commit": args.parent_commit},
