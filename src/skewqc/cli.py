@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import List, Optional
 
@@ -257,12 +258,18 @@ def cmd_search(args) -> int:
             overrides[key] = val
     if args.output is not None:
         overrides["output"] = args.output
+    progress = (lambda msg: print(msg, file=sys.stderr)) if args.progress else None
     try:
         config = load_config(args.config, overrides)
+        # checked before the first candidate, so a bad path costs no campaign
+        folder = os.path.dirname(config.output) or "."
+        if config.output and not os.path.isdir(folder):
+            raise ValueError(f"cannot write {config.output}: no directory {folder}")
+        records = list(run_search(config, progress=progress))  # reads the bounds first
+    except OSError as exc:  # the config or bounds file
+        raise SystemExit(f"error: cannot read {exc.filename}: {exc.strerror}") from None
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
-    progress = (lambda msg: print(msg, file=sys.stderr)) if args.progress else None
-    records = list(run_search(config, progress=progress))
     text = export_records(records, args.format)
     if config.output:
         with open(config.output, "w", encoding="utf-8") as fh:

@@ -7,14 +7,16 @@ batch of q^ki weights is histogrammed at once, and nonzero counts are
 multiplied by q - 1 at the end.  All rows come from one table of scaled
 generator rows, built once per code: over GF(4) they are bitsliced into two
 bit planes and weights come from popcounts, which is what makes full 4^16
-enumerations practical; other fields keep their symbols.  One width rule
-sizes the plane words (_word_dtypes): (n - 1) // 64 full uint64 words, then
-a last word of the narrowest of uint8, uint32 and uint64 that holds the
-symbols left, so n = 72 pays a 64-bit and an 8-bit pass per plane, not two
-64-bit ones, and n = 24 one 32-bit pass.  The row table keeps uniform words
-(uint64 when n > 64); every table with one column per vector (the inner
-table, the sampled chunk tables and the sampled accumulator) is a list of
-word groups, one per plane word in that word's dtype.
+enumerations practical; other fields keep their symbols.  Every vector,
+table and offset has one layout: a list of word groups, each group's first
+axis holding its rows.  Over GF(4) there is one group per plane word j,
+rows lo and hi, in the dtype of one width rule (_word_dtypes): (n - 1) // 64
+full uint64 words, then a last word of the narrowest of uint8, uint32 and
+uint64 that holds the symbols left, so n = 72 pays a 64-bit and an 8-bit
+pass per plane, not two 64-bit ones, and n = 24 one 32-bit pass.  Over any
+other field there is one group, of n symbols.  So the row table T is a
+list of (width, k, q) groups, an R-wide table a list of (width, R) groups
+and an offset a list of (width,) groups.
 
 The inner table is built once per code too: every combination of the last
 ki rows, ki the largest value with q^ki <= INNER_TABLE_LIMIT and ki <= k - 1.
@@ -24,17 +26,17 @@ digits are zero, which is the table of its last kf rows.  The lead row
 itself enters through the offset, so every message is visited in the order
 of one table per lead.
 
-The inner table is stored word-major: one contiguous run of q^ki entries
-per bit-plane word or per symbol.  One weight kernel serves every field and
-both engines: it walks the table word by word with scratch buffers reused
-from batch to batch (over GF(4): XOR with the offset's word cast to the
-group's dtype, OR the two planes, popcount, add; elsewhere: compare with
-the negated offset and count), so a row two or three words wide costs two
-or three passes over contiguous memory, the last one as narrow as the rule
-allows.  Exact-scan weights are counted in uint8 while n <= 255 and in
+Each group of a table is stored row-major: one contiguous run of its
+columns per plane word row or per symbol.  One weight kernel serves every
+field and both engines: it walks the table group by group with scratch
+buffers reused from batch to batch (over GF(4): XOR the lo and hi rows with
+the offset's lo and hi words, OR them, popcount, add; elsewhere: compare
+with the negated offset and count), so a row two or three words wide costs
+two or three passes over contiguous memory, the last one as narrow as the
+rule allows.  Exact-scan weights are counted in uint8 while n <= 255 and in
 uint16 above (np.min_scalar_type(n)), and the histogram and argmin run on
-those counts.  A full-space Gray walk over all
-q^k messages, the cross-check oracle, lives in the tests.
+those counts.  A full-space Gray walk over all q^k messages, the
+cross-check oracle, lives in the tests.
 
 Budgets count candidates examined: an exact scan is priced at its q^k
 messages (``exact_cost``), whether or not scalar orbits let it visit fewer,
@@ -116,60 +118,50 @@ def _word_dtypes(n: int) -> Tuple[np.dtype, ...]:
     return (np.dtype(np.uint64),) * full + (np.dtype(last),)
 
 
-def pack_gf4(mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Pack (..., n) symbols into (..., nw) bit planes of uniform b-bit
-    words, nw = len(_word_dtypes(n)): b = 64 when n > 64, else the width of
-    the rule's one word (uint8 up to n = 8, uint32 up to 32, uint64).
+def pack_gf4(mat: np.ndarray) -> List[np.ndarray]:
+    """Pack (..., n) symbols into word groups: group j has shape (2, ...),
+    rows lo and hi word j of the bit planes, in dtype _word_dtypes(n)[j].
 
-    Symbol j lands in bit j % b of word j // b; both planes are packed in
-    one pass by np.packbits over the symbols zero-padded to b * nw.
+    Symbol i lands in bit i % 64 of word i // 64; both planes are packed in
+    one pass by np.packbits into whole uint64 words over the symbols
+    zero-padded to 64 * nw, and each word is cast to its dtype, which holds
+    the symbols left in it by the width rule.
     """
     mat = np.asarray(mat, dtype=np.uint8)
     n = mat.shape[-1]
     dtypes = _word_dtypes(n)
-    word, nw = dtypes[0], len(dtypes)
-    b = 8 * word.itemsize
-    bits = np.zeros((2,) + mat.shape[:-1] + (b * nw,), dtype=np.uint8)
+    bits = np.zeros((2,) + mat.shape[:-1] + (64 * len(dtypes),), dtype=np.uint8)
     bits[0, ..., :n] = mat & 1
     bits[1, ..., :n] = (mat >> 1) & 1
-    planes = np.packbits(bits, axis=-1, bitorder="little").view(word.newbyteorder("<"))
-    planes = planes.astype(word, copy=False)  # native order
-    return planes[0], planes[1]
+    words = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+    return [np.ascontiguousarray(words[..., j], dtype=dt) for j, dt in enumerate(dtypes)]
 
 
-def _packed_rows(
-    F: FieldSpec, G: np.ndarray
-) -> Tuple[np.ndarray, Callable, Callable, Callable]:
-    """(T, add, weights, groups): the table T[i, lam] = lam * G[i] of shape
-    (k, q, width), its addition, the weight kernel and the split of uniform
-    rows into the kernel's word groups.
+def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[List[np.ndarray], Callable, Callable]:
+    """(T, add, weights): the table T[i, lam] = lam * G[i] as word groups
+    of shape (width, k, q), its addition and the weight kernel.
 
-    Over GF(4) a row is its lo and hi planes side by side in the uniform
-    words of pack_gf4 and ``add`` is XOR; over any other field a row is its
-    n symbols and ``add`` is one lookup in the flattened F.np_add.
-    ``add(a, b, out=None)`` acts elementwise, broadcasts and writes into
-    ``out`` when given.
+    Over GF(4) T is pack_gf4 of the scaled rows and ``add`` is XOR; over
+    any other field T is one group, the n symbols of every scaled row, and
+    ``add`` is one lookup in the flattened F.np_add.  ``add(a, b,
+    out=None)`` acts elementwise on two groups, broadcasts and writes into
+    ``out`` when given, so vectors and tables add group by group.
 
-    An R-wide table is a list of word groups.  ``groups(a)`` splits a
-    word-major array a of shape (width, R) into them: over GF(4) one group
-    per plane word j, shape (2, R), rows lo word j and hi word j, cast to
-    _word_dtypes(n)[j]; elsewhere the one group a.
-
-    ``weights(block, offset, out)`` reads such a table ``block`` and a
-    uniform row ``offset`` and writes the weight of each column of ``block +
-    offset`` into ``out`` (shape (R,), any integer dtype that holds n).  Over
-    GF(4) it loops over the words, the offset's word cast to its group's
-    dtype: XOR both planes with it, OR them, popcount and add, all into
-    scratch buffers kept between calls with the same R.  Over other fields
-    a + o is zero exactly when a == -o, so it counts the symbols that differ
-    from -offset.
+    ``weights(block, offset, out)`` reads an R-wide table ``block`` and a
+    vector ``offset`` and writes the weight of each column of ``block +
+    offset`` into ``out`` (shape (R,), any integer dtype that holds n).
+    Over GF(4) it loops over the groups: XOR the lo and hi rows with the
+    offset's lo and hi words, OR them, popcount and add, all into scratch
+    buffers kept between calls with the same R.  Over other fields a + o is
+    zero exactly when a == -o, so it counts the symbols that differ from
+    -offset.
     """
-    T = F.np_mul[np.arange(F.q)[None, :, None], G[:, None, :]]
+    scaled = F.np_mul[np.arange(F.q)[None, :, None], G[:, None, :]]  # (k, q, n)
     if F.q != 4:
 
-        def symbol_weights(block: List[np.ndarray], offset: np.ndarray,
+        def symbol_weights(block: List[np.ndarray], offset: List[np.ndarray],
                            out: np.ndarray) -> None:
-            np.add.reduce(block[0] != F.np_neg[offset][:, None], axis=0, dtype=out.dtype,
+            np.add.reduce(block[0] != F.np_neg[offset[0]][:, None], axis=0, dtype=out.dtype,
                           out=out)
 
         # one flat lookup; the index a*q + b < q^2 <= 65,536 fits uint16
@@ -179,27 +171,20 @@ def _packed_rows(
                        out: Optional[np.ndarray] = None) -> np.ndarray:
             return flat_add.take(a.astype(np.uint16) * q + b, out=out)
 
-        return T, symbol_add, symbol_weights, lambda a: [a]
-    lo, hi = pack_gf4(T)
-    dtypes = _word_dtypes(G.shape[1])
-    nw = len(dtypes)
+        return [np.ascontiguousarray(scaled.transpose(2, 0, 1))], symbol_add, symbol_weights
+    T = pack_gf4(scaled)
     scratch: List = []
 
-    def groups(a: np.ndarray) -> List[np.ndarray]:
-        return [np.ascontiguousarray(a[j::nw], dtype=dt) for j, dt in enumerate(dtypes)]
-
-    def weights(block: List[np.ndarray], offset: np.ndarray, out: np.ndarray) -> None:
+    def weights(block: List[np.ndarray], offset: List[np.ndarray], out: np.ndarray) -> None:
         if not scratch or scratch[0].shape != out.shape:
             scratch[:] = [np.empty(out.shape, np.uint8),
-                          {dt: (np.empty(out.shape, dt), np.empty(out.shape, dt))
-                           for dt in set(dtypes)}]
+                          {g.dtype: (np.empty(out.shape, g.dtype), np.empty(out.shape, g.dtype))
+                           for g in T}]
         c, buffers = scratch
-        for j, (words, dt) in enumerate(zip(block, dtypes)):
-            x, y = buffers[dt]
-            # NumPy casts Python ints to the group's dtype, and raises rather than wrap
-            lo_word, hi_word = offset[j::nw].tolist()
-            np.bitwise_xor(words[0], lo_word, out=x)
-            np.bitwise_xor(words[1], hi_word, out=y)
+        for j, (words, o) in enumerate(zip(block, offset)):
+            x, y = buffers[words.dtype]
+            np.bitwise_xor(words[0], o[0], out=x)
+            np.bitwise_xor(words[1], o[1], out=y)
             np.bitwise_or(x, y, out=x)
             if j == 0:
                 np.bitwise_count(x, out=out)
@@ -207,7 +192,7 @@ def _packed_rows(
                 np.bitwise_count(x, out=c)
                 np.add(out, c, out=out)
 
-    return np.concatenate([lo, hi], axis=-1), np.bitwise_xor, weights, groups
+    return T, np.bitwise_xor, weights
 
 
 # ---------------------------------------------------------------------------
@@ -247,39 +232,62 @@ def exact_cost(code: CodeStructure) -> int:
     return code.spec.field.q ** code.k
 
 
+def _exact_scan_fits(code: CodeStructure, budget: int, what: str) -> bool:
+    """Whether an exact scan of ``code`` has rows to scan: False when k = 0;
+    raises BudgetExceededError("<what> too large") before any work when
+    exact_cost(code) exceeds ``budget``."""
+    if code.k == 0:
+        return False
+    cost = exact_cost(code)
+    if cost > budget:
+        raise BudgetExceededError(f"{what} too large", cost, budget)
+    return True
+
+
 def _combination_table(rows: Tuple, first: int, count: int) -> List[np.ndarray]:
     """Table of word groups, q^count wide, of every combination of the rows
     first .. first + count - 1 of the _packed_rows table T: column u carries
-    digit u % q on row first, (u // q) % q on the next, ...  Filled in place
-    in T's uniform words, each row adding its nonzero multiples to the
-    columns so far (T[r, 0] is the zero row), then split into groups."""
-    T, add, _, groups = rows
-    q = T.shape[1]
-    B = np.empty((T.shape[-1], q**count), dtype=T.dtype)
-    B[:, 0] = 0
-    size = 1
-    for r in range(first, first + count):
-        for lam in range(1, q):
-            add(B[:, :size], T[r, lam][:, None], out=B[:, lam * size : (lam + 1) * size])
-        size *= q
-    return groups(B)
+    digit u % q on row first, (u // q) % q on the next, ...  Each group is
+    filled in place, each row adding its nonzero multiples to the columns
+    so far (T[r, 0] is the zero row)."""
+    T, add, _ = rows
+    q = T[0].shape[-1]
+    table = []
+    for g in T:
+        B = np.empty((g.shape[0], q**count), dtype=g.dtype)
+        B[:, 0] = 0
+        size = 1
+        for r in range(first, first + count):
+            for lam in range(1, q):
+                add(B[:, :size], g[:, r, lam][:, None], out=B[:, lam * size : (lam + 1) * size])
+            size *= q
+        table.append(B)
+    return table
+
+
+def _table_rows(q: int, limit: int, most: int) -> int:
+    """How many rows a combination table of at most ``limit`` columns
+    takes: the largest r <= most with q^r <= limit."""
+    r = 0
+    while r < most and q ** (r + 1) <= limit:
+        r += 1
+    return r
 
 
 def _inner_table(rows: Tuple) -> List[np.ndarray]:
-    """The one inner table of a code: every combination of its last ki rows,
-    ki the largest value with q^ki <= INNER_TABLE_LIMIT and ki <= k - 1."""
-    k, q = rows[0].shape[:2]
-    ki = 0
-    while ki < k - 1 and q ** (ki + 1) <= INNER_TABLE_LIMIT:
-        ki += 1
+    """The one inner table of a code: every combination of its last ki
+    rows, ki = _table_rows(q, INNER_TABLE_LIMIT, k - 1)."""
+    k, q = rows[0][0].shape[1:]
+    ki = _table_rows(q, INNER_TABLE_LIMIT, k - 1)
     return _combination_table(rows, k - ki, ki)
 
 
 def _lead_block(
     F: FieldSpec,
     n: int,
-    rows: Tuple[np.ndarray, Callable, Callable, Callable],
+    rows: Tuple[List[np.ndarray], Callable, Callable],
     inner: List[np.ndarray],
+    ki: int,
     lead: int,
     want_hist: bool,
     stop_at: int = 0,
@@ -292,12 +300,9 @@ def _lead_block(
     digits are zero: the table of its last kf rows.  Returns
     (histogram-or-None, best weight, best message, rows seen).
     """
-    T, add, weights, _ = rows
-    q, k = F.q, T.shape[0]
+    T, add, weights = rows
+    q, k = F.q, T[0].shape[1]
     kf = k - lead - 1
-    ki = 0
-    while q**ki < inner[0].shape[1]:
-        ki += 1
     if kf < ki:
         inner, ki = [g[:, :: q ** (ki - kf)] for g in inner], kf
     ko = kf - ki
@@ -308,7 +313,7 @@ def _lead_block(
     best = n + 1
     best_msg: Optional[np.ndarray] = None
     rows_seen = 0
-    offset = T[lead, 1]
+    offset = [g[:, lead, 1] for g in T]
     odometer = [0] * ko
 
     def record(idx: int) -> np.ndarray:
@@ -337,7 +342,7 @@ def _lead_block(
         return hist, best, best_msg, rows_seen
     for j, old, new in _gray_steps(q, ko):
         odometer[j] = new
-        offset = add(offset, T[outer0 + j, F.sub[new][old]])
+        offset = [add(o, g[:, outer0 + j, F.sub[new][old]]) for o, g in zip(offset, T)]
         if scan() and not want_hist:
             break
     return hist, best, best_msg, rows_seen
@@ -354,11 +359,11 @@ def _enumerate_blocks(
     """
     k, n = G.shape
     rows = _packed_rows(F, G)
-    inner = _inner_table(rows)
+    inner, ki = _inner_table(rows), _table_rows(F.q, INNER_TABLE_LIMIT, k - 1)
     hist = np.zeros(n + 1, dtype=np.int64) if want_hist else None
     best, best_msg, total_rows = n + 1, None, 0
     for lead in range(k):
-        h, b, bm, seen = _lead_block(F, n, rows, inner, lead, want_hist, stop_at=stop_at)
+        h, b, bm, seen = _lead_block(F, n, rows, inner, ki, lead, want_hist, stop_at=stop_at)
         total_rows += seen
         if want_hist:
             hist += h
@@ -374,11 +379,8 @@ def weight_enumerator(code: CodeStructure, budget: int = DEFAULT_BUDGET) -> Weig
     front, like min_distance, when exact_cost(code) exceeds ``budget``."""
     F = code.spec.field
     q, k, n = F.q, code.k, code.n
-    if k == 0:
+    if not _exact_scan_fits(code, budget, "weight enumeration"):
         return WeightEnumerator(n, k, q, {0: 1})
-    cost = exact_cost(code)
-    if cost > budget:
-        raise BudgetExceededError("weight enumeration too large", cost, budget)
     hist, _, _, _ = _enumerate_blocks(F, code.genmatrix, True)
     counts = {w: int(c) * (q - 1) for w, c in enumerate(hist) if c}
     counts[0] = 1
@@ -406,13 +408,9 @@ def min_distance(
     """
     _check_workers(workers)
     F = code.spec.field
-    q, k, n = F.q, code.k, code.n
     t0 = time.perf_counter()
-    if k == 0:
+    if not _exact_scan_fits(code, budget, "distance enumeration"):
         return DistanceReport(None, True, "empty", 0, elapsed=time.perf_counter() - t0)
-    cost = exact_cost(code)
-    if cost > budget:
-        raise BudgetExceededError("distance enumeration too large", cost, budget)
     _, best, best_msg, rows = _enumerate_blocks(F, code.genmatrix, False, stop_at=stop_at)
     witness = code.encode(best_msg)
     exact = stop_at < best
@@ -442,14 +440,12 @@ def min_distance_sampled(
         return DistanceReport(None, True, "empty", 0, elapsed=time.perf_counter() - t0)
     rng = np.random.Generator(np.random.PCG64(seed))
     rows = _packed_rows(F, code.genmatrix)
-    T, add, weights, _ = rows
-    c = 1
-    while q ** (c + 1) <= CHUNK_TABLE_LIMIT:
-        c += 1
+    T, add, weights = rows
+    c = _table_rows(q, CHUNK_TABLE_LIMIT, k)  # >= 1: q <= 256
     # chunk (first, last, table): every combination of the rows first..last
     chunks = [(i, min(i + c, k) - 1, _combination_table(rows, i, min(c, k - i)))
               for i in range(0, k, c)]
-    zero = np.zeros(T.shape[-1], dtype=T.dtype)
+    zero = [np.zeros(g.shape[0], g.dtype) for g in T]
     best = n + 1
     best_msg = None
     done = 0

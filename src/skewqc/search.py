@@ -23,7 +23,8 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    get_type_hints)
 
 from .codes import CodeStructure, build_code, degenerate_tuple
 from .distance import (
@@ -114,18 +115,21 @@ class SearchConfig:
 
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(SearchConfig)}
+_STR_FIELDS = {name for name, kind in get_type_hints(SearchConfig).items() if kind is str}
 
 
-def _parse_value(raw: str):
+def _parse_value(key: str, raw: str):
+    """One config value converted by the type of its SearchConfig field:
+    str fields verbatim after unquoting, int fields through int()."""
     raw = raw.strip()
-    if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in ("'", '"'):
-        return raw[1:-1]
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
+    if key in _STR_FIELDS:
+        if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in ("'", '"'):
+            return raw[1:-1]
+        return raw
     try:
         return int(raw)
     except ValueError:
-        return raw
+        raise ValueError(f"{key} must be an integer, got {raw!r}") from None
 
 
 def parse_config_text(text: str) -> Dict[str, object]:
@@ -141,7 +145,7 @@ def parse_config_text(text: str) -> Dict[str, object]:
         key = key.strip().replace("-", "_")
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(raw)
+        values[key] = _parse_value(key, raw)
     return values
 
 
@@ -157,7 +161,7 @@ def load_config(
         key = key.replace("-", "_")
         if key not in _CONFIG_FIELDS:
             raise ValueError(f"unknown config key {key!r}")
-        values[key] = _parse_value(val) if isinstance(val, str) else val
+        values[key] = _parse_value(key, val) if isinstance(val, str) else val
     if "s" not in values:
         raise ValueError("config must set s (the block length)")
     return SearchConfig(**values)

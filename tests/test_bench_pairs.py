@@ -1,4 +1,5 @@
-"""The pair verdicts of tools/bench_pairs.py on hand-made runs."""
+"""The pair verdicts and traced summaries of tools/bench_pairs.py on hand-made
+runs."""
 
 import importlib.util
 from pathlib import Path
@@ -56,3 +57,19 @@ PARENT = [3.0, 3.1, 3.2, 3.05, 3.15, 3.0, 3.1, 3.2, 3.05, 3.15]  # IQR 0.1 aroun
 )
 def test_verdict(spec, parent, change, verdict):
     assert metrics(spec, parent, change)["verdict"] == verdict
+
+
+def test_traced_runs_alternate_and_summarise():
+    """Three traced runs per side, the parent first on the first and third;
+    each per-layer metric keeps its median, min and max, and a metric that
+    one run lacks is left out."""
+    assert [bench_pairs._order(i)[0] for i in range(bench_pairs.TRACED_RUNS)] == [
+        "parent", "change", "parent"]
+    runs = [{"correct": True, "failed": f, "attempted": 10,
+             "metrics": {"distance.exact.s": {"value": s}, "distance.exact.rows": {"value": 7}}}
+            for f, s in ((0, 3.0), (1, 1.0), (0, 2.5))]
+    del runs[1]["metrics"]["distance.exact.rows"]
+    summary = bench_pairs._traced(runs)
+    assert summary["metrics"] == {
+        "distance.exact.s": {"median": 2.5, "min": 1.0, "max": 3.0, "runs": [3.0, 1.0, 2.5]}}
+    assert (summary["correct"], summary["failed"], summary["attempted"]) == (True, 1, 30)

@@ -261,6 +261,49 @@ def test_search_rejects_fs_without_g(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_search_values_take_their_field_type(tmp_path, monkeypatch, capsys):
+    """--set g=101 keeps the coefficient string, bounds=7 names a file (not
+    file descriptor 7), and int fields refuse text int() refuses."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["search", "--s", "8", "--trials", "1", "--set", "g=101",
+                 "--set", "fs=1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith("\t101,101\t")
+    for argv, message in [
+        (["--s", "8", "--trials", "1", "--set", "bounds=7"],
+         "error: cannot read 7: No such file or directory"),
+        (["--set", "s=abc"], "error: s must be an integer, got 'abc'"),
+        (["--s", "8", "--set", "trials=true"], "error: trials must be an integer, got 'true'"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(["search"] + argv)
+        assert exc.value.code == message
+
+
+SEARCH_FILE_ERRORS = {
+    "missing-config": (["--config", "missing.cfg"],
+                       "error: cannot read missing.cfg: No such file or directory"),
+    "missing-bounds": (["--set", "bounds=missing.txt"],
+                       "error: cannot read missing.txt: No such file or directory"),
+    "malformed-bounds": (["--set", "bounds=bad.txt"],
+                         "error: bad.txt:2: expected 'n k best_d', got '40 9\\n'"),
+    "output-directory": (["--output", "missing/out.tsv"],
+                         "error: cannot write missing/out.tsv: no directory missing"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_FILE_ERRORS))
+def test_search_file_errors_exit_1_before_the_campaign(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_text("n k d\n40 9\n")
+    argv, message = SEARCH_FILE_ERRORS[case]
+    base = [] if case == "missing-config" else ["--s", "8", "--trials", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--progress"] + base + argv)
+    assert exc.value.code == message
+    out, err = capsys.readouterr()
+    assert out == "" and "candidate" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify-table
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from skewqc.codes import build_code, build_degenerate_code
 from skewqc.distance import (
     WeightEnumerator,
+    _combination_table,
     _gray_steps,
     _inner_table,
     _packed_rows,
@@ -67,46 +68,44 @@ def naive_distribution(code):
 def word_dtype(n, j):
     """The width rule for word j of a bit plane of n symbols: words before
     the last are uint64; the last holds the 1..64 symbols left, in uint8 up
-    to 8 of them, uint32 up to 32, else uint64.  Uniform words, as in the
-    row table T and pack_gf4, are the plane's first word, word_dtype(n, 0)."""
+    to 8 of them, uint32 up to 32, else uint64."""
     left = n - 64 * j
     if left > 64:
         return np.dtype(np.uint64)
     return np.dtype(np.uint8 if left <= 8 else np.uint32 if left <= 32 else np.uint64)
 
 
+def word_dtypes(n):
+    return [word_dtype(n, j) for j in range((n + 63) // 64)]
+
+
 def column_loop_pack_gf4(mat):
-    """Reference packing, one column at a time, in uniform words of
-    word_dtype(n, 0)."""
+    """Reference packing, one column at a time: word group j, shape
+    (2, ...), holds the lo and hi bits of symbols 64j .. 64j + 63 in
+    word_dtype(n, j)."""
     mat = np.asarray(mat, dtype=np.uint8)
     n = mat.shape[-1]
-    word = word_dtype(n, 0)
-    bits = 8 * word.itemsize
-    nw = (n + bits - 1) // bits
-    lead = mat.shape[:-1]
-    lo = np.zeros(lead + (nw,), dtype=word)
-    hi = np.zeros(lead + (nw,), dtype=word)
+    groups = [np.zeros((2,) + mat.shape[:-1], dtype=dt) for dt in word_dtypes(n)]
     for j in range(n):
-        w, b = divmod(j, bits)
-        bit = word.type(1) << word.type(b)
+        w, b = divmod(j, 64)
+        word = groups[w].dtype.type
+        bit = word(1) << word(b)
         col = mat[..., j]
-        lo[..., w] |= np.where(col & 1, bit, word.type(0))
-        hi[..., w] |= np.where(col & 2, bit, word.type(0))
-    return lo, hi
+        groups[w][0] |= np.where(col & 1, bit, word(0))
+        groups[w][1] |= np.where(col & 2, bit, word(0))
+    return groups
 
 
-def unpack_gf4(lo, hi, n):
-    """Inverse of pack_gf4: (..., nw) bit planes back to (..., n) symbols."""
-    word = word_dtype(n, 0)
-    assert lo.dtype == hi.dtype == word
-    bits = 8 * word.itemsize
-    one = word.type(1)
-    out = np.zeros(lo.shape[:-1] + (n,), dtype=np.uint8)
+def unpack_gf4(groups, n):
+    """Inverse of pack_gf4: word groups, shape (2, ...), back to (..., n)
+    symbols."""
+    assert [g.dtype for g in groups] == word_dtypes(n)
+    out = np.zeros(groups[0].shape[1:] + (n,), dtype=np.uint8)
     for j in range(n):
-        w, b = divmod(j, bits)
-        bit = word.type(b)
-        out[..., j] = (((lo[..., w] >> bit) & one)
-                       | (((hi[..., w] >> bit) & one) << one))
+        w, b = divmod(j, 64)
+        word = groups[w].dtype.type
+        lo, hi = (groups[w] >> word(b)) & word(1)
+        out[..., j] = lo | (hi << word(1))
     return out
 
 
@@ -136,32 +135,34 @@ def gray_oracle(code):
 def test_pack_gf4_matches_column_loop(lead, n):
     rng = np.random.default_rng(n)
     mat = rng.integers(0, 4, size=lead + (n,)).astype(np.uint8)
-    for got, want in zip(pack_gf4(mat), column_loop_pack_gf4(mat)):
-        assert got.dtype == want.dtype == word_dtype(n, 0)
-        assert got.shape == want.shape == lead + (1 if n <= 32 else (n + 63) // 64,)
-        assert np.array_equal(got, want)
+    got, want = pack_gf4(mat), column_loop_pack_gf4(mat)
+    assert len(got) == len(want) == (n + 63) // 64
+    for j, (g, w) in enumerate(zip(got, want)):
+        assert g.dtype == w.dtype == word_dtype(n, j)
+        assert g.shape == w.shape == (2,) + lead
+        assert g.flags.c_contiguous
+        assert np.array_equal(g, w)
 
 
 def test_pack_unpack_round_trip():
     rng = np.random.default_rng(11)
     for n in (1, 7, 8, 9, 32, 33, 64, 65, 130):
         vec = rng.integers(0, 4, size=n).astype(np.uint8)
-        lo, hi = pack_gf4(vec)
-        assert np.array_equal(unpack_gf4(lo, hi, n), vec)
+        assert np.array_equal(unpack_gf4(pack_gf4(vec), n), vec)
 
 
 def test_gf4_scale_matches_table():
-    """Each packed row T[i, lam] unpacks to lam * G[i] by the mul table."""
+    """Each packed row T[i, lam], the column (i, lam) of every group of T,
+    unpacks to lam * G[i] by the mul table."""
     rng = np.random.default_rng(33)
     for n in (5, 31, 32, 33, 64, 70, 130):
         G = rng.integers(0, 4, size=(3, n)).astype(np.uint8)
-        T, _, _, _ = _packed_rows(F, G)
-        nw = 1 if n <= 32 else (n + 63) // 64
-        assert T.shape == (3, 4, 2 * nw)
-        assert T.dtype == word_dtype(n, 0)
+        T, _, _ = _packed_rows(F, G)
+        assert [g.shape for g in T] == [(2, 3, 4)] * ((n + 63) // 64)
+        assert [g.dtype for g in T] == word_dtypes(n)
         for i in range(3):
             for lam in range(4):
-                got = unpack_gf4(T[i, lam, :nw], T[i, lam, nw:], n)
+                got = unpack_gf4([g[:, i, lam] for g in T], n)
                 assert np.array_equal(got, F.np_mul[lam][G[i]])
 
 
@@ -171,27 +172,27 @@ def test_packed_rows_weight_matches_count_nonzero(field):
     table block + offset into out, an accumulator sized as the engine
     sizes it: uint8 up to n = 255, uint16 above.  Row 0 of G has no zero
     symbol, so the messages c * e_0 reach weight n: 255 fills the uint8
-    range and 300 needs the wider one.  Over GF(4) the table's word groups
-    follow the width rule: n = 5 is one uint8 word, 32 one uint32 word, 72
-    a uint64 and a uint8 word, and 100, 255 and 300 uint64 words only."""
+    range and 300 needs the wider one.  Over GF(4) the word groups follow
+    the width rule: n = 5 is one uint8 word, 32 one uint32 word, 72 a
+    uint64 and a uint8 word, and 100, 255 and 300 uint64 words only."""
     rng = np.random.default_rng(22)
     q = field.q
     for n in (5, 32, 64, 72, 100, 255, 300):
         G = rng.integers(0, q, size=(4, n)).astype(np.uint8)
         G[0] = rng.integers(1, q, size=n)
-        T, add, weights, groups = _packed_rows(field, G)
+        T, add, weights = _packed_rows(field, G)
         msgs = rng.integers(0, q, size=(50, 4))
         msgs[: q - 1] = [[c, 0, 0, 0] for c in range(1, q)]
-        acc = T[0, msgs[:, 0]]
+        block = [g[:, 0, msgs[:, 0]] for g in T]
         for i in range(1, 4):
-            acc = add(acc, T[i, msgs[:, i]])
-        block = groups(np.ascontiguousarray(acc.T))
+            block = [add(a, g[:, i, msgs[:, i]]) for a, g in zip(block, T)]
+        block = [np.ascontiguousarray(a) for a in block]
         if q == 4:
-            assert [g.dtype for g in block] == [word_dtype(n, j) for j in range(len(block))]
+            assert [g.dtype for g in block] == word_dtypes(n)
         for shift in (np.zeros(4, dtype=int), rng.integers(0, q, size=4)):
-            offset = T[0, shift[0]]
+            offset = [g[:, 0, shift[0]] for g in T]
             for i in range(1, 4):
-                offset = add(offset, T[i, shift[i]])
+                offset = [add(o, g[:, i, shift[i]]) for o, g in zip(offset, T)]
             out = np.empty(len(msgs), dtype=np.min_scalar_type(n))
             assert out.dtype == (np.uint8 if n <= 255 else np.uint16)
             weights(block, offset, out)
@@ -203,6 +204,21 @@ def test_packed_rows_weight_matches_count_nonzero(field):
                 assert w == sum(1 for c in word if c)
             if not shift.any():
                 assert list(out[: q - 1]) == [n] * (q - 1)
+
+
+@pytest.mark.parametrize("n", [72, 136])
+def test_rows_tables_and_offsets_share_the_word_dtypes(n):
+    """The row table T, the inner table, a chunk table and an offset are
+    all lists of word groups in the width rule's dtypes: a uint64 and a
+    uint8 word at n = 72, two uint64 and a uint8 word at n = 136."""
+    code = MatrixCode(n, 5, seed=n)
+    rows = _packed_rows(F, code.genmatrix)
+    T, add, _ = rows
+    offset = [add(g[:, 0, 1], g[:, 1, 2]) for g in T]
+    dtypes = word_dtypes(n)
+    assert len(dtypes) == (2 if n == 72 else 3) and dtypes[-1] == np.uint8
+    for groups in (T, _inner_table(rows), _combination_table(rows, 0, 3), offset):
+        assert [g.dtype for g in groups] == dtypes
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +300,7 @@ def test_engine_matches_gray_oracle_on_uint32_rows(s, l):
     view of it."""
     code = multiword_code(s, l, 6, seed=s)
     assert code.k == 6 and code.n <= 32
-    assert _packed_rows(F, code.genmatrix)[0].dtype == np.uint32
+    assert [g.dtype for g in _packed_rows(F, code.genmatrix)[0]] == [np.uint32]
     counts, d = gray_oracle(code)
     assert weight_enumerator(code).counts == counts
     rep = min_distance(code)

@@ -60,6 +60,26 @@ def test_parse_config_rejects_bad_lines():
         parse_config_text("just some words")
 
 
+def test_config_values_take_their_field_type(tmp_path):
+    """A value is converted by its SearchConfig field's type, not guessed
+    from its text: coefficient strings and paths that read as integers stay
+    strings, and an int field refuses anything int() refuses."""
+    assert parse_config_text("g = 11\nfs = '101'\nbounds = 7\noutput = 1") == {
+        "g": "11", "fs": "101", "bounds": "7", "output": "1"}
+    config = load_config(None, overrides={"s": "8", "g": "101", "fs": "1"})
+    assert (config.s, config.g, config.fs) == (8, "101", "1")
+    config = load_config(None, overrides={"s": 8, "bounds": "7", "output": "1"})
+    assert (config.bounds, config.output) == ("7", "1")
+    with pytest.raises(ValueError, match="s must be an integer, got 'abc'"):
+        load_config(None, overrides={"s": "abc"})
+    with pytest.raises(ValueError, match="trials must be an integer, got 'true'"):
+        load_config(None, overrides={"s": 8, "trials": "true"})
+    path = tmp_path / "c.cfg"
+    path.write_text("s = 8\nseed = false\n")
+    with pytest.raises(ValueError, match="seed must be an integer, got 'false'"):
+        load_config(str(path))
+
+
 def test_load_config_file_plus_overrides(tmp_path):
     path = tmp_path / "campaign.cfg"
     path.write_text("s = 8\ntrials = 5\nseed = 1\n")

@@ -9,11 +9,15 @@ DIR are two copies of the repository tree: the parent commit and the change.
 For every workload, pair i runs ``perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` once in each copy, back to back, the parent first on
 even i and the change first on odd i; S is seed-base + i.  With
-``--traced-seed`` each side also makes one traced run (``--trace 1``) per
-workload.  The end-to-end metrics and their directions come from the
-``BENCHMARK.json`` of the parent copy.  Each side is summarised by the median
-and quartiles of its runs (linear interpolation, numpy.percentile), and a pair
-is won when the change reads strictly better.  Each metric gets a verdict:
+``--traced-seed S`` each side also makes three traced runs (``--trace 1``)
+per workload, at seeds S, S + 1 and S + 2, the change first at S + 1 only
+(the alternation of the pairs); each per-layer metric is recorded as the
+median, min and max of a side's three runs, since one traced run swings by
+a third on unchanged code.  The end-to-end metrics and their directions
+come from the ``BENCHMARK.json`` of the parent copy.  Each side is
+summarised by the median and quartiles of its runs (linear interpolation,
+numpy.percentile), and a pair is won when the change reads strictly better.
+Each metric gets a verdict:
 
 - ``gain``: at least 10 pairs, the change wins at least 9 in 10 of them and
   its median is better than the parent's by more than the parent's IQR;
@@ -38,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+TRACED_RUNS = 3
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -101,6 +106,23 @@ def _checks(runs: list) -> dict:
             "attempted": sum(r["attempted"] for r in runs)}
 
 
+def _order(i: int) -> tuple:
+    """The sides of run i in the order they run: the parent first on even i."""
+    return SIDES if i % 2 == 0 else SIDES[::-1]
+
+
+def _traced(runs: list) -> dict:
+    """One side's traced runs: their checks, and the median, min and max of
+    every per-layer metric that all of them report."""
+    names = [m for m in runs[0]["metrics"] if all(m in r["metrics"] for r in runs)]
+    metrics = {}
+    for name in names:
+        values = [r["metrics"][name]["value"] for r in runs]
+        metrics[name] = {"median": float(np.median(values)), "min": min(values),
+                         "max": max(values), "runs": values}
+    return {**_checks(runs), "metrics": metrics}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="tree copy of the parent")
@@ -109,7 +131,8 @@ def main() -> int:
     ap.add_argument("--workload", action="append", required=True, metavar="NAME=PAIRS")
     ap.add_argument("--seed-base", type=int, required=True)
     ap.add_argument("--seconds", type=int, default=30)
-    ap.add_argument("--traced-seed", type=int, help="one traced run per side at this seed")
+    ap.add_argument("--traced-seed", type=int,
+                    help=f"{TRACED_RUNS} traced runs per side from this seed on")
     ap.add_argument("--topic", required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args()
@@ -136,7 +159,9 @@ def main() -> int:
                    "by more than the parent's IQR), worse (median worse by more than the "
                    "bound), unresolved (parent's IQR wider than the bound, unless every "
                    "change run beats every parent run), else within-bound"
-                   + (f"; traced runs (--trace 1) one per side at seed {args.traced_seed}"
+                   + (f"; traced runs (--trace 1) at seeds {args.traced_seed} .. "
+                      f"{args.traced_seed + TRACED_RUNS - 1}, each seed once per side in "
+                      "the pairs' alternation; per-layer metrics as median, min and max"
                       if args.traced_seed is not None else "")),
         "parent": {"commit": args.parent_commit},
         "change": {},
@@ -153,7 +178,7 @@ def main() -> int:
         seeds, first = [], []
         for i in range(pairs):
             seed = args.seed_base + i
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            order = _order(i)
             for side in order:
                 res = _run(trees[side], name, seed, args.seconds, 0)
                 runs[side].append(res)
@@ -172,13 +197,15 @@ def main() -> int:
             }
             save()
         if args.traced_seed is not None:
-            doc["traced"][name] = {}
-            for side in SIDES:
-                res = _run(trees[side], name, args.traced_seed, args.seconds, 1)
-                doc["traced"][name][side] = {
-                    "seed": args.traced_seed, **_checks([res]),
-                    "metrics": {m: v["value"] for m, v in res["metrics"].items()},
-                }
+            traced = {side: [] for side in SIDES}
+            seeds = [args.traced_seed + i for i in range(TRACED_RUNS)]
+            for i, seed in enumerate(seeds):
+                for side in _order(i):
+                    traced[side].append(_run(trees[side], name, seed, args.seconds, 1))
+            doc["traced"][name] = {
+                "seeds": seeds, "first": [_order(i)[0] for i in range(TRACED_RUNS)],
+                **{side: _traced(traced[side]) for side in SIDES},
+            }
             save()
     return 0
 
