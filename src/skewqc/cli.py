@@ -265,6 +265,8 @@ def cmd_search(args) -> int:
         folder = os.path.dirname(config.output) or "."
         if config.output and not os.path.isdir(folder):
             raise ValueError(f"cannot write {config.output}: no directory {folder}")
+        if os.path.isdir(config.output):
+            raise ValueError(f"cannot write {config.output}: is a directory")
         records = list(run_search(config, progress=progress))  # reads the bounds first
     except OSError as exc:  # the config or bounds file
         raise SystemExit(f"error: cannot read {exc.filename}: {exc.strerror}") from None

@@ -48,7 +48,11 @@ sums ceil(k/c) chunk tables per message instead of k single rows: chunk
 tables hold every combination of c consecutive rows (q^c <= CHUNK_TABLE_LIMIT),
 built by the same filler as the inner table, and a chunk's column is its c
 digits read in base q.  The result is a reproducible upper bound for codes
-beyond exhaustive reach.
+beyond exhaustive reach.  The digits of a batch of b messages are exactly
+``Generator.integers(0, q, (b, k), dtype=np.uint8)``: when q = 2^e they
+are read straight from the generator's 32-bit stream, the top e bits of
+each byte (low byte first), which is what that call returns; any other q
+calls it.
 """
 
 from __future__ import annotations
@@ -425,6 +429,23 @@ def min_distance(
     )
 
 
+def _draw_messages(rng: np.random.Generator, q: int, b: int, k: int) -> np.ndarray:
+    """(b, k) uint8 digits in [0, q), bit for bit ``rng.integers(0, q, (b, k),
+    dtype=np.uint8)`` and from the same ceil(b*k/4) words of the stream.
+
+    numpy draws bounded uint8 values by Lemire's multiply-shift method over
+    the bytes of 32-bit words, low byte first; for q = 2^e it never rejects
+    and keeps the top e bits of each byte, which are read here from the
+    words directly at about a third of the cost.
+    """
+    if q & (q - 1):
+        return rng.integers(0, q, size=(b, k), dtype=np.uint8)
+    words = rng.integers(0, 2**32, size=(b * k + 3) // 4, dtype=np.uint32)
+    data = words.astype("<u4", copy=False).view(np.uint8)[: b * k]
+    e = q.bit_length() - 1
+    return (data >> (8 - e)).reshape(b, k)
+
+
 def min_distance_sampled(
     code: CodeStructure,
     trials: int,
@@ -452,14 +473,14 @@ def min_distance_sampled(
     w = np.empty(0)
     while done < trials:
         b = min(SAMPLE_BATCH, trials - done)
-        msgs = rng.integers(0, q, size=(b, k), dtype=np.uint8)
+        msgs = _draw_messages(rng, q, b, k)
         done += b
         if w.shape[0] != b:
             acc = [np.empty((g.shape[0], b), g.dtype) for g in chunks[0][2]]
             part = [np.empty_like(a) for a in acc]
             idx = np.empty(b, dtype=np.uint16)
             w = np.empty(b, dtype=np.min_scalar_type(n + 1))
-        digits = msgs.T
+        digits = np.ascontiguousarray(msgs.T)  # one contiguous row per message digit
         for first, last, table in chunks:
             # the column of this chunk's digits, by Horner's rule from its last row
             np.copyto(idx, digits[last])

@@ -288,6 +288,7 @@ SEARCH_FILE_ERRORS = {
                          "error: bad.txt:2: expected 'n k best_d', got '40 9\\n'"),
     "output-directory": (["--output", "missing/out.tsv"],
                          "error: cannot write missing/out.tsv: no directory missing"),
+    "output-is-directory": (["--output", "out"], "error: cannot write out: is a directory"),
 }
 
 
@@ -295,6 +296,7 @@ SEARCH_FILE_ERRORS = {
 def test_search_file_errors_exit_1_before_the_campaign(case, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.txt").write_text("n k d\n40 9\n")
+    (tmp_path / "out").mkdir()
     argv, message = SEARCH_FILE_ERRORS[case]
     base = [] if case == "missing-config" else ["--s", "8", "--trials", "2"]
     with pytest.raises(SystemExit) as exc:

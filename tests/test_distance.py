@@ -6,8 +6,10 @@ import pytest
 
 from skewqc.codes import build_code, build_degenerate_code
 from skewqc.distance import (
+    SAMPLE_BATCH,
     WeightEnumerator,
     _combination_table,
+    _draw_messages,
     _gray_steps,
     _inner_table,
     _packed_rows,
@@ -20,6 +22,7 @@ from skewqc.errors import BudgetExceededError
 from skewqc.factorization import modulus_right_divisors
 from skewqc.field import gf4, make_field
 from skewqc.notation import parse_coeff_string
+from skewqc.search import DEFAULT_SAMPLE_TRIALS
 from skewqc.skewpoly import SkewPoly
 from skewqc.tables import get
 
@@ -536,6 +539,64 @@ def test_sampled_distance_on_a_uint8_tail_row_is_pinned():
     ]
     assert np.array_equal(code.encode(rep.witness_message), rep.witness)
     assert int(np.count_nonzero(rep.witness)) == 39
+
+
+# consecutive (b, k) batches from one generator: b*k = 9, 6, 15 and 20 are
+# 1, 2, 3 and 0 mod 4, so a byte left over in one batch must not shift the
+# next; then the batches of 100,000 trials, 6 x 16,384 + 1,696, at k = 20
+DRAW_BATCHES = [(3, 3), (2, 3), (5, 3), (4, 5), (1, 1), (7, 3)] + [
+    (min(SAMPLE_BATCH, DEFAULT_SAMPLE_TRIALS - done), 20)
+    for done in range(0, DEFAULT_SAMPLE_TRIALS, SAMPLE_BATCH)
+]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64, 128, 256, 3, 9])
+def test_drawn_messages_are_numpys_bounded_uint8_draw(q):
+    """Every batch the sampler draws equals Generator.integers(0, q, (b, k),
+    dtype=uint8) from an identically seeded generator, batch after batch."""
+    assert [b for b, _ in DRAW_BATCHES[6:]] == [SAMPLE_BATCH] * 6 + [1696]
+    ours = np.random.Generator(np.random.PCG64(2027))
+    numpys = np.random.Generator(np.random.PCG64(2027))
+    for b, k in DRAW_BATCHES:
+        got = _draw_messages(ours, q, b, k)
+        want = numpys.integers(0, q, size=(b, k), dtype=np.uint8)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want), (b, k)
+    assert ours.integers(0, 2**32) == numpys.integers(0, 2**32)  # the streams end together
+
+
+def test_sampled_distance_at_the_verify_defaults_is_pinned():
+    """The record [140,20,72] row as verify_table samples it: 100,000
+    trials at seed 0."""
+    code = get("new-l7-140-20-72").build()
+    rep = min_distance_sampled(code, trials=DEFAULT_SAMPLE_TRIALS, seed=0)
+    assert rep.d == 78 and rep.enumerated == DEFAULT_SAMPLE_TRIALS
+    assert rep.witness_message.tolist() == [
+        2, 0, 0, 2, 0, 3, 1, 1, 0, 0, 1, 0, 0, 1, 0, 2, 2, 1, 2, 3
+    ]
+    assert int(np.count_nonzero(rep.witness)) == 78
+
+
+F8 = make_field(2, 1, 3)
+F16 = make_field(2, 1, 4)
+
+
+@pytest.mark.parametrize("field, s, coeffs, d, message", [
+    (F8, 9, ([1, 3, 0, 5, 7, 2, 0, 6, 1], [4, 0, 7, 1, 2, 6, 3, 5], [2, 5, 1, 0, 3, 0, 7]),
+     14, [5, 6, 0, 7, 0, 0, 1, 0, 0]),
+    (F16, 8, ([1, 9, 0, 5, 14, 2, 0, 11], [4, 0, 13, 1, 2, 6, 3, 15]),
+     10, [14, 15, 13, 0, 13, 0, 15, 11]),
+], ids=["gf8", "gf16"])
+def test_sampled_distance_over_gf8_and_gf16_is_pinned(field, s, coeffs, d, message):
+    """[27,9] over GF(8) and [16,8] over GF(16), 30,001 trials at seed 4,
+    so the last batch of the GF(8) code draws 9 * 13,617 bytes, 1 mod 4."""
+    code = build_code(field, s, tuple(SkewPoly(field, c) for c in coeffs))
+    assert code.k == len(message)
+    rep = min_distance_sampled(code, trials=30001, seed=4)
+    assert rep.d == d and rep.enumerated == 30001
+    assert rep.witness_message.tolist() == message
+    assert np.array_equal(code.encode(rep.witness_message), rep.witness)
+    assert int(np.count_nonzero(rep.witness)) == d
 
 
 def test_sampled_distance_skips_the_zero_message():
