@@ -11,13 +11,14 @@ Every command runs in this one process.  Bad input that argparse cannot see
 (a catalog name or family that does not exist, a polynomial or code given on
 the command line that cannot be parsed or built, missing code flags, a bad
 search config) is reported as "error: ..." with exit status 1, not a
-traceback.
+traceback; so is a request over its work budget, followed by the command's
+"hint: ..." when it has one.  ``main`` is the one place that turns these
+errors into messages.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 from typing import List, Optional
@@ -75,18 +76,8 @@ def _entry(name: str) -> CatalogEntry:
     try:
         return get(name)
     except KeyError:
-        raise SystemExit(f"error: unknown catalog entry {name!r}; see 'skewqc verify-table' "
+        raise ValueError(f"unknown catalog entry {name!r}; see 'skewqc verify-table' "
                          "for the names") from None
-
-
-@contextlib.contextmanager
-def _input_errors():
-    """Report a ValueError or ConsistencyError raised by polynomials or codes
-    from the command line as "error: ..." with exit status 1."""
-    try:
-        yield
-    except (ValueError, ConsistencyError) as exc:
-        raise SystemExit(f"error: {exc}") from None
 
 
 def _add_field_flag(parser: argparse.ArgumentParser) -> None:
@@ -115,43 +106,37 @@ def cmd_factor(args) -> int:
     F = _field(args)
     modulus = x_pow_minus_one(F, args.s)
     print(f"x^{args.s} - 1 over GF({F.q}) = {poly_to_terms(modulus)}")
-    try:
-        if args.degree is not None:
-            divs = modulus_right_divisors(
-                F, args.s, args.degree, budget=args.budget or DEFAULT_BUDGET
-            )
-            print(f"monic right divisors of degree {args.degree}: {len(divs)}")
-            for g in divs:
-                print(f"  {poly_coeff_string(g):24s} {poly_to_terms(g)}")
-            return 0
-        factorizations = all_linear_factorizations(
-            modulus, budget=args.budget or DEFAULT_OPEN_BUDGET
+    if args.degree is not None:
+        divs = modulus_right_divisors(
+            F, args.s, args.degree, budget=args.budget or DEFAULT_BUDGET
         )
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: raise --budget", file=sys.stderr)
-        return 1
+        print(f"monic right divisors of degree {args.degree}: {len(divs)}")
+        for g in divs:
+            print(f"  {poly_coeff_string(g):24s} {poly_to_terms(g)}")
+        return 0
+    factorizations = all_linear_factorizations(
+        modulus, budget=args.budget or DEFAULT_OPEN_BUDGET
+    )
     print(f"complete factorizations into monic linear factors: {len(factorizations)}")
     for factors in factorizations:
         print("  " + "".join(f"({poly_to_terms(f)})" for f in factors))
     return 0
 
 
-@_input_errors()
 def _resolve_code(args) -> CodeStructure:
     if args.name:
         return _entry(args.name).build()
     F = _field(args)
     if args.s is None:
-        raise SystemExit("error: either --name or --s with a tuple is required")
+        raise ValueError("either --name or --s with a tuple is required")
     if args.multipliers is not None:
         if not args.generator:
-            raise SystemExit("error: --multipliers requires --generator")
+            raise ValueError("--multipliers requires --generator")
         g = parse_coeff_string(F, args.generator)
         fs = [parse_coeff_string(F, t) for t in _split_strings(args.multipliers)]
         return build_degenerate_code(F, args.s, g, fs)
     if args.tuple is None:
-        raise SystemExit("error: provide --tuple components or --generator with --multipliers")
+        raise ValueError("provide --tuple components or --generator with --multipliers")
     components = tuple(
         parse_coeff_string(F, t) for t in _split_strings(args.tuple)
     )
@@ -205,16 +190,14 @@ def cmd_distance(args) -> int:
         rep = min_distance_sampled(code, trials=args.sampled, seed=args.seed)
         kind = f"sampled upper bound over {args.sampled} codewords"
     else:
-        try:
-            rep = min_distance(code, budget=args.budget)
-        except BudgetExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            print("hint: raise --budget or use --sampled N", file=sys.stderr)
-            return 1
+        rep = min_distance(code, budget=args.budget)
         kind = "exact" if rep.exact else "upper bound (scan stopped early)"
-    if rep.d is None:
+    if code.k == 0:
         print(f"[{code.n},{code.k}]  zero code: it has no nonzero codeword, "
               "so its minimum distance is undefined")
+    elif rep.d is None:
+        print(f"[{code.n},{code.k}]  no upper bound: none of the {args.sampled} sampled "
+              "messages was nonzero")
     else:
         print(f"[{code.n},{code.k},{rep.d}]  d is {kind}  "
               f"({rep.enumerated} rows in {rep.elapsed:.2f}s)")
@@ -222,17 +205,11 @@ def cmd_distance(args) -> int:
         tokens = code.spec.field.tokens
         print("witness: " + " ".join(tokens[c] for c in rep.witness))
     if args.enumerator:
-        try:
-            we = weight_enumerator(code, budget=args.budget)
-        except BudgetExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        for line in we.tsv_lines():
+        for line in weight_enumerator(code, budget=args.budget).tsv_lines():
             print(line)
     return 0
 
 
-@_input_errors()
 def cmd_similar(args) -> int:
     F = _field(args)
     a = parse_coeff_string(F, args.f)
@@ -249,7 +226,7 @@ def cmd_search(args) -> int:
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
-            raise SystemExit(f"error: --set expects key=value, got {item!r}")
+            raise ValueError(f"--set expects key=value, got {item!r}")
         key, val = item.split("=", 1)
         overrides[key.strip()] = val
     for key in ("s", "l", "trials", "seed"):
@@ -270,8 +247,6 @@ def cmd_search(args) -> int:
         records = list(run_search(config, progress=progress))  # reads the bounds first
     except OSError as exc:  # the config or bounds file
         raise SystemExit(f"error: cannot read {exc.filename}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
     text = export_records(records, args.format)
     if config.output:
         with open(config.output, "w", encoding="utf-8") as fh:
@@ -288,7 +263,7 @@ def cmd_verify_table(args) -> int:
     elif args.family:
         unknown = set(args.family) - set(families())
         if unknown:
-            raise SystemExit(f"error: unknown families: {sorted(unknown)}; "
+            raise ValueError(f"unknown families: {sorted(unknown)}; "
                              f"known: {families()}")
         rows = [e for f in args.family for e in entries(f)]
     else:
@@ -296,7 +271,7 @@ def cmd_verify_table(args) -> int:
     if args.max_k is not None:
         rows = [e for e in rows if e.k <= args.max_k]
     if not rows:
-        raise SystemExit("error: no catalog row matches the selection")
+        raise ValueError("no catalog row matches the selection")
     progress = None if args.quiet else print
     reports = verify_table(
         rows,
@@ -335,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"with --degree: max monic candidates scanned (default "
                    f"{DEFAULT_BUDGET}); without: max factorization-tree nodes "
                    f"(default {DEFAULT_OPEN_BUDGET})")
-    p.set_defaults(func=cmd_factor)
+    p.set_defaults(func=cmd_factor, hint="raise --budget")
 
     p = sub.add_parser("build", help="construct a code and print its structure")
     _add_code_flags(p)
@@ -354,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="print a codeword achieving the reported weight")
     p.add_argument("--enumerator", action="store_true",
                    help="print the full weight distribution")
-    p.set_defaults(func=cmd_distance)
+    p.set_defaults(func=cmd_distance, hint="raise --budget or use --sampled N")
 
     p = sub.add_parser("similar", help="decide similarity of two skew polynomials")
     _add_field_flag(p)
@@ -402,7 +377,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if getattr(args, "hint", None):
+            print(f"hint: {args.hint}", file=sys.stderr)
+        return 1
+    except (ValueError, ConsistencyError) as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":

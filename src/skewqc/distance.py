@@ -20,11 +20,11 @@ and an offset a list of (width,) groups.
 
 The inner table is built once per code too: every combination of the last
 ki rows, ki the largest value with q^ki <= INNER_TABLE_LIMIT and ki <= k - 1.
-A lead row with that many free rows or more scans all of it; a lead with
-kf < ki free rows scans the strided view of the columns whose first ki - kf
-digits are zero, which is the table of its last kf rows.  The lead row
-itself enters through the offset, so every message is visited in the order
-of one table per lead.
+One loop walks the lead rows in order with one running histogram, best
+weight and best message.  The lead row enters through the offset; the last
+kl = min(ki, k - lead - 1) rows after it are the strided view of the inner
+columns whose first ki - kl digits are zero, which is the table of those kl
+rows; the rows in between take one scan per step of a Gray walk.
 
 Each group of a table is stored row-major: one contiguous run of its
 columns per plane word row or per symbol.  One weight kernel serves every
@@ -57,6 +57,7 @@ calls it.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -278,104 +279,48 @@ def _table_rows(q: int, limit: int, most: int) -> int:
     return r
 
 
-def _inner_table(rows: Tuple) -> List[np.ndarray]:
-    """The one inner table of a code: every combination of its last ki
-    rows, ki = _table_rows(q, INNER_TABLE_LIMIT, k - 1)."""
-    k, q = rows[0][0].shape[1:]
-    ki = _table_rows(q, INNER_TABLE_LIMIT, k - 1)
-    return _combination_table(rows, k - ki, ki)
-
-
-def _lead_block(
-    F: FieldSpec,
-    n: int,
-    rows: Tuple[List[np.ndarray], Callable, Callable],
-    inner: List[np.ndarray],
-    ki: int,
-    lead: int,
-    want_hist: bool,
-    stop_at: int = 0,
-) -> Tuple[Optional[np.ndarray], int, Optional[np.ndarray], int]:
-    """Enumerate messages with first nonzero digit 1 at row ``lead``.
-
-    ``rows`` is the code's _packed_rows table and ``inner`` its _inner_table
-    over the last ki rows.  A lead with kf < ki free rows scans the strided
-    view of every group g[:, ::q^(ki - kf)], the columns whose first ki - kf
-    digits are zero: the table of its last kf rows.  Returns
-    (histogram-or-None, best weight, best message, rows seen).
-    """
-    T, add, weights = rows
-    q, k = F.q, T[0].shape[1]
-    kf = k - lead - 1
-    if kf < ki:
-        inner, ki = [g[:, :: q ** (ki - kf)] for g in inner], kf
-    ko = kf - ki
-    outer0 = lead + 1  # outer rows lead+1 .. lead+ko, inner rows after them
-    w = np.empty(inner[0].shape[1], dtype=np.min_scalar_type(n))
-
-    hist = np.zeros(n + 1, dtype=np.int64) if want_hist else None
-    best = n + 1
-    best_msg: Optional[np.ndarray] = None
-    rows_seen = 0
-    offset = [g[:, lead, 1] for g in T]
-    odometer = [0] * ko
-
-    def record(idx: int) -> np.ndarray:
-        m = np.zeros(k, dtype=np.uint8)
-        m[lead] = 1
-        m[outer0 : outer0 + ko] = odometer
-        for u in range(ki):
-            m[outer0 + ko + u] = idx % q
-            idx //= q
-        return m
-
-    def scan() -> bool:
-        nonlocal best, best_msg, rows_seen
-        weights(inner, offset, w)
-        rows_seen += w.shape[0]
-        if want_hist:
-            hist_part = np.bincount(w, minlength=n + 1)
-            hist[: hist_part.shape[0]] += hist_part
-        wmin = int(w.min())
-        if wmin < best:
-            best = wmin
-            best_msg = record(int(np.argmin(w)))
-        return best <= stop_at
-
-    if scan():
-        return hist, best, best_msg, rows_seen
-    for j, old, new in _gray_steps(q, ko):
-        odometer[j] = new
-        offset = [add(o, g[:, outer0 + j, F.sub[new][old]]) for o, g in zip(offset, T)]
-        if scan() and not want_hist:
-            break
-    return hist, best, best_msg, rows_seen
-
-
 def _enumerate_blocks(
     F: FieldSpec, G: np.ndarray, want_hist: bool, stop_at: int = 0
 ) -> Tuple[Optional[np.ndarray], int, Optional[np.ndarray], int]:
-    """Merge the lead blocks in lead order; the rows table and the inner
-    table are built once for all of them.
-
-    Each block stops on its own once its best weight is <= stop_at, and the
-    merge stops at the first such lead.
-    """
+    """The one exact scan, over the messages whose first nonzero digit is 1
+    (see the module docstring): (histogram-or-None, best weight, best
+    message, rows seen).  The rows table, ki and the inner table are made
+    once; each lead scans the inner view once per step of its Gray walk, and
+    the scan returns as soon as the best weight is <= stop_at."""
     k, n = G.shape
+    q = F.q
     rows = _packed_rows(F, G)
-    inner, ki = _inner_table(rows), _table_rows(F.q, INNER_TABLE_LIMIT, k - 1)
+    T, add, weights = rows
+    ki = _table_rows(q, INNER_TABLE_LIMIT, k - 1)
+    inner = _combination_table(rows, k - ki, ki)
     hist = np.zeros(n + 1, dtype=np.int64) if want_hist else None
-    best, best_msg, total_rows = n + 1, None, 0
+    best, best_msg, seen = n + 1, None, 0
     for lead in range(k):
-        h, b, bm, seen = _lead_block(F, n, rows, inner, ki, lead, want_hist, stop_at=stop_at)
-        total_rows += seen
-        if want_hist:
-            hist += h
-        if b < best:
-            best, best_msg = b, bm
-        if not want_hist and best <= stop_at:
-            break
-    return hist, best, best_msg, total_rows
+        kl = min(ki, k - lead - 1)
+        ko = k - lead - 1 - kl  # outer rows lead+1 .. lead+ko, inner rows after them
+        block = [g[:, :: q ** (ki - kl)] for g in inner]
+        w = np.empty(block[0].shape[1], dtype=np.min_scalar_type(n))
+        offset = [g[:, lead, 1] for g in T]
+        outer = [0] * ko
+        for step in itertools.chain([None], _gray_steps(q, ko)):
+            if step is not None:
+                j, old, new = step
+                outer[j] = new
+                offset = [add(o, g[:, lead + 1 + j, F.sub[new][old]]) for o, g in zip(offset, T)]
+            weights(block, offset, w)
+            seen += w.shape[0]
+            if want_hist:
+                part = np.bincount(w, minlength=n + 1)
+                hist[: part.shape[0]] += part
+            wmin = int(w.min())
+            if wmin < best:
+                idx = int(np.argmin(w))
+                inner_digits = [idx // q**u % q for u in range(kl)]
+                best = wmin
+                best_msg = np.array([0] * lead + [1] + outer + inner_digits, dtype=np.uint8)
+            if best <= stop_at:
+                return hist, best, best_msg, seen
+    return hist, best, best_msg, seen
 
 
 def weight_enumerator(code: CodeStructure, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:

@@ -329,21 +329,9 @@ def _distance(code: CodeStructure, budget: int, trials: int, seed: int) -> Dista
 def _exhaustive_vectors(field: FieldSpec, s: int, count: int) -> Iterator[Tuple[SkewPoly, ...]]:
     """All count-tuples of coefficient vectors of degree < s, lexicographic
     (component 0 varies fastest, coefficient of x^0 fastest within it)."""
-    q = field.q
-    digits = s * count
-    total = q**digits
-    idx = 0
-    while idx < total:
-        v = idx
-        polys = []
-        for _ in range(count):
-            coeffs = []
-            for _ in range(s):
-                coeffs.append(v % q)
-                v //= q
-            polys.append(SkewPoly(field, coeffs))
-        yield tuple(polys)
-        idx += 1
+    for digits in itertools.product(range(field.q), repeat=s * count):
+        digits = digits[::-1]  # product varies its last digit fastest
+        yield tuple(SkewPoly(field, digits[i * s : (i + 1) * s]) for i in range(count))
 
 
 def _candidate_stream(

@@ -73,3 +73,12 @@ def test_traced_runs_alternate_and_summarise():
     assert summary["metrics"] == {
         "distance.exact.s": {"median": 2.5, "min": 1.0, "max": 3.0, "runs": [3.0, 1.0, 2.5]}}
     assert (summary["correct"], summary["failed"], summary["attempted"]) == (True, 1, 30)
+
+
+def test_src_lines_counts_each_module_and_the_total(tmp_path):
+    package = tmp_path / "src" / "skewqc"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\nz = 3\n")
+    (package / "b.py").write_text("import os\n\npass")  # no final newline
+    (package / "notes.txt").write_text("not a module\n")
+    assert bench_pairs._src_lines(tmp_path) == {"modules": {"a.py": 3, "b.py": 3}, "total": 6}

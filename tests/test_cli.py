@@ -122,6 +122,15 @@ def test_distance_of_zero_code_says_so(extra, capsys):
     assert "None" not in out
 
 
+def test_sampled_run_without_a_nonzero_message_is_not_a_zero_code(capsys):
+    """The one message drawn for this [2,1,2] code is zero: the sample
+    bounds nothing, and the code is still not a zero code."""
+    args = ["distance", "--field", "2,1,1", "--s", "2", "--tuple", "11"]
+    assert main(args + ["--sampled", "1", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out == "[2,1]  no upper bound: none of the 1 sampled messages was nonzero\n"
+
+
 def test_distance_budget_exceeded_is_an_error(capsys):
     rc = main(["distance", "--name", "new-l3-72-21-29", "--budget", "65536"])
     assert rc == 1

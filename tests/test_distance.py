@@ -11,7 +11,6 @@ from skewqc.distance import (
     _combination_table,
     _draw_messages,
     _gray_steps,
-    _inner_table,
     _packed_rows,
     min_distance,
     min_distance_sampled,
@@ -220,7 +219,7 @@ def test_rows_tables_and_offsets_share_the_word_dtypes(n):
     offset = [add(g[:, 0, 1], g[:, 1, 2]) for g in T]
     dtypes = word_dtypes(n)
     assert len(dtypes) == (2 if n == 72 else 3) and dtypes[-1] == np.uint8
-    for groups in (T, _inner_table(rows), _combination_table(rows, 0, 3), offset):
+    for groups in (T, _combination_table(rows, 1, 4), _combination_table(rows, 0, 3), offset):
         assert [g.dtype for g in groups] == dtypes
 
 
@@ -345,7 +344,7 @@ def test_engine_matches_oracles_at_width_boundaries(n):
     messages and the Gray-walk oracle, and min_distance finds d with a
     witness of that weight."""
     code = MatrixCode(n, 5, seed=n)
-    inner = _inner_table(_packed_rows(F, code.genmatrix))
+    inner = _combination_table(_packed_rows(F, code.genmatrix), 1, 4)
     assert [g.dtype for g in inner] == [word_dtype(n, j) for j in range((n + 63) // 64)]
     counts, d = gray_oracle(code)
     assert naive_distribution(code) == counts
@@ -363,10 +362,25 @@ CAMPAIGN_TUPLES = {
 }
 
 
+class LeadStopCode(MatrixCode):
+    """A GF(4) [48,12,9] code whose row 0 weighs 20 on its own columns, so
+    no stop below 20 can end inside lead 0: rows 1-11 are random on the 28
+    other columns."""
+
+    def __init__(self):
+        G = np.zeros((12, 48), dtype=np.uint8)
+        G[0, :20] = 1
+        G[1:, 20:] = np.random.default_rng(7).integers(0, 4, size=(11, 28))
+        self.spec = SimpleNamespace(field=F)
+        self.genmatrix, self.k, self.n = G, 12, 48
+
+
 def pinned_code(name):
     if name in CAMPAIGN_TUPLES:
         s, tup = CAMPAIGN_TUPLES[name]
         return build_code(F, s, tuple(parse_coeff_string(F, t) for t in tup))
+    if name == "lead-stop-48-12-9":
+        return LeadStopCode()
     return get(name).build()
 
 
@@ -388,6 +402,14 @@ ROW_ORDER_PINS = {
         0: (38, True, 5592405, "100030000000"),
         22: (38, True, 5592405, "100030000000"),
         72: (38, False, 65536, "100030000000"),
+    },
+    # stops past lead 0, which takes 4^3 scans of 4^8 rows: stop_at 11, 10
+    # and 9 end 1, 4 and 12 scans into lead 1
+    "lead-stop-48-12-9": {
+        0: (9, True, 5592405, "013210322311"),
+        9: (9, False, 4980736, "013210322311"),
+        10: (10, False, 4456448, "013030130312"),
+        11: (11, False, 4259840, "010030113001"),
     },
 }
 

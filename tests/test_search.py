@@ -261,6 +261,16 @@ def test_campaign_exhaustive_small_case():
     records = list(run_search(config))
     assert [r.generators for r in records] == [("11",), ("a1",), ("a^21",)]
     assert all((r.n, r.k, r.d, r.exact) == (2, 1, 2, True) for r in records)
+    # l = 2: each divisor g with every multiplier f of degree < 2, the x^0
+    # coefficient of f varying fastest; the records show (g, f*g)
+    config = SearchConfig(s=2, l=2, sampling="exhaustive", trials=20)
+    assert [r.generators for r in run_search(config)] == [
+        ("11", "0"), ("11", "11"), ("11", "aa"), ("11", "a^2a^2"),
+        ("11", "11"), ("11", "0"), ("11", "a^2a^2"), ("11", "aa"),
+        ("11", "aa"), ("11", "a^2a^2"), ("11", "0"), ("11", "11"),
+        ("11", "a^2a^2"), ("11", "aa"), ("11", "11"), ("11", "0"),
+        ("a1", "0"), ("a1", "a1"), ("a1", "a^2a"), ("a1", "1a^2"),
+    ]
 
 
 def test_campaign_trials_zero_is_empty():

@@ -27,8 +27,11 @@ Each metric gets a verdict:
   of the change reads better than every run of the parent;
 - ``within-bound`` otherwise.
 
-The output is rewritten after every pair, so an interrupted run keeps what
-it measured; its ``notes`` list is left empty for the reading of the numbers.
+Each side also records the line counts of its ``src/skewqc`` modules and
+their total, next to the ``src_sha256`` of its runs, so a change's size sits
+in the same file as its timings.  The output is rewritten after every pair,
+so an interrupted run keeps what it measured; its ``notes`` list is left
+empty for the reading of the numbers.
 """
 
 from __future__ import annotations
@@ -60,6 +63,13 @@ def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict
     result = json.loads(lines[-1])
     result["meta"] = meta
     return result
+
+
+def _src_lines(tree: Path) -> dict:
+    """Lines of every ``src/skewqc`` module of ``tree`` and their total."""
+    modules = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+               for path in sorted((tree / "src" / "skewqc").glob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
 
 
 def _summary(values: list) -> dict:
@@ -163,8 +173,8 @@ def main() -> int:
                       f"{args.traced_seed + TRACED_RUNS - 1}, each seed once per side in "
                       "the pairs' alternation; per-layer metrics as median, min and max"
                       if args.traced_seed is not None else "")),
-        "parent": {"commit": args.parent_commit},
-        "change": {},
+        "parent": {"commit": args.parent_commit, "src_lines": _src_lines(trees["parent"])},
+        "change": {"src_lines": _src_lines(trees["change"])},
         "workloads": {},
         "traced": {},
         "notes": [],
