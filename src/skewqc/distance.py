@@ -33,10 +33,16 @@ buffers reused from batch to batch (over GF(4): XOR the lo and hi rows with
 the offset's lo and hi words, OR them, popcount, add; elsewhere: compare
 with the negated offset and count), so a row two or three words wide costs
 two or three passes over contiguous memory, the last one as narrow as the
-rule allows.  Exact-scan weights are counted in uint8 while n <= 255 and in
-uint16 above (np.min_scalar_type(n)), and the histogram and argmin run on
-those counts.  A full-space Gray walk over all q^k messages, the
-cross-check oracle, lives in the tests.
+rule allows.  The exact scan calls it once per span of SCAN_SPAN = 2^15
+columns of the lead's view, writing into that span of the weights, so the
+kernel's scratch is one span wide: at n = 48 a Gray step then touches the
+1 MiB table and 512 KiB of scratch, which stay in a 2 MiB L2 cache from one
+step to the next, where table-wide scratch (1 MiB more) made every step
+stream from L3.  The spans change no result: the histogram, minimum and
+stop test still run on the whole step's weights.  Exact-scan weights are
+counted in uint8 while n <= 255 and in uint16 above (np.min_scalar_type(n)),
+and the histogram and argmin run on those counts.  A full-space Gray walk
+over all q^k messages, the cross-check oracle, lives in the tests.
 
 Budgets count candidates examined: an exact scan is priced at its q^k
 messages (``exact_cost``), whether or not scalar orbits let it visit fewer,
@@ -50,8 +56,8 @@ built by the same filler as the inner table, and a chunk's column is its c
 digits read in base q.  The result is a reproducible upper bound for codes
 beyond exhaustive reach.  The digits of a batch of b messages are exactly
 ``Generator.integers(0, q, (b, k), dtype=np.uint8)``: when q = 2^e they
-are read straight from the generator's 32-bit stream, the top e bits of
-each byte (low byte first), which is what that call returns; any other q
+are read straight from the generator's raw 64-bit outputs, the top e bits
+of each byte (low byte first), which is what that call returns; any other q
 calls it.
 """
 
@@ -69,6 +75,10 @@ from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .field import FieldSpec
 
 INNER_TABLE_LIMIT = 2**16
+# columns per weight-kernel call in the exact scan, and so the width of the
+# kernel's scratch: at n = 48 the 1 MiB table and 512 KiB of scratch stay in
+# a 2 MiB L2 from one Gray step to the next; table-wide scratch would not fit
+SCAN_SPAN = 2**15
 SAMPLE_BATCH = 2**14
 CHUNK_TABLE_LIMIT = 2**10
 
@@ -156,10 +166,10 @@ def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[List[np.ndarray], Callabl
     vector ``offset`` and writes the weight of each column of ``block +
     offset`` into ``out`` (shape (R,), any integer dtype that holds n).
     Over GF(4) it loops over the groups: XOR the lo and hi rows with the
-    offset's lo and hi words, OR them, popcount and add, all into scratch
-    buffers kept between calls with the same R.  Over other fields a + o is
-    zero exactly when a == -o, so it counts the symbols that differ from
-    -offset.
+    offset's lo and hi words in one call, OR them, popcount and add, all
+    into scratch buffers kept between calls with the same R.  Over other
+    fields a + o is zero exactly when a == -o, so it counts the symbols that
+    differ from -offset.
     """
     scaled = F.np_mul[np.arange(F.q)[None, :, None], G[:, None, :]]  # (k, q, n)
     if F.q != 4:
@@ -183,14 +193,13 @@ def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[List[np.ndarray], Callabl
     def weights(block: List[np.ndarray], offset: List[np.ndarray], out: np.ndarray) -> None:
         if not scratch or scratch[0].shape != out.shape:
             scratch[:] = [np.empty(out.shape, np.uint8),
-                          {g.dtype: (np.empty(out.shape, g.dtype), np.empty(out.shape, g.dtype))
-                           for g in T}]
+                          {g.dtype: np.empty((2,) + out.shape, g.dtype) for g in T}]
         c, buffers = scratch
         for j, (words, o) in enumerate(zip(block, offset)):
-            x, y = buffers[words.dtype]
-            np.bitwise_xor(words[0], o[0], out=x)
-            np.bitwise_xor(words[1], o[1], out=y)
-            np.bitwise_or(x, y, out=x)
+            xy = buffers[words.dtype]
+            np.bitwise_xor(words, o[:, None], out=xy)
+            x = xy[0]
+            np.bitwise_or(x, xy[1], out=x)
             if j == 0:
                 np.bitwise_count(x, out=out)
             else:
@@ -285,8 +294,8 @@ def _enumerate_blocks(
     """The one exact scan, over the messages whose first nonzero digit is 1
     (see the module docstring): (histogram-or-None, best weight, best
     message, rows seen).  The rows table, ki and the inner table are made
-    once; each lead scans the inner view once per step of its Gray walk, and
-    the scan returns as soon as the best weight is <= stop_at."""
+    once; each lead scans the inner view, span by span, once per step of its
+    Gray walk, and the scan returns as soon as the best weight is <= stop_at."""
     k, n = G.shape
     q = F.q
     rows = _packed_rows(F, G)
@@ -300,6 +309,8 @@ def _enumerate_blocks(
         ko = k - lead - 1 - kl  # outer rows lead+1 .. lead+ko, inner rows after them
         block = [g[:, :: q ** (ki - kl)] for g in inner]
         w = np.empty(block[0].shape[1], dtype=np.min_scalar_type(n))
+        spans = [([g[:, a : a + SCAN_SPAN] for g in block], w[a : a + SCAN_SPAN])
+                 for a in range(0, w.shape[0], SCAN_SPAN)]
         offset = [g[:, lead, 1] for g in T]
         outer = [0] * ko
         for step in itertools.chain([None], _gray_steps(q, ko)):
@@ -307,7 +318,8 @@ def _enumerate_blocks(
                 j, old, new = step
                 outer[j] = new
                 offset = [add(o, g[:, lead + 1 + j, F.sub[new][old]]) for o, g in zip(offset, T)]
-            weights(block, offset, w)
+            for span, out in spans:
+                weights(span, offset, out)
             seen += w.shape[0]
             if want_hist:
                 part = np.bincount(w, minlength=n + 1)
@@ -376,17 +388,36 @@ def min_distance(
 
 def _draw_messages(rng: np.random.Generator, q: int, b: int, k: int) -> np.ndarray:
     """(b, k) uint8 digits in [0, q), bit for bit ``rng.integers(0, q, (b, k),
-    dtype=np.uint8)`` and from the same ceil(b*k/4) words of the stream.
+    dtype=np.uint8)`` and from the same ceil(b*k/4) 32-bit words of the stream.
 
     numpy draws bounded uint8 values by Lemire's multiply-shift method over
     the bytes of 32-bit words, low byte first; for q = 2^e it never rejects
     and keeps the top e bits of each byte, which are read here from the
-    words directly at about a third of the cost.
+    generator's raw 64-bit outputs: PCG64 hands out the low 32-bit half of
+    each output first and holds the high half for the next 32-bit draw, so
+    the little-endian bytes of the outputs, after any half already held, are
+    those words' bytes.  An odd word count leaves the last high half held,
+    as numpy does, in the generator's state.  Every batch of
+    min_distance_sampled but its last draws SAMPLE_BATCH * k bytes, an even
+    number of words, so only its last batch can leave a half held and
+    rewrite the state.
     """
     if q & (q - 1):
         return rng.integers(0, q, size=(b, k), dtype=np.uint8)
-    words = rng.integers(0, 2**32, size=(b * k + 3) // 4, dtype=np.uint32)
-    data = words.astype("<u4", copy=False).view(np.uint8)[: b * k]
+    bg = rng.bit_generator
+    state = bg.state
+    held = state["has_uint32"]  # 0 or 1 words held from an earlier draw
+    need = (b * k + 3) // 4 - held
+    raw = bg.random_raw((need + 1) // 2).astype("<u8", copy=False)
+    words = raw.view("<u4")
+    if held:
+        words = np.concatenate([np.array([state["uinteger"]], dtype="<u4"), words])
+    if held or need % 2:
+        state = bg.state
+        state["has_uint32"] = need % 2
+        state["uinteger"] = int(raw[-1] >> 32) if need % 2 else 0
+        bg.state = state
+    data = words.view(np.uint8)[: b * k]
     e = q.bit_length() - 1
     return (data >> (8 - e)).reshape(b, k)
 

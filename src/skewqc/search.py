@@ -201,13 +201,15 @@ def classify(
 ) -> str:
     """An exact d is new (beats the table), good (ties it) or below (worse).
     A sampled d is only an upper bound: below when it is under the table,
-    otherwise open, since the true distance may still be smaller.
+    otherwise open, since the true distance may still be smaller.  A d of
+    None is below when exact (the zero code) and open when sampled (no
+    nonzero message was drawn, so nothing bounds the distance).
 
     Parameters absent from the table count as best_d = 0, so relative to an
     empty table every nonzero exact distance is new.
     """
     if d is None:
-        return "below"
+        return "below" if exact else "open"
     best = bounds.get((n, k), 0)
     if d < best:
         return "below"
@@ -407,8 +409,9 @@ def run_search(
             field=(config.p, config.t, config.m),
         )
         if progress:
+            d = "" if record.d is None else f",{record.d}"
             progress(
-                f"candidate {index}: [{record.n},{record.k},{record.d}] "
+                f"candidate {index}: [{record.n},{record.k}{d}] "
                 f"{'exact' if record.exact else 'sampled'} {record.comparison}"
             )
         yield record

@@ -286,7 +286,7 @@ def left_divmod(g: SkewPoly, f: SkewPoly) -> Tuple[SkewPoly, SkewPoly]:
 
 
 def _euclid(
-    f: SkewPoly, g: SkewPoly, right: bool, cofactors: bool = True
+    f: SkewPoly, g: SkewPoly, right: bool, cofactors: int = 2
 ) -> Tuple[SkewPoly, ...]:
     """Extended Euclid on coefficient lists, with right division when
     ``right`` and left division otherwise: one reduction loop per side, and
@@ -295,9 +295,10 @@ def _euclid(
     Returns the last two rows (r0, a0, b0, a1, b1).  On the right side
     a0*f + b0*g = r0, a gcrd up to a unit, and a1*f + b1*g = 0, a common
     left multiple of least degree; on the left side f*a0 + g*b0 = r0, a gcld
-    up to a unit, and f*a1 + g*b1 = 0.  With ``cofactors=False`` the
-    cofactor rows are never updated, for callers that keep only r0: the
-    other four entries are then meaningless."""
+    up to a unit, and f*a1 + g*b1 = 0.  ``cofactors`` is how many of the
+    cofactor sequences a, b are updated: 2 for both, 1 for a alone (lclm and
+    lcrm read only a1), 0 for callers that keep only r0; the entries of a
+    sequence not updated are meaningless."""
     f._check(g)
     F = f.field
     reduce, sub = (_right_reduce if right else _left_reduce), F.sub
@@ -305,7 +306,7 @@ def _euclid(
     r1, a1, b1 = list(g.coeffs), [], [1]
     while r1:
         q = reduce(F, r0, r1)  # r0 becomes the remainder r2
-        for x0, x1 in ((a0, a1), (b0, b1)) if cofactors else ():
+        for x0, x1 in ((a0, a1), (b0, b1))[:cofactors]:
             if x1:
                 x0 += [0] * (len(q) + len(x1) - 1 - len(x0))
                 if right:
@@ -342,7 +343,7 @@ def gcld_many(polys: Iterable[SkewPoly]) -> SkewPoly:
     for p in polys:
         if p.is_zero:
             continue
-        acc = p if acc is None else _euclid(acc, p, False, cofactors=False)[0]
+        acc = p if acc is None else _euclid(acc, p, False, cofactors=0)[0]
         if acc.degree == 0:
             break
     if acc is None:
@@ -354,7 +355,7 @@ def lclm(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     """Monic least common left multiple m = u*f = v*g of minimal degree."""
     if f.is_zero or g.is_zero:
         raise ValueError("lclm requires nonzero arguments")
-    u = _euclid(f, g, True)[3]
+    u = _euclid(f, g, True, cofactors=1)[3]
     return (u * f).monic_left()
 
 
@@ -362,5 +363,5 @@ def lcrm(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     """Monic least common right multiple m = f*u = g*v of minimal degree."""
     if f.is_zero or g.is_zero:
         raise ValueError("lcrm requires nonzero arguments")
-    u = _euclid(f, g, False)[3]
+    u = _euclid(f, g, False, cofactors=1)[3]
     return (f * u).monic_right()

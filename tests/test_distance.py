@@ -4,12 +4,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from skewqc import distance
 from skewqc.codes import build_code, build_degenerate_code
 from skewqc.distance import (
     SAMPLE_BATCH,
     WeightEnumerator,
     _combination_table,
     _draw_messages,
+    _enumerate_blocks,
     _gray_steps,
     _packed_rows,
     min_distance,
@@ -421,6 +423,41 @@ def test_row_order_is_pinned(name):
         rep = min_distance(code, stop_at=stop_at)
         message = "".join(str(c) for c in rep.witness_message)
         assert (rep.d, rep.exact, rep.enumerated, message) == pinned
+
+
+def gf9_matrix(n, k, seed):
+    """A random [n, k] GF(9) generator matrix: the identity, then random
+    symbols."""
+    G = np.random.default_rng(seed).integers(0, 9, size=(k, n)).astype(np.uint8)
+    G[:, :k] = np.eye(k, dtype=np.uint8)
+    return G
+
+
+# (field, generator matrix, stop_at): a one-word GF(4) [48,12] code, exact
+# and stopped 4 scans into lead 1; a two-word GF(4) [72,9] code; a GF(9)
+# [14,6] code, whose 9^5 = 59,049-column inner table ends in an uneven span
+SPAN_CASES = {
+    "gf4-48-12": (F, LeadStopCode().genmatrix, 0),
+    "gf4-48-12-stop-10": (F, LeadStopCode().genmatrix, 10),
+    "gf4-72-9": (F, MatrixCode(72, 9, seed=72).genmatrix, 0),
+    "gf9-14-6": (F9, gf9_matrix(14, 6, seed=9), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_CASES))
+def test_scan_spans_change_nothing(monkeypatch, name):
+    """The exact scan returns the same histogram, best weight, message and
+    row count whether it weighs the inner table whole (2^16 columns), in
+    the default spans or in 2^10-column spans."""
+    field, G, stop_at = SPAN_CASES[name]
+    results = []
+    for span in (distance.SCAN_SPAN, 2**16, 2**10):
+        monkeypatch.setattr(distance, "SCAN_SPAN", span)
+        hist, best, message, rows = _enumerate_blocks(field, G, True, stop_at)
+        results.append((hist.tolist(), best, message.tolist(), rows))
+    assert results[1] == results[0] and results[2] == results[0]
+    if stop_at:
+        assert results[0][1:] == (10, [0, 1, 3, 0, 3, 0, 1, 3, 0, 3, 1, 2], 4456448)
 
 
 def test_workers_do_not_change_the_answer():

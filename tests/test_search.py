@@ -156,6 +156,8 @@ def test_classify():
     assert classify(40, 9, 21, False, bounds) == "open"
     assert classify(40, 9, 22, False, bounds) == "open"
     assert classify(48, 11, 24, False, {}) == "open"
+    # a sampled None (no nonzero message drawn) bounds nothing
+    assert classify(40, 9, None, False, bounds) == "open"
 
 
 def test_sampled_replay_is_open_not_new(tmp_path):
@@ -315,6 +317,18 @@ def test_campaign_skips_zero_code():
     config = SearchConfig(s=4, l=1, trials=1, g="10001")
     assert list(run_search(config, progress=messages.append)) == []
     assert messages == ["candidate 0: zero code, skipped"]
+
+
+def test_sampled_candidate_without_an_upper_bound_is_open():
+    """A [4,1] candidate past the budget whose one sampled message is zero
+    has no bound on d: it is open, and its progress line shows no d."""
+    messages = []
+    config = SearchConfig(s=2, l=2, trials=1, seed=9, g="11", fs="1", budget=1,
+                          distance_trials=1)
+    (record,) = list(run_search(config, progress=messages.append))
+    assert (record.n, record.k, record.d, record.exact) == (4, 1, None, False)
+    assert record.comparison == "open"
+    assert messages == ["candidate 0: [4,1] sampled open"]
 
 
 def test_only_one_worker_is_accepted():
