@@ -273,6 +273,10 @@ class FieldSpec:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # copies and unpickled fields are the shared instance of make_field
+        return make_field, self._key
+
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p}, t={self.t}, m={self.m})"
 

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 import random
 
@@ -19,7 +21,7 @@ from skewqc.factorization import modulus_right_divisors
 from skewqc.field import gf4, make_field
 from skewqc.notation import parse_coeff_string
 from skewqc.skewpoly import SkewPoly, gcld_many, x_pow_minus_one
-from skewqc.tables import catalog
+from skewqc.tables import catalog, get
 
 F = gf4()
 A, A2 = 2, 3
@@ -106,6 +108,15 @@ def test_blocks_to_polys_stores_python_ints():
     polys = blocks_to_polys(spec, vec)
     assert [p.coeffs for p in polys] == [(1, 0, 2, 3), (0, 3)]
     assert all(type(c) is int for p in polys for c in p.coeffs)
+
+
+def test_built_code_deepcopies_and_its_spec_converts_to_a_dict():
+    code = get("index2-l2-48-15-20").build()
+    twin = copy.deepcopy(code)
+    assert twin.k == code.k and twin.spec.field is code.spec.field
+    assert twin.spec.generators == code.spec.generators
+    spec = dataclasses.asdict(code.spec)
+    assert spec["field"] is code.spec.field and spec["generators"] == code.spec.generators
 
 
 # ---------------------------------------------------------------------------

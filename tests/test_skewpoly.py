@@ -1,5 +1,8 @@
+import copy
 import json
+import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +126,72 @@ def test_constructor_rejects_out_of_range_coefficients():
     for coeffs in ([4], [1, -1], [0, np.uint8(200)]):
         with pytest.raises(ValueError, match="outside field of order 4"):
             SkewPoly(F, coeffs)
+
+
+def test_coefficients_span_the_largest_field():
+    """One byte holds every element of GF(256), the largest supported field;
+    256 and -1 are still rejected by the constructor."""
+    F256 = make_field(2, 4, 2)
+    p = SkewPoly(F256, [255, 0, 255])
+    assert p.coeffs == (255, 0, 255) and p.lead == 255 and p.coeff(0) == 255
+    q, r = right_divmod(p * p, p)
+    assert q == p and r.is_zero
+    for coeffs in ([256], [1, -1]):
+        with pytest.raises(ValueError, match="outside field of order 256"):
+            SkewPoly(F256, coeffs)
+
+
+@pytest.mark.parametrize("field", [gf4(), make_field(3, 1, 2)], ids=["gf4", "gf9"])
+def test_kernel_results_keep_the_coeffs_contract(field):
+    """Every result of the ring operations exposes coeffs as a tuple of Python
+    ints, hashes like that tuple, and equals (and hashes like) the same
+    polynomial made by the constructor."""
+    rng = random.Random(field.q)
+    for _ in range(100):
+        f = rand_poly(rng, field, 8, allow_zero=False)
+        g = rand_poly(rng, field, 8, allow_zero=False)
+        results = [
+            f * g, *right_divmod(f, g), *left_divmod(f, g),
+            *gcrd(f, g), *gcld(f, g), lclm(f, g),
+        ]
+        for p in results:
+            assert type(p.coeffs) is tuple and all(type(c) is int for c in p.coeffs)
+            assert hash(p) == hash(p.coeffs)
+            twin = SkewPoly(field, list(p.coeffs))
+            assert twin == p and p == twin and hash(twin) == hash(p)
+            assert len({p, twin}) == 1
+
+
+def test_polynomials_store_one_byte_per_coefficient():
+    """Traced memory per polynomial, list slot included: at most 120 B for a
+    degree-12 GF(4) polynomial from the constructor and for a degree-24
+    product (a tuple of 8-byte pointers takes 201 B and 296 B)."""
+    rng = random.Random(12)
+    coeffs = [[rng.randrange(4) for _ in range(12)] + [rng.randrange(1, 4)] for _ in range(10_000)]
+    pairs = [(SkewPoly(F, coeffs[i]), SkewPoly(F, coeffs[i + 1])) for i in range(0, 4_000, 2)]
+    for label, build, count in (
+        ("constructor", lambda: [SkewPoly(F, c) for c in coeffs], len(coeffs)),
+        ("product", lambda: [a * b for a, b in pairs], len(pairs)),
+    ):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            polys = build()
+            per_poly = (tracemalloc.get_traced_memory()[0] - before) / count
+        finally:
+            tracemalloc.stop()
+        assert len(polys) == count
+        assert per_poly <= 120, f"{label}: {per_poly:.1f} B per polynomial"
+
+
+def test_polynomials_pickle_and_copy_over_the_shared_field():
+    F9 = make_field(3, 1, 2)
+    for field in (F, F9):
+        assert pickle.loads(pickle.dumps(field)) is field
+        assert copy.deepcopy(field) is field
+    for p in (SkewPoly(F, [1, A, 0, A2]), SkewPoly(F9, [0, 8, 1]), SkewPoly.zero(F)):
+        for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert twin == p and twin.field is p.field
 
 
 # ---------------------------------------------------------------------------
