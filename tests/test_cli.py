@@ -1,5 +1,6 @@
 """Tests for the command-line interface: one suite per subcommand."""
 
+import hashlib
 import inspect
 
 import pytest
@@ -327,6 +328,18 @@ def test_verify_table_rows_and_exit_code(capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "2 ok, 0 failed, 0 reported unverified (2 rows)" in out
+
+
+def test_full_verify_table_stdout_is_byte_identical(capsys):
+    """The whole catalog at the default budget, trials and seed: exit 1 for
+    the one failing row, and every stdout line pinned by digest."""
+    assert main(["verify-table"]) == 1
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert len(lines) == 73
+    assert lines[-1] == "69 ok, 1 failed, 2 reported unverified (72 rows)"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c010df6ab391e1360eda2d7a58954ac4e3ac99460c7252e2e82dd7526d59f119")
 
 
 def test_verify_table_family_filter(capsys):

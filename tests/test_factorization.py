@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from oracles import monic_polys, right_divisors
 
@@ -72,6 +74,23 @@ def test_all_linear_factorizations_of_x4_minus_one():
         key = tuple(tuple(f.coeffs) for f in factors)
         assert key not in seen
         seen.add(key)
+
+
+@pytest.mark.parametrize(
+    "key, s, count, digest",
+    [
+        ((2, 1, 2), 8, 543, "6e8c041690719cb508073d2023a52c95ce7f0d8c71f9aa76fac39fe656ef9cef"),
+        ((3, 1, 2), 6, 232, "b0ec4cf2e51a8b16b5f866314039941cfd143184120f901ea546709b22f0e50a"),
+    ],
+    ids=["gf4-x8", "gf9-x6"],
+)
+def test_linear_factorizations_keep_their_order(key, s, count, digest):
+    """The ordered factorizations of x^s - 1, in the order the search finds
+    them, against a recorded sha256."""
+    results = all_linear_factorizations(x_pow_minus_one(make_field(*key), s))
+    assert len(results) == count
+    rows = [[f.coeffs for f in factors] for factors in results]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for search campaigns, record exports, and catalog verification."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -225,6 +226,15 @@ def test_campaign_deterministic():
     assert export_records(first, "json") == export_records(second, "json")
     shifted = list(run_search(dataclasses.replace(config, seed=8)))
     assert shifted != first  # the seed really drives the draw
+
+
+def test_fixed_campaign_export_is_byte_identical():
+    """The fixed campaign s=12 l=2 trials=60 seed=3: its TSV export is
+    pinned by digest, so any change to the stream or the records shows."""
+    records = list(run_search(SearchConfig(s=12, l=2, trials=60, seed=3)))
+    tsv = export_records(records, "tsv")
+    assert hashlib.sha256(tsv.encode()).hexdigest() == (
+        "76b239733197468d07951ad2554df5f332345e0772c5b6516b5a7c4404815949")
 
 
 def test_campaign_records_check_out():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -59,6 +60,46 @@ def test_linear_fast_path_agrees_with_witness_search(field):
             fast = linear_similar(field, alpha, beta)
             slow = bool(are_similar(lin(field, alpha), lin(field, beta)))
             assert fast == slow, (alpha, beta)
+
+
+def _similarity_digest(pairs):
+    """sha256 over status, witness and candidates checked, both sides."""
+    rows = []
+    for a, b in pairs:
+        for side in ("right", "left"):
+            res = are_similar(a, b, side=side)
+            witness = None if res.witness is None else res.witness.coeffs
+            rows.append((side, a.coeffs, b.coeffs, res.status, witness, res.checked))
+    return hashlib.sha256(repr(rows).encode()).hexdigest(), [row[3] for row in rows]
+
+
+def test_linear_pairs_keep_their_witnesses():
+    """Every x - alpha against every x - beta over GF(4) and GF(9), recorded
+    from the witness search: same status, same witness, same count."""
+    pairs = [(lin(field, alpha), lin(field, beta))
+             for field in (gf4(), make_field(3, 1, 2))
+             for alpha in field.elements() for beta in field.elements()]
+    digest, statuses = _similarity_digest(pairs)
+    assert statuses.count("similar") == 2 * (3 * 3 + 1 + 4 * 4 + 4 * 4 + 1)
+    assert digest == "cfddb228f23537f79861774ecce0cad5e51ff732ffad38fb4e63b5e1731be813"
+
+
+HIGHER_PAIRS = [
+    # (p, t, m), a, b: two similar pairs and one dissimilar pair per row
+    ((2, 1, 2), ("a^2a^21", "a^2a1"), ("1a^21", "111"), ("001", "1a^21")),
+    ((2, 1, 2), ("a^2011", "a^2a01"), ("0a^2a1", "0aa1"), ("1a^201", "a^20a^21")),
+    ((3, 1, 2), ("g^2 0 1", "g^4 g^4 1"), ("g^5 0 1", "g g^6 1"), ("g^6 g 1", "g^5 g^7 1")),
+    ((3, 1, 2), ("g^4 g^4 g^2 1", "g^4 g^5 1 1"), ("g g^3 g^4 1", "g^3 g^3 g^6 1"),
+     ("g^4 g^6 g 1", "1 g^3 g^4 1")),
+]
+
+
+def test_degree_two_and_three_pairs_keep_their_witnesses():
+    pairs = [(parse_coeff_string(make_field(*key), a), parse_coeff_string(make_field(*key), b))
+             for key, *row in HIGHER_PAIRS for a, b in row]
+    digest, statuses = _similarity_digest(pairs)
+    assert statuses == (["similar"] * 4 + ["dissimilar"] * 2) * len(HIGHER_PAIRS)
+    assert digest == "215cea103dcaab2c0fd473164016c09963c5adf7c5a90b8975cfc99af2eb2540"
 
 
 def test_x_itself_only_similar_to_x():
