@@ -12,7 +12,7 @@ import itertools
 from skewqc.codes import build_code
 from skewqc.field import gf4, make_field
 from skewqc.notation import poly_to_terms
-from skewqc.similarity import are_similar, linear_similar, norm_to_fixed
+from skewqc.similarity import are_similar, norm_to_fixed
 from skewqc.skewpoly import SkewPoly
 
 F = gf4()
@@ -41,9 +41,9 @@ for c in range(1, 9):
 for norm, members in sorted(classes.items()):
     print(f"  norm {F9.tokens[norm]}: x - c for c in",
           "{" + ", ".join(F9.tokens[c] for c in members) + "}")
-same = linear_similar(F9, classes[1][0], classes[1][1])
-cross = linear_similar(F9, classes[1][0], classes[2][0])
-print("within a class:", same, "  across classes:", cross)
+same = are_similar(x_minus(F9, classes[1][0]), x_minus(F9, classes[1][1]))
+cross = are_similar(x_minus(F9, classes[1][0]), x_minus(F9, classes[2][0]))
+print("within a class:", same.status, "  across classes:", cross.status)
 
 print()
 print("== equal codes have similar parity checks, not conversely ==")

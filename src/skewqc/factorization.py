@@ -51,7 +51,9 @@ def all_linear_factorizations(
 ) -> List[List[SkewPoly]]:
     """Every ordered factorization of monic f into monic linear factors.
 
-    Depth-first over right roots; ``budget`` bounds the number of explored
+    Depth-first over right roots, alpha in element order: one right division
+    of a node by x - alpha both decides the root (zero remainder) and gives
+    the child node (the quotient).  ``budget`` bounds the number of explored
     nodes (distinct partial quotients), since the count can grow quickly and
     is only known by running the search (default DEFAULT_OPEN_BUDGET).
     """
@@ -61,19 +63,20 @@ def all_linear_factorizations(
     results: List[List[SkewPoly]] = []
     nodes = 0
 
-    def descend(rest: SkewPoly, tail: List[SkewPoly]) -> None:
+    def descend(rest: SkewPoly, factors: List[SkewPoly]) -> None:
+        # f = rest * (product of factors, in order)
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError("factorization tree too large", nodes, budget)
         if rest.degree == 0:
-            results.append(list(reversed(tail)))
+            results.append(factors)
             return
-        for alpha in linear_right_roots(rest):
+        for alpha in F.elements():
             lin = SkewPoly(F, (F.neg[alpha], 1))
-            tail.append(lin)
-            descend(right_divmod(rest, lin)[0], tail)
-            tail.pop()
+            quotient, remainder = right_divmod(rest, lin)
+            if remainder.is_zero:
+                descend(quotient, [lin] + factors)
 
     descend(f, [])
     return results

@@ -1,71 +1,52 @@
 """Text codec for skew polynomials.
 
 The wire format is a *coefficient string*: the tokens of the coefficients in
-increasing powers of x.  For GF(4) the four tokens are ``0 1 a a^2`` and the
-string is written densely with no separators, e.g. ``a001aa^21`` reads as
+increasing powers of x, spelled as ``FieldSpec.tokens`` spells the elements.
+For GF(4) the four tokens are ``0 1 a a^2`` and the string is written densely
+with no separators, e.g. ``a001aa^21`` reads as
 
     a + x^3 + a*x^4 + a^2*x^5 + x^6
 
-For GF(2) the dense alphabet is ``0 1``.  For every other field the tokens
+For GF(2) the dense alphabet is ``0 1``.  A dense string is read by one
+reader over the field's own spellings, longest first, so ``a^2`` is one
+token and ``a^3`` fails at the ``^``.  For every other field the tokens
 (``0``, ``1``, ``g``, ``g^k`` for a fixed generator g, or plain digits for a
 prime field) are separated by whitespace or commas.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from .field import FieldSpec
 from .skewpoly import SkewPoly
 
 
-def _tokenize_gf4(text: str) -> List[int]:
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "0":
-            out.append(0)
-            i += 1
-        elif ch == "1":
-            out.append(1)
-            i += 1
-        elif ch == "a":
-            if text[i + 1 : i + 3] == "^2":
-                out.append(3)
-                i += 3
-            elif text[i + 1 : i + 2] == "^":
-                raise ValueError(f"bad exponent after 'a^' at position {i}")
-            else:
-                out.append(2)
-                i += 1
-        else:
-            raise ValueError(f"invalid character {ch!r} at position {i}")
-    return out
-
-
-def _tokenize_gf2(text: str) -> List[int]:
-    out = []
-    for i, ch in enumerate(text):
-        if ch not in "01":
-            raise ValueError(f"invalid character {ch!r} at position {i}")
-        out.append(int(ch))
+def _read_dense(field: FieldSpec, text: str) -> List[int]:
+    """Elements of a dense string, one of the field's spellings at a time,
+    the longest spelling first so that ``a^2`` is one token."""
+    spellings = sorted(field.token_to_element, key=len, reverse=True)
+    token = re.compile("|".join(map(re.escape, spellings)))
+    out, i = [], 0
+    while i < len(text):
+        match = token.match(text, i)
+        if match is None:
+            raise ValueError(f"invalid character {text[i]!r} at position {i}")
+        out.append(field.token_to_element[match.group()])
+        i = match.end()
     return out
 
 
 def parse_coeff_string(field: FieldSpec, text: str) -> SkewPoly:
     """Parse a coefficient string (increasing powers) into a SkewPoly."""
-    cleaned = text.replace(",", " ")
+    parts = text.replace(",", " ").split()
     if field.q in (2, 4):
-        cleaned = "".join(cleaned.split())
-        if not cleaned:
-            raise ValueError("empty coefficient string")
-        coeffs = _tokenize_gf4(cleaned) if field.q == 4 else _tokenize_gf2(cleaned)
+        coeffs = _read_dense(field, "".join(parts))
     else:
-        parts = cleaned.split()
-        if not parts:
-            raise ValueError("empty coefficient string")
         coeffs = [field.parse_token(tok) for tok in parts]
+    if not coeffs:
+        raise ValueError("empty coefficient string")
     return SkewPoly(field, coeffs)
 
 

@@ -281,22 +281,27 @@ class SearchRecord:
 TSV_HEADER = "n\tk\td\texact\tcomparison\tgenerators\ttimestamp"
 
 
+def _tsv_cell(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return str(value)
+
+
 def records_to_tsv(records: Iterable[SearchRecord]) -> str:
-    lines = [TSV_HEADER]
+    """One row per record, cells from ``as_dict``; a trailing ``field``
+    column only when some record is not over GF(4)."""
+    records = list(records)
+    columns = TSV_HEADER.split("\t")
+    if any(r.field != GF4 for r in records):
+        columns.append("field")
+    lines = ["\t".join(columns)]
     for r in records:
-        lines.append(
-            "\t".join(
-                (
-                    str(r.n),
-                    str(r.k),
-                    "" if r.d is None else str(r.d),
-                    "true" if r.exact else "false",
-                    r.comparison,
-                    ",".join(r.generators),
-                    r.timestamp,
-                )
-            )
-        )
+        row = dict(r.as_dict(), field=list(r.field))
+        lines.append("\t".join(_tsv_cell(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 

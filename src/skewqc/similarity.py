@@ -18,25 +18,21 @@ carries its status, the witness u itself (None unless similar) and the
 number of candidates tried.
 
 For monic linear polynomials there is a closed form: x - alpha and x - beta
-are similar iff alpha/beta is a ratio c*theta(c)^-1, i.e. iff alpha and beta
-have the same norm down to the fixed subfield.  Over GF(4) every such ratio
-is attainable, so all x - alpha with alpha != 0 are pairwise similar.
+are similar iff alpha and beta have the same norm (``norm_to_fixed``) down
+to the fixed subfield, so over GF(4) all x - alpha with alpha != 0 are
+pairwise similar.  The closed form is the cross-check of the witness search
+in ``tests/oracles.py``; ``are_similar`` is the one decision procedure.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DEFAULT_OPEN_BUDGET
 from .field import FieldSpec
-from .skewpoly import (
-    SkewPoly,
-    gcld,
-    gcrd,
-    left_divmod,
-    right_divmod,
-)
+from .skewpoly import SkewPoly, _euclid, left_divmod, right_divmod
 
 
 @dataclass(frozen=True)
@@ -49,27 +45,16 @@ class SimilarityResult:
         return self.status == "similar"
 
 
-def _candidates(field: FieldSpec, max_degree: int):
-    """All nonzero polynomials of degree < max_degree, by integer encoding."""
-    q = field.q
-    for idx in range(1, q**max_degree):
-        coeffs, v = [], idx
-        while v:
-            coeffs.append(v % q)
-            v //= q
-        yield SkewPoly(field, coeffs)
-
-
 def _check_right(a: SkewPoly, b: SkewPoly, u: SkewPoly) -> bool:
     return (
-        gcld(u, b).gcd.degree == 0
+        _euclid(u, b, False, cofactors=0)[0].degree == 0
         and left_divmod(u * a, b)[1].is_zero
     )
 
 
 def _check_left(a: SkewPoly, b: SkewPoly, u: SkewPoly) -> bool:
     return (
-        gcrd(u, b).gcd.degree == 0
+        _euclid(u, b, True, cofactors=0)[0].degree == 0
         and right_divmod(a * u, b)[1].is_zero
     )
 
@@ -96,15 +81,17 @@ def are_similar(
     if a.degree == 0:
         return SimilarityResult("similar", SkewPoly.one(a.field), 0)
     q = a.field.q
-    space = q**b.degree - 1
     checked = 0
-    for u in _candidates(a.field, b.degree):
+    # every nonzero u of degree < deg b, the x^0 coefficient varying fastest
+    digits = itertools.product(range(q), repeat=b.degree)
+    for ds in itertools.islice(digits, 1, None):
         if checked >= budget:
             return SimilarityResult("unknown", None, checked)
         checked += 1
+        u = SkewPoly(a.field, ds[::-1])
         if check(a, b, u):
             return SimilarityResult("similar", u, checked)
-    assert checked == space
+    assert checked == q**b.degree - 1
     return SimilarityResult("dissimilar", None, checked)
 
 
@@ -114,14 +101,3 @@ def norm_to_fixed(field: FieldSpec, alpha: int) -> int:
     for j in range(field.m):
         out = field.mul[out][field.theta_pows[j][alpha]]
     return out
-
-
-def linear_similar(field: FieldSpec, alpha: int, beta: int) -> bool:
-    """Fast path: x - alpha similar to x - beta, decided by norms.
-
-    The ratio alpha/beta must lie in {c * theta(c)^-1 : c in F*}, which is
-    exactly the kernel of the norm map, so the test is norm equality.
-    """
-    if beta == 0:
-        raise ValueError("beta must be nonzero")
-    return norm_to_fixed(field, alpha) == norm_to_fixed(field, beta)

@@ -1,12 +1,14 @@
 """Cross-check oracles for the ring layer: the least common left multiple and
 both one-sided divisions recast as dense linear systems over F, the extended
 Euclid runs written with SkewPoly arithmetic, and the plain right-divisor scan
-that tries every monic candidate with a schoolbook division.
+that tries every monic candidate with a schoolbook division, and the norm
+criterion for similarity of linear polynomials.
 
 The linear systems share no code with the schoolbook division loop or the
 extended Euclid rows in ``skewqc.skewpoly``, and the plain scan shares none
-with the batched residue scan of ``modulus_right_divisors``, so agreement
-between each pair is evidence for both.  The object-level Euclid runs step
+with the batched residue scan of ``modulus_right_divisors``; the norm
+criterion ``linear_similar`` shares none with the witness search of
+``are_similar``.  So agreement between each pair is evidence for both.  The object-level Euclid runs step
 through public divisions and operators, one new SkewPoly per step, so they
 check the list bookkeeping of ``_euclid`` on either side (row sizing,
 in-place updates, factor order); the kernels underneath are checked by the
@@ -30,6 +32,7 @@ from skewqc.codes import CodeSpec, CodeStructure, polys_to_blocks, skew_shift
 from skewqc.errors import ConsistencyError
 from skewqc.field import FieldSpec
 from skewqc.linalg import rref
+from skewqc.similarity import norm_to_fixed
 from skewqc.skewpoly import (
     SkewPoly,
     gcld_many,
@@ -68,6 +71,17 @@ def right_divisors(f: SkewPoly, degree: Optional[int] = None) -> List[SkewPoly]:
         for cand in monic_polys(f.field, d)
         if right_divmod(f, cand)[1].is_zero
     ]
+
+
+def linear_similar(field: FieldSpec, alpha: int, beta: int) -> bool:
+    """x - alpha similar to x - beta, decided by norms.
+
+    The ratio alpha/beta must lie in {c * theta(c)^-1 : c in F*}, which is
+    exactly the kernel of the norm map, so the test is norm equality.
+    """
+    if beta == 0:
+        raise ValueError("beta must be nonzero")
+    return norm_to_fixed(field, alpha) == norm_to_fixed(field, beta)
 
 
 def solve(

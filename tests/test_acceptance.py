@@ -12,13 +12,13 @@ determinism.
 import random
 import time
 
-from oracles import codeword_set, left_divmod_linalg, rank, right_divmod_linalg
+from oracles import codeword_set, left_divmod_linalg, linear_similar, rank, right_divmod_linalg
 from skewqc.cli import main as cli_main
 from skewqc.distance import min_distance, min_distance_sampled, weight_enumerator
 from skewqc.factorization import is_central, verify_factorization
 from skewqc.field import gf4, make_field
 from skewqc.search import SearchConfig, export_records, run_search, verify_entry
-from skewqc.similarity import are_similar, linear_similar
+from skewqc.similarity import are_similar
 from skewqc.skewpoly import (
     SkewPoly,
     gcld,

@@ -43,7 +43,6 @@ PUBLIC_NAMES = [
     "lcrm",
     "left_divmod",
     "linear_right_roots",
-    "linear_similar",
     "load_bounds",
     "load_config",
     "make_field",

@@ -82,3 +82,20 @@ def test_src_lines_counts_each_module_and_the_total(tmp_path):
     (package / "b.py").write_text("import os\n\npass")  # no final newline
     (package / "notes.txt").write_text("not a module\n")
     assert bench_pairs._src_lines(tmp_path) == {"modules": {"a.py": 3, "b.py": 3}, "total": 6}
+
+
+def test_fail_share_worse_when_the_change_fails_a_larger_share():
+    """fail_share is failed / attempted over a side's runs; the workload is
+    flagged only when the change's share is strictly larger."""
+    def runs(parent, change):
+        return {side: [{"correct": not f, "failed": f, "attempted": a} for f, a in counts]
+                for side, counts in (("parent", parent), ("change", change))}
+
+    checks = bench_pairs._side_checks(runs([(2, 70), (2, 70)], [(2, 70), (3, 70)]))
+    assert checks["parent_checks"]["fail_share"] == pytest.approx(4 / 140)
+    assert checks["change_checks"]["fail_share"] == pytest.approx(5 / 140)
+    assert checks["fail_share_worse"] is True
+    assert bench_pairs._side_checks(runs([(2, 70)], [(2, 70)]))["fail_share_worse"] is False
+    # the same failures over more operations is a smaller share
+    assert bench_pairs._side_checks(runs([(2, 70)], [(2, 80)]))["fail_share_worse"] is False
+    assert bench_pairs._side_checks(runs([(0, 0)], [(0, 0)]))["change_checks"]["fail_share"] == 0.0

@@ -132,6 +132,23 @@ def test_sampled_run_without_a_nonzero_message_is_not_a_zero_code(capsys):
     assert out == "[2,1]  no upper bound: none of the 1 sampled messages was nonzero\n"
 
 
+def test_enumerator_budget_is_checked_before_the_sampled_scan(monkeypatch, capsys):
+    """--enumerator needs an exact scan that --sampled cannot replace, so it
+    is refused before any sampling and the hint offers only the budget."""
+    def sampled(*args, **kwargs):
+        raise AssertionError("the sampled scan ran")
+
+    monkeypatch.setattr(cli, "min_distance_sampled", sampled)
+    argv = ["distance", "--name", "new-l5-100-20-47", "--sampled", "10", "--enumerator"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: weight enumeration too large (needs ~1099511627776, budget 67108864)",
+        "hint: raise --budget",
+    ]
+
+
 def test_distance_budget_exceeded_is_an_error(capsys):
     rc = main(["distance", "--name", "new-l3-72-21-29", "--budget", "65536"])
     assert rc == 1

@@ -80,6 +80,40 @@ def test_parse_print_round_trip_random():
         assert poly_coeff_string(parse_coeff_string(F, s)) == s
 
 
+@pytest.mark.parametrize(
+    "key", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (2, 4, 2)],
+    ids=["gf2", "gf4", "gf8", "gf9", "gf16", "gf256"],
+)
+def test_print_parse_round_trip_every_spelling(key):
+    """Seeded polynomials over every kind of field spelling, dense (q = 2, 4)
+    or separated: printing then parsing gives the polynomial back, and
+    parsing the printed string prints it again."""
+    field = make_field(*key)
+    rng = random.Random(2718 + field.q)
+    for _ in range(100):
+        coeffs = [rng.randrange(field.q) for _ in range(rng.randrange(12))]
+        f = SkewPoly(field, coeffs + [rng.randrange(1, field.q)])
+        text = poly_coeff_string(f)
+        assert parse_coeff_string(field, text) == f
+        assert poly_coeff_string(parse_coeff_string(field, text)) == text
+
+
+@pytest.mark.parametrize(
+    "key, text, message",
+    [
+        ((2, 1, 2), "zz", "invalid character 'z' at position 0"),
+        ((2, 1, 2), "1a^3", "invalid character '^' at position 2"),
+        ((2, 1, 2), "a^", "invalid character '^' at position 1"),
+        ((2, 1, 1), "1, 0a", "invalid character 'a' at position 2"),
+    ],
+    ids=["not-a-spelling", "a-cubed", "bare-caret", "gf2-letter"],
+)
+def test_dense_reader_names_the_first_unread_character(key, text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_coeff_string(make_field(*key), text)
+    assert str(exc.value) == message
+
+
 def test_zero_prints_as_zero():
     assert poly_coeff_string(SkewPoly.zero(F)) == "0"
     assert poly_to_terms(SkewPoly.zero(F)) == "0"

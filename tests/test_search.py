@@ -266,6 +266,16 @@ def test_gf9_record_round_trips_through_json():
         assert record.rebuild().k == record.k
 
 
+def test_gf9_campaign_tsv_names_its_field():
+    """A GF(9) export carries a trailing field column, one cell per row;
+    GF(4) exports have no such column (see the seed-3 digest above)."""
+    records = list(run_search(SearchConfig(s=4, p=3, t=1, m=2, trials=3, seed=1)))
+    lines = export_records(records, "tsv").splitlines()
+    assert lines[0] == TSV_HEADER + "\tfield"
+    assert len(lines) == len(records) + 1 >= 2
+    assert [line.split("\t")[-1] for line in lines[1:]] == ["3,1,2"] * len(records)
+
+
 def test_campaign_exhaustive_small_case():
     # s = 2, single-component tuples: the candidates are exactly the three
     # monic linear right divisors of x^2 - 1, each generating a [2,1,2] code.

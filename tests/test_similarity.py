@@ -3,12 +3,12 @@ import itertools
 import random
 
 import pytest
-from oracles import codeword_set
+from oracles import codeword_set, linear_similar
 
 from skewqc.codes import build_code
 from skewqc.field import gf4, make_field
 from skewqc.notation import parse_coeff_string
-from skewqc.similarity import are_similar, linear_similar, norm_to_fixed
+from skewqc.similarity import are_similar, norm_to_fixed
 from skewqc.skewpoly import SkewPoly, gcld, gcrd, left_divmod
 
 F = gf4()

@@ -27,7 +27,9 @@ Each metric gets a verdict:
   of the change reads better than every run of the parent;
 - ``within-bound`` otherwise.
 
-Each side also records the line counts of its ``src/skewqc`` modules and
+Each workload records each side's checks, with ``fail_share`` = failed /
+attempted, and ``fail_share_worse``, true when the change fails a larger
+share than the parent.  Each side also records the line counts of its ``src/skewqc`` modules and
 their total, next to the ``src_sha256`` of its runs, so a change's size sits
 in the same file as its timings.  The output is rewritten after every pair,
 so an interrupted run keeps what it measured; its ``notes`` list is left
@@ -111,9 +113,18 @@ def _metrics(runs: dict, end_to_end: list) -> dict:
 
 
 def _checks(runs: list) -> dict:
-    return {"correct": all(r["correct"] for r in runs),
-            "failed": sum(r["failed"] for r in runs),
-            "attempted": sum(r["attempted"] for r in runs)}
+    failed, attempted = sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
+    return {"correct": all(r["correct"] for r in runs), "failed": failed,
+            "attempted": attempted, "fail_share": failed / attempted if attempted else 0.0}
+
+
+def _side_checks(runs: dict) -> dict:
+    """Both sides' checks, and whether the change fails a larger share of
+    its operations than the parent, which rejects a change on its own."""
+    out = {f"{side}_checks": _checks(runs[side]) for side in SIDES}
+    out["fail_share_worse"] = (out["change_checks"]["fail_share"]
+                               > out["parent_checks"]["fail_share"])
+    return out
 
 
 def _order(i: int) -> tuple:
@@ -203,7 +214,7 @@ def main() -> int:
             doc["workloads"][name] = {
                 "pairs": len(seeds), "seeds": seeds, "first": first,
                 "metrics": _metrics(runs, bench["end_to_end"]),
-                **{f"{side}_checks": _checks(runs[side]) for side in SIDES},
+                **_side_checks(runs),
             }
             save()
         if args.traced_seed is not None:
