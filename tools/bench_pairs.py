@@ -29,9 +29,9 @@ Each metric gets a verdict:
 
 Each workload records each side's checks, with ``fail_share`` = failed /
 attempted, and ``fail_share_worse``, true when the change fails a larger
-share than the parent.  Each side also records the line counts of its ``src/skewqc`` modules and
-their total, next to the ``src_sha256`` of its runs, so a change's size sits
-in the same file as its timings.  The output is rewritten after every pair,
+share than the parent.  Each side also records the line counts of its
+``src/skewqc`` modules and their total, next to the ``src_sha256`` of its
+runs, so a change's size sits in the same file as its timings.  The output is rewritten after every pair,
 so an interrupted run keeps what it measured; its ``notes`` list is left
 empty for the reading of the numbers.
 """
@@ -120,7 +120,8 @@ def _checks(runs: list) -> dict:
 
 def _side_checks(runs: dict) -> dict:
     """Both sides' checks, and whether the change fails a larger share of
-    its operations than the parent, which rejects a change on its own."""
+    its operations than the parent: that counts against a change whatever
+    its timings."""
     out = {f"{side}_checks": _checks(runs[side]) for side in SIDES}
     out["fail_share_worse"] = (out["change_checks"]["fail_share"]
                                > out["parent_checks"]["fail_share"])
