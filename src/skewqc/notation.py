@@ -24,18 +24,13 @@ from .skewpoly import SkewPoly
 
 
 def _read_dense(field: FieldSpec, text: str) -> List[int]:
-    """Elements of a dense string, one of the field's spellings at a time,
-    the longest spelling first so that ``a^2`` is one token."""
+    """The elements a dense string spells, read longest spelling first."""
     spellings = sorted(field.token_to_element, key=len, reverse=True)
-    token = re.compile("|".join(map(re.escape, spellings)))
-    out, i = [], 0
-    while i < len(text):
-        match = token.match(text, i)
-        if match is None:
-            raise ValueError(f"invalid character {text[i]!r} at position {i}")
-        out.append(field.token_to_element[match.group()])
-        i = match.end()
-    return out
+    token = "|".join(map(re.escape, spellings))
+    end = re.match(f"(?:{token})*", text).end()  # where the spellings stop
+    if end < len(text):
+        raise ValueError(f"invalid character {text[end]!r} at position {end}")
+    return [field.token_to_element[t] for t in re.findall(token, text)]
 
 
 def parse_coeff_string(field: FieldSpec, text: str) -> SkewPoly:

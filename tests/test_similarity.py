@@ -80,6 +80,7 @@ def test_linear_pairs_keep_their_witnesses():
              for field in (gf4(), make_field(3, 1, 2))
              for alpha in field.elements() for beta in field.elements()]
     digest, statuses = _similarity_digest(pairs)
+    # per side: GF(4)* is one norm class and GF(9)* two of four; x ~ x in each
     assert statuses.count("similar") == 2 * (3 * 3 + 1 + 4 * 4 + 4 * 4 + 1)
     assert digest == "cfddb228f23537f79861774ecce0cad5e51ff732ffad38fb4e63b5e1731be813"
 
