@@ -1,18 +1,18 @@
 """Cross-check oracles for the ring layer: the least common left multiple and
 both one-sided divisions recast as dense linear systems over F, the extended
-Euclid runs written with SkewPoly arithmetic, and the plain right-divisor scan
+Euclid runs written with SkewPoly arithmetic, the plain right-divisor scan
 that tries every monic candidate with a schoolbook division, and the norm
 criterion for similarity of linear polynomials.
 
 The linear systems share no code with the schoolbook division loop or the
-extended Euclid rows in ``skewqc.skewpoly``, and the plain scan shares none
-with the batched residue scan of ``modulus_right_divisors``; the norm
+extended Euclid rows in ``skewqc.skewpoly``, the plain scan shares none with
+the batched residue scan of ``modulus_right_divisors``, and the norm
 criterion ``linear_similar`` shares none with the witness search of
-``are_similar``.  So agreement between each pair is evidence for both.  The object-level Euclid runs step
-through public divisions and operators, one new SkewPoly per step, so they
-check the list bookkeeping of ``_euclid`` on either side (row sizing,
-in-place updates, factor order); the kernels underneath are checked by the
-linear systems.
+``are_similar``, so agreement between each pair is evidence for both.  The
+object-level Euclid runs step through public divisions and operators, one
+new SkewPoly per step, so they check the list bookkeeping of ``_euclid`` on
+either side (row sizing, in-place updates, factor order); the kernels
+underneath are checked by the linear systems.
 
 ``reference_build`` is the code construction that ranks all s shift images
 and then row-reduces their whole span; ``CodeStructure`` reduces only the
