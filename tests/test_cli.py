@@ -2,6 +2,9 @@
 
 import hashlib
 import inspect
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +88,42 @@ def test_distance_exact_with_witness(capsys):
     out = capsys.readouterr().out
     assert "[40,9,21]" in out and "exact" in out
     assert "witness:" in out
+
+
+ENUMERATOR_WITNESS_STDOUT = """\
+[40,9,21]  d is exact  (87381 rows in X.XXs)
+witness: 1 0 0 a^2 1 0 0 0 0 a^2 0 a^2 0 0 1 a^2 1 1 0 1 1 0 1 1 0 a^2 1 0 0 0 0 a 1 0 0 1 1 1 1 0
+0	1
+21	480
+22	870
+23	1440
+24	4590
+25	7500
+26	12690
+27	19140
+28	26505
+29	35220
+30	37500
+31	37140
+32	33390
+33	21780
+34	12810
+35	6540
+36	2775
+37	1260
+38	450
+39	60
+40	3
+"""
+
+
+def test_distance_enumerator_with_witness_stdout(capsys):
+    """d, the row count, the witness and every enumerator line, pinned with
+    only the elapsed time masked."""
+    argv = ["distance", "--name", "index2-l2-40-9-21", "--enumerator", "--witness"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert re.sub(r"in \d+\.\d\ds\)", "in X.XXs)", out) == ENUMERATOR_WITNESS_STDOUT
 
 
 def test_distance_sampled(capsys):
@@ -480,3 +519,24 @@ def test_workers_flag_is_gone(command, capsys):
         main(SEED_COMMANDS[command] + ["--workers", "1"])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+
+def test_readme_command_lines_parse():
+    """Every ``skewqc ...`` line of the README's "Command line" block is
+    accepted by the parser, so the documented flags cannot drift."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```text\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()
+             if line.startswith("skewqc ")]
+    assert lines
+    parser = cli._build_parser()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
