@@ -24,7 +24,7 @@ import sys
 from typing import List, Optional
 
 from .codes import CodeSpec, CodeStructure, build_code, build_degenerate_code
-from .distance import min_distance, min_distance_sampled, weight_enumerator
+from .distance import _exact_scan, min_distance, min_distance_sampled
 from .errors import DEFAULT_BUDGET, DEFAULT_OPEN_BUDGET, BudgetExceededError
 from .errors import ConsistencyError
 from .factorization import all_linear_factorizations, modulus_right_divisors
@@ -186,16 +186,16 @@ def cmd_build(args) -> int:
 
 def cmd_distance(args) -> int:
     code = _resolve_code(args)
-    enumerator: List[str] = []
+    enumerator = None
     if args.enumerator:  # priced before the distance, which --sampled does not help
         args.hint = "raise --budget"
-        enumerator = weight_enumerator(code, budget=args.budget).tsv_lines()
+        enumerator, rep = _exact_scan(code, args.budget, True)  # d and witness too
+    kind = "exact"
     if args.sampled is not None:
         rep = min_distance_sampled(code, trials=args.sampled, seed=args.seed)
         kind = f"sampled upper bound over {args.sampled} codewords"
-    else:
+    elif enumerator is None:
         rep = min_distance(code, budget=args.budget)
-        kind = "exact"
     if code.k == 0:
         print(f"[{code.n},{code.k}]  zero code: it has no nonzero codeword, "
               "so its minimum distance is undefined")
@@ -208,7 +208,7 @@ def cmd_distance(args) -> int:
     if rep.witness is not None and args.witness:
         tokens = code.spec.field.tokens
         print("witness: " + " ".join(tokens[c] for c in rep.witness))
-    for line in enumerator:
+    for line in enumerator.tsv_lines() if enumerator else []:
         print(line)
     return 0
 
@@ -306,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", help="factor x^s - 1 over F[x;theta]")
     _add_field_flag(p)
     p.add_argument("--s", type=_positive_int, required=True)
-    p.add_argument("--degree", type=int,
+    p.add_argument("--degree", type=_non_negative_int,
                    help="list monic right divisors of this degree instead of "
                    "complete linear factorizations")
     p.add_argument("--budget", type=_positive_int,

@@ -15,13 +15,15 @@ code is R/R*h' for a right divisor h' of x^s - 1 of degree k, and the basis
 1, x, ..., x^(k-1) of that quotient maps to the first k shift images
 T^i(f_1, ..., f_l), which are therefore a basis of the code.
 
-Both build modes row-reduce just the first k shift images; the span is
-*closed* (module_closed) when the other s - k images lie in it, i.e. when it
-is T-invariant.  Either mode raises ConsistencyError if the k images are
-dependent, and the module build also if the span is not closed.  A build
-from an explicit right factor g of x^s - 1 (CodeStructure(spec,
-generator=g)) that is not closed spans a proper k-dimensional subspace of
-the module closure, which some published generator matrices turn out to be.
+Both build modes row-reduce the first k shift images.  Their span is
+*closed* (module_closed) when it is T-invariant, which one membership test
+decides: T is theta-semilinear, so it maps span{T^0, ..., T^(k-1)} onto
+span{T^1, ..., T^k}, and the span is invariant exactly when T^k lies in it.
+Either mode raises ConsistencyError if the k images are dependent, and the
+module build also if the span is not closed.  A build from an explicit
+right factor g of x^s - 1 (CodeStructure(spec, generator=g)) that is not
+closed spans a proper k-dimensional subspace of the module closure, which
+some published generator matrices turn out to be.
 
 A built code has one encoder, ``encode`` (message times the RREF basis), and
 one membership test, ``is_codeword`` (reduction against that basis); the
@@ -101,8 +103,8 @@ def polys_to_blocks(spec: CodeSpec, polys: Sequence[SkewPoly]) -> List[int]:
 
 class CodeStructure:
     """A fully built code: generator/parity polynomials plus the RREF basis
-    of the first k shift images; module_closed says whether the other s - k
-    images lie in their span (required unless ``generator`` is given)."""
+    of the first k shift images; module_closed says whether their span holds
+    T^k, i.e. is T-invariant (required unless ``generator`` is given)."""
 
     def __init__(self, spec: CodeSpec, generator: Optional[SkewPoly] = None):
         self.spec = spec
@@ -126,18 +128,16 @@ class CodeStructure:
         self.k = s - self.g.degree
         self.n = spec.n
 
-        # rows T^i(generating tuple); the first k are a basis (see above)
-        row = polys_to_blocks(spec, spec.generators)
-        rows = []
-        for _ in range(s):
-            rows.append(row)
-            row = skew_shift(F, s, row)
+        # T^0 .. T^k of the tuple: the first k are a basis, T^k decides closure
+        rows = [polys_to_blocks(spec, spec.generators)]
+        for _ in range(self.k):
+            rows.append(skew_shift(F, s, rows[-1]))
         reduced, pivots = linalg.rref(F, rows[: self.k])
         if len(pivots) != self.k:
             raise ConsistencyError(f"first {self.k} shift images have rank {len(pivots)}")
         self.pivots = pivots
         self.genmatrix = np.array(reduced, dtype=np.uint8).reshape(self.k, self.n)
-        self.module_closed = all(self.is_codeword(r) for r in rows[self.k :])
+        self.module_closed = self.is_codeword(rows[self.k])
         if generator is None and not self.module_closed:
             raise ConsistencyError(f"shift images beyond the first {self.k} leave their span")
 

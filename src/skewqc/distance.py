@@ -246,18 +246,6 @@ def exact_cost(code: CodeStructure) -> int:
     return code.spec.field.q ** code.k
 
 
-def _exact_scan_fits(code: CodeStructure, budget: int, what: str) -> bool:
-    """Whether an exact scan of ``code`` has rows to scan: False when k = 0;
-    raises BudgetExceededError("<what> too large") before any work when
-    exact_cost(code) exceeds ``budget``."""
-    if code.k == 0:
-        return False
-    cost = exact_cost(code)
-    if cost > budget:
-        raise BudgetExceededError(f"{what} too large", cost, budget)
-    return True
-
-
 def _combination_table(rows: Tuple, first: int, count: int) -> List[np.ndarray]:
     """Table of word groups, q^count wide, of every combination of the rows
     first .. first + count - 1 of the _packed_rows table T: column u carries
@@ -335,17 +323,37 @@ def _enumerate_blocks(
     return hist, best, best_msg, seen
 
 
+def _exact_scan(
+    code: CodeStructure, budget: int, want_enumerator: bool, stop_at: int = 0
+) -> Tuple[Optional[WeightEnumerator], DistanceReport]:
+    """The one exact scan, for min_distance, weight_enumerator and ``skewqc
+    distance --enumerator``: (the weight enumerator, or None if not wanted;
+    the report of d, witness and rows).  Refused before any work when
+    exact_cost(code) exceeds ``budget``; a zero code scans nothing."""
+    F = code.spec.field
+    q, k, n = F.q, code.k, code.n
+    t0 = time.perf_counter()
+    hist, report = (), DistanceReport(None, True, "empty", 0)  # k = 0: only the zero word
+    if k:
+        cost = exact_cost(code)
+        if cost > budget:
+            what = "weight enumeration" if want_enumerator else "distance enumeration"
+            raise BudgetExceededError(f"{what} too large", cost, budget)
+        hist, best, best_msg, rows = _enumerate_blocks(F, code.genmatrix, want_enumerator, stop_at)
+        report = DistanceReport(int(best), stop_at < best, "blocks", rows,
+                                witness=code.encode(best_msg), witness_message=best_msg)
+    report.elapsed = time.perf_counter() - t0
+    if not want_enumerator:
+        return None, report
+    counts = {w: int(c) * (q - 1) for w, c in enumerate(hist) if c}
+    counts[0] = 1
+    return WeightEnumerator(n, k, q, counts), report
+
+
 def weight_enumerator(code: CodeStructure, budget: int = DEFAULT_BUDGET) -> WeightEnumerator:
     """Exact weight distribution of the code (sums to q^k); refused up
     front, like min_distance, when exact_cost(code) exceeds ``budget``."""
-    F = code.spec.field
-    q, k, n = F.q, code.k, code.n
-    if not _exact_scan_fits(code, budget, "weight enumeration"):
-        return WeightEnumerator(n, k, q, {0: 1})
-    hist, _, _, _ = _enumerate_blocks(F, code.genmatrix, True)
-    counts = {w: int(c) * (q - 1) for w, c in enumerate(hist) if c}
-    counts[0] = 1
-    return WeightEnumerator(n, k, q, counts)
+    return _exact_scan(code, budget, True)[0]
 
 
 def min_distance(
@@ -368,22 +376,7 @@ def min_distance(
     ``workers`` must be 1: enumeration runs in this process.
     """
     _check_workers(workers)
-    F = code.spec.field
-    t0 = time.perf_counter()
-    if not _exact_scan_fits(code, budget, "distance enumeration"):
-        return DistanceReport(None, True, "empty", 0, elapsed=time.perf_counter() - t0)
-    _, best, best_msg, rows = _enumerate_blocks(F, code.genmatrix, False, stop_at=stop_at)
-    witness = code.encode(best_msg)
-    exact = stop_at < best
-    return DistanceReport(
-        int(best),
-        exact,
-        "blocks",
-        rows,
-        witness=witness,
-        witness_message=best_msg,
-        elapsed=time.perf_counter() - t0,
-    )
+    return _exact_scan(code, budget, False, stop_at)[1]
 
 
 def _draw_messages(rng: np.random.Generator, q: int, b: int, k: int) -> np.ndarray:

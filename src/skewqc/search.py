@@ -21,6 +21,7 @@ import dataclasses
 import itertools
 import json
 import random
+import re
 import time
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
@@ -133,10 +134,13 @@ def _parse_value(key: str, raw: str):
 
 
 def parse_config_text(text: str) -> Dict[str, object]:
-    """Parse flat ``key = value`` lines (comments with #, quoted strings)."""
+    """Parse flat ``key = value`` lines (# comments outside quoted strings)."""
     values: Dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        body = re.match(r"""(?:[^#'"]|'[^']*'|"[^"]*")*""", line).group()  # up to the #
+        if line[len(body):][:1] not in ("", "#"):
+            raise ValueError(f"line {lineno}: unclosed quote in {line!r}")
+        stripped = body.strip()
         if not stripped:
             continue
         if "=" not in stripped:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from skewqc import cli
+from skewqc import cli, distance
 from skewqc.cli import main
 from skewqc.errors import DEFAULT_BUDGET, DEFAULT_OPEN_BUDGET
 from skewqc.field import make_field
@@ -39,6 +39,13 @@ def test_factor_modulus_without_linear_split(capsys):
     assert main(["factor", "--s", "6"]) == 0
     out = capsys.readouterr().out
     assert "complete factorizations into monic linear factors: 0" in out
+
+
+def test_factor_rejects_negative_degree(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["factor", "--s", "4", "--degree", "-1"])
+    assert exc.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -124,6 +131,23 @@ def test_distance_enumerator_with_witness_stdout(capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert re.sub(r"in \d+\.\d\ds\)", "in X.XXs)", out) == ENUMERATOR_WITNESS_STDOUT
+
+
+def test_distance_enumerator_scans_once(monkeypatch, capsys):
+    """The enumerator, d, the witness and the row count come from one scan."""
+    scans = []
+
+    def counted(*args, **kwargs):
+        scans.append(1)
+        return enumerate_blocks(*args, **kwargs)
+
+    enumerate_blocks = distance._enumerate_blocks
+    monkeypatch.setattr(distance, "_enumerate_blocks", counted)
+    argv = ["distance", "--name", "index2-l2-40-9-21", "--enumerator", "--witness"]
+    assert main(argv) == 0
+    assert len(scans) == 1
+    out = capsys.readouterr().out
+    assert "[40,9,21]  d is exact  (87381 rows in" in out and "\n21\t480\n" in out
 
 
 def test_distance_sampled(capsys):

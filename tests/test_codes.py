@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import blocks_to_polys, codeword_set, rank, reference_build
+from skewqc import codes
 from skewqc.codes import (
     CodeSpec,
     CodeStructure,
@@ -292,6 +293,31 @@ def test_pinned_build_refuses_dependent_first_images():
     spec = CodeSpec(F, 4, (SkewPoly.zero(F),))
     with pytest.raises(ConsistencyError, match="first 3 shift images have rank 0"):
         CodeStructure(spec, generator=x_plus_1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_code(F, 10, [parse_coeff_string(F, t) for t in ("a1a^2011", "10aa1")]),
+    lambda: get("index2-l2-40-9-21").build(),
+], ids=["module", "pinned"])
+def test_build_shifts_k_times_and_tests_closure_once(build, monkeypatch):
+    """A build with k < s makes the images T^0 .. T^k: k shifts, then one
+    membership test of T^k decides module_closed."""
+    shifts, tests = [], []
+
+    def counted_shift(*args):
+        shifts.append(1)
+        return skew_shift(*args)
+
+    def counted_test(self, vec):
+        tests.append(1)
+        return is_codeword(self, vec)
+
+    is_codeword = CodeStructure.is_codeword
+    monkeypatch.setattr(codes, "skew_shift", counted_shift)
+    monkeypatch.setattr(CodeStructure, "is_codeword", counted_test)
+    code = build()
+    assert code.k < code.spec.s and code.module_closed
+    assert (len(shifts), len(tests)) == (code.k, 1)
 
 
 # ---------------------------------------------------------------------------

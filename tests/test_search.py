@@ -54,6 +54,15 @@ def test_parse_config_text():
     }
 
 
+def test_config_hash_inside_quotes_is_not_a_comment():
+    """A # starts a comment only outside quotes, and a quote left open is an
+    error naming its line."""
+    assert parse_config_text('output = "runs#3.tsv"  # where') == {"output": "runs#3.tsv"}
+    assert parse_config_text("s = 8\nbounds = 'a#b.txt'#c") == {"s": 8, "bounds": "a#b.txt"}
+    with pytest.raises(ValueError, match="line 2: unclosed quote"):
+        parse_config_text('s = 8\noutput = "runs#3.tsv  # where')
+
+
 def test_parse_config_rejects_bad_lines():
     with pytest.raises(ValueError):
         parse_config_text("mystery = 3")
