@@ -187,14 +187,14 @@ def cmd_build(args) -> int:
 def cmd_distance(args) -> int:
     code = _resolve_code(args)
     enumerator = None
-    if args.enumerator:  # priced before the distance, which --sampled does not help
-        args.hint = "raise --budget"
-        enumerator, rep = _exact_scan(code, args.budget, True)  # d and witness too
     kind = "exact"
-    if args.sampled is not None:
+    if args.enumerator:  # the exact scan gives d and the witness, so --sampled is not run
+        args.hint = "raise --budget"
+        enumerator, rep = _exact_scan(code, args.budget, True)
+    elif args.sampled is not None:
         rep = min_distance_sampled(code, trials=args.sampled, seed=args.seed)
         kind = f"sampled upper bound over {args.sampled} codewords"
-    elif enumerator is None:
+    else:
         rep = min_distance(code, budget=args.budget)
     if code.k == 0:
         print(f"[{code.n},{code.k}]  zero code: it has no nonzero codeword, "
@@ -331,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true",
                    help="print a codeword achieving the reported weight")
     p.add_argument("--enumerator", action="store_true",
-                   help="print the full weight distribution")
+                   help="print the full weight distribution; its exact scan also "
+                   "gives d, so --sampled is not run")
     p.set_defaults(func=cmd_distance, hint="raise --budget or use --sampled N")
 
     p = sub.add_parser("similar", help="decide similarity of two skew polynomials")

@@ -25,6 +25,11 @@ right factor g of x^s - 1 (CodeStructure(spec, generator=g)) that is not
 closed spans a proper k-dimensional subspace of the module closure, which
 some published generator matrices turn out to be.
 
+A build works on byte rows, one byte per symbol in block layout (the layout
+of the coefficient bytes of ``SkewPoly``): T is one slice per block and one
+``bytes.translate`` through ``field.theta_bytes``, and the images are
+row-reduced by ``linalg.RowSpace`` (packed XOR rows in characteristic 2).
+
 A built code has one encoder, ``encode`` (message times the RREF basis), and
 one membership test, ``is_codeword`` (reduction against that basis); the
 components of u*(f_1, ..., f_l) are laid out as a vector by
@@ -83,22 +88,24 @@ def skew_shift(field: FieldSpec, s: int, vec: Sequence[int]) -> List[int]:
     """Apply T: per-block right rotation by one followed by theta."""
     if len(vec) % s:
         raise ValueError("vector length is not a multiple of s")
-    theta = field.theta_pows[1 % field.m]
-    out = []
-    for b in range(0, len(vec), s):
-        block = vec[b : b + s]
-        out.extend(theta[block[-1 + j]] for j in range(s))
-    return out
+    return list(_shift_bytes(field, s, bytes(list(vec))))
+
+
+def _shift_bytes(field: FieldSpec, s: int, vec: bytes) -> bytes:
+    """T on a byte row: each block rotated right by one, then theta."""
+    blocks = (vec[b + s - 1 : b + s] + vec[b : b + s - 1] for b in range(0, len(vec), s))
+    return b"".join(blocks).translate(field.theta_bytes)
 
 
 def polys_to_blocks(spec: CodeSpec, polys: Sequence[SkewPoly]) -> List[int]:
     """The block-layout vector of l component polynomials of degree < s."""
-    out = []
-    for f in polys:
-        if f.degree >= spec.s:
-            raise ValueError("component degree exceeds s - 1")
-        out.extend(f.coeff(j) for j in range(spec.s))
-    return out
+    return list(_blocks_bytes(spec.s, polys))
+
+
+def _blocks_bytes(s: int, polys: Sequence[SkewPoly]) -> bytes:
+    if any(f.degree >= s for f in polys):
+        raise ValueError("component degree exceeds s - 1")
+    return b"".join(f._c.ljust(s, b"\0") for f in polys)
 
 
 class CodeStructure:
@@ -129,15 +136,16 @@ class CodeStructure:
         self.n = spec.n
 
         # T^0 .. T^k of the tuple: the first k are a basis, T^k decides closure
-        rows = [polys_to_blocks(spec, spec.generators)]
+        images = [_blocks_bytes(s, spec.generators)]
         for _ in range(self.k):
-            rows.append(skew_shift(F, s, rows[-1]))
-        reduced, pivots = linalg.rref(F, rows[: self.k])
-        if len(pivots) != self.k:
-            raise ConsistencyError(f"first {self.k} shift images have rank {len(pivots)}")
-        self.pivots = pivots
-        self.genmatrix = np.array(reduced, dtype=np.uint8).reshape(self.k, self.n)
-        self.module_closed = self.is_codeword(rows[self.k])
+            images.append(_shift_bytes(F, s, images[-1]))
+        self._space = linalg.RowSpace(F, images[: self.k], self.n)
+        self.pivots = self._space.pivots
+        if len(self.pivots) != self.k:
+            raise ConsistencyError(f"first {self.k} shift images have rank {len(self.pivots)}")
+        basis = b"".join(self._space.rows())
+        self.genmatrix = np.frombuffer(basis, dtype=np.uint8).reshape(self.k, self.n).copy()
+        self.module_closed = self._space.contains(images[self.k])
         if generator is None and not self.module_closed:
             raise ConsistencyError(f"shift images beyond the first {self.k} leave their span")
 
@@ -158,13 +166,7 @@ class CodeStructure:
         """Membership test by reduction against the RREF basis."""
         if len(vec) != self.n:
             raise ValueError("vector length mismatch")
-        F = self.spec.field
-        v = np.asarray(vec, dtype=np.uint8).copy()
-        for i, pc in enumerate(self.pivots):
-            c = v[pc]
-            if c:
-                v = F.np_sub[v, F.np_mul[c][self.genmatrix[i]]]
-        return not v.any()
+        return self._space.contains(np.asarray(vec, dtype=np.uint8).tobytes())
 
     def params(self, d: Optional[int] = None) -> str:
         return f"[{self.n},{self.k}]" if d is None else f"[{self.n},{self.k},{d}]"

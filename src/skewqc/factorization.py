@@ -12,7 +12,7 @@ coincide and complementary factors commute.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -120,17 +120,12 @@ def modulus_right_divisors(
     """
     if s < 1:
         raise ValueError("s must be positive")
-    q = field.q
     degrees = range(s + 1) if degree is None else [degree]
-    modulus = x_pow_minus_one(field, s)
-    central = is_central(modulus)
-
-    def scanned(d: int) -> int:
-        return min(d, s - d) if central else d
-
-    cost = sum(q ** scanned(d) for d in degrees if 1 <= d < s)
+    cost = _divisor_scan_cost(field, s, degrees)
     if cost > budget:
         raise BudgetExceededError("divisor scan too large", cost, budget)
+    modulus = x_pow_minus_one(field, s)
+    central = is_central(modulus)
     out: List[SkewPoly] = []
     for dg in degrees:
         if dg < 0 or dg > s:
@@ -139,17 +134,28 @@ def modulus_right_divisors(
             out.append(SkewPoly.one(field))
         elif dg == s:
             out.append(modulus)
-        elif scanned(dg) < dg:
-            cofactors = [
-                right_divmod(modulus, g)[0]
-                for g in _scan_modulus_divisors(field, modulus, s - dg)
-            ]
-            found = [h for h in cofactors if right_divmod(modulus, h)[1].is_zero]
-            found.sort(key=lambda h: _monic_index(q, h))
-            out.extend(found)
+        elif central and s - dg < dg:
+            out.extend(_cofactor_divisors(modulus, _scan_modulus_divisors(field, modulus, s - dg)))
         else:
             out.extend(_scan_modulus_divisors(field, modulus, dg))
     return out
+
+
+def _divisor_scan_cost(field: FieldSpec, s: int, degrees: Iterable[int]) -> int:
+    """Candidates that modulus_right_divisors examines for these degrees:
+    q^min(d, s - d) per degree 0 < d < s when x^s - 1 is central, else q^d."""
+    central = is_central(x_pow_minus_one(field, s))
+    return sum(field.q ** (min(d, s - d) if central else d) for d in degrees if 1 <= d < s)
+
+
+def _cofactor_divisors(modulus: SkewPoly, divisors: Sequence[SkewPoly]) -> List[SkewPoly]:
+    """The monic right divisors h = modulus / g of a central modulus, one per
+    monic right divisor g, each confirmed by the remainder check of a scan
+    hit, in _monic_index order."""
+    cofactors = [right_divmod(modulus, g)[0] for g in divisors]
+    found = [h for h in cofactors if right_divmod(modulus, h)[1].is_zero]
+    found.sort(key=lambda h: _monic_index(modulus.field.q, h))
+    return found
 
 
 def _monic_index(q: int, g: SkewPoly) -> int:

@@ -4,7 +4,11 @@ Elements are encoded as plain ints in ``range(q)``: the base-p digits of the
 int are the coordinates of the element in the polynomial basis
 ``1, z, z^2, ...`` of GF(p^(t*m)) over GF(p).  All field operations are table
 lookups, so hot loops elsewhere can grab ``field.add`` / ``field.mul`` as
-local lists and index into them directly.
+local lists and index into them directly.  Vectors of symbols are also kept
+as bytes, one byte per symbol, so that applying a symbol map to a whole
+vector is one ``bytes.translate``: ``field.theta_bytes`` applies theta and
+``field.mul_bytes[c]`` multiplies by c, each a 256-byte table (entries from
+q on are never read).
 
 The distinguished automorphism is ``theta(e) = e**(p**t)``, i.e. the t-th
 power of the absolute Frobenius.  It has order m and fixes exactly the
@@ -134,6 +138,7 @@ class FieldSpec:
         self._build_tables()
         self._build_theta()
         self._build_numpy()
+        self._build_bytes()
         self._build_tokens()
 
     # -- construction -------------------------------------------------
@@ -219,6 +224,10 @@ class FieldSpec:
         self.np_mul = np.array(self.mul, dtype=np.uint8)
         self.np_neg = np.array(self.neg, dtype=np.uint8)
         self.np_theta = np.array(self.theta_pows, dtype=np.uint8)
+
+    def _build_bytes(self) -> None:
+        self.theta_bytes = bytes(self.theta_pows[1 % self.m]).ljust(256, b"\0")
+        self.mul_bytes = tuple(bytes(row).ljust(256, b"\0") for row in self.mul)
 
     def _build_tokens(self) -> None:
         q = self.q

@@ -1,8 +1,20 @@
 """Exact Gaussian elimination over a tabulated finite field.
 
-Matrices are plain lists of rows of int-encoded field elements.  Sizes in
-this package stay small (a few hundred rows at most), so straightforward
-elimination with table lookups is both fast enough and easy to audit.
+``rref`` takes and returns plain lists of rows of int-encoded field elements.
+``RowSpace`` takes byte rows (one byte per symbol, the layout of the shift
+images in ``codes``) and keeps its reduced basis in the form that is fastest
+for the field's characteristic, chosen by ``field.p``:
+
+* p = 2: a row is one Python int whose byte j (little-endian) is symbol j.
+  Adding rows is one XOR, entry j is ``(row >> 8j) & 255``, and scaling by c
+  is one ``bytes.translate`` through ``field.mul_bytes[c]``.
+* odd p: a row is a list of ints, reduced by table lookups
+  (``_rref_lists``).  Addition is digit-wise mod p there, not XOR, so no
+  single int or bytes operation adds two rows.
+
+Sizes in this package stay small (a few hundred columns, a few dozen rows),
+and both forms return the same unique reduced row echelon form; the tests
+compare the packed one with ``_rref_lists``.
 """
 
 from __future__ import annotations
@@ -12,8 +24,118 @@ from typing import List, Sequence, Tuple
 from .field import FieldSpec
 
 
+class RowSpace:
+    """The reduced row echelon basis of byte rows of length n over a field.
+
+    ``pivots`` are the pivot columns in increasing order, ``rows()`` the
+    basis rows as bytes in pivot order, and ``contains`` tests a byte row for
+    membership by reducing it against the basis."""
+
+    def __init__(self, field: FieldSpec, rows: Sequence[bytes], n: int):
+        self.field = field
+        self.n = n
+        if field.p == 2:
+            self._basis, self.pivots = self._rref_packed([int.from_bytes(r, "little") for r in rows])
+        else:
+            mat, self.pivots = _rref_lists(field, rows)
+            self._basis = mat[: len(self.pivots)]
+
+    def rows(self) -> List[bytes]:
+        if self.field.p == 2:
+            return [r.to_bytes(self.n, "little") for r in self._basis]
+        return [bytes(r) for r in self._basis]
+
+    def contains(self, vec: bytes) -> bool:
+        if self.field.p == 2:
+            return not self._reduce_packed(int.from_bytes(vec, "little"))
+        v = list(vec)
+        mul, sub = self.field.mul, self.field.sub
+        for pc, row in zip(self.pivots, self._basis):
+            c = v[pc]
+            if c:
+                factor = mul[c]
+                v = [sub[a][factor[b]] for a, b in zip(v, row)]
+        return not any(v)
+
+    # -- characteristic 2: packed rows --------------------------------------
+
+    def _scaled(self, row: int, c: int) -> int:
+        if c == 1:
+            return row
+        table = self.field.mul_bytes[c]
+        return int.from_bytes(row.to_bytes(self.n, "little").translate(table), "little")
+
+    def _reduce_packed(self, v: int) -> int:
+        """v minus its components along the basis: zero exactly when v lies
+        in the span."""
+        for pc, row in zip(self.pivots, self._basis):
+            c = v >> 8 * pc & 255
+            if c:
+                v ^= self._scaled(row, c)
+        return v
+
+    def _rref_packed(self, rows: List[int]) -> Tuple[List[int], List[int]]:
+        """Column by column: a row whose leading symbol is lowest becomes the
+        next pivot row, scaled to a leading 1, and its column is cleared from
+        every other row with one XOR each (at most q - 1 multiples of the
+        pivot row are made).  Only the rows that led in that column change
+        their leading symbol."""
+        inv = self.field.inv
+        basis: List[int] = []
+        pivots: List[int] = []
+        todo = [r for r in rows if r]
+        leads = [_lead(r) for r in todo]
+        while todo:
+            c = min(leads)
+            at = leads.index(c)
+            del leads[at]
+            v = todo.pop(at)
+            shift = 8 * c
+            v = self._scaled(v, inv[v >> shift & 255])
+            multiples = {1: v}
+
+            def clear(row: int) -> int:
+                e = row >> shift & 255
+                if not e:
+                    return row
+                m = multiples.get(e)
+                if m is None:
+                    m = multiples[e] = self._scaled(v, e)
+                return row ^ m
+
+            basis[:] = map(clear, basis)
+            for i, lead in enumerate(leads):
+                if lead == c:
+                    todo[i] = clear(todo[i])
+                    leads[i] = _lead(todo[i])
+            if 0 in todo:
+                leads = [lead for lead, r in zip(leads, todo) if r]
+                todo = [r for r in todo if r]
+            basis.append(v)
+            pivots.append(c)
+        return basis, pivots
+
+
+def _lead(row: int) -> int:
+    """The column of the lowest nonzero symbol of a packed row (-1 for 0)."""
+    return ((row & -row).bit_length() - 1) >> 3
+
+
 def rref(field: FieldSpec, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    """Reduced row echelon form; returns (matrix, pivot column indices).  The
+    matrix keeps one row per input row: the basis in pivot order, then zero
+    rows."""
+    mat = [list(r) for r in rows]
+    if field.p != 2 or not mat:
+        return _rref_lists(field, mat)
+    n = len(mat[0])
+    space = RowSpace(field, [bytes(r) for r in mat], n)
+    zero = len(mat) - len(space.pivots)
+    return [list(r) for r in space.rows()] + [[0] * n for _ in range(zero)], space.pivots
+
+
+def _rref_lists(field: FieldSpec, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
+    """``rref`` by list elimination with table lookups, for any field."""
     mat = [list(r) for r in rows]
     if not mat:
         return mat, []
@@ -43,4 +165,3 @@ def rref(field: FieldSpec, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int
         if r == len(mat):
             break
     return mat, pivots
-

@@ -35,11 +35,11 @@ from .distance import (
     min_distance,
     min_distance_sampled,
 )
-from .errors import DEFAULT_BUDGET as DEFAULT_DISTANCE_BUDGET
-from .factorization import modulus_right_divisors
+from .errors import DEFAULT_BUDGET as DEFAULT_DISTANCE_BUDGET, BudgetExceededError
+from .factorization import _cofactor_divisors, _divisor_scan_cost, modulus_right_divisors
 from .field import FieldSpec, make_field
 from .notation import parse_coeff_string, poly_coeff_string
-from .skewpoly import SkewPoly
+from .skewpoly import SkewPoly, x_pow_minus_one
 from .tables import CatalogEntry, catalog
 
 DEFAULT_SAMPLE_TRIALS = 100_000
@@ -59,8 +59,9 @@ class SearchConfig:
     useful for replaying a known code; ``fs`` without ``g`` is an error.
     ``trials`` caps the total number of candidates evaluated under either
     sampling policy; 0 means an empty campaign.  ``budget`` counts candidates examined (default
-    DEFAULT_BUDGET = 2^26): it bounds the divisor scan, priced as in
-    modulus_right_divisors, and picks each candidate's distance method, exact
+    DEFAULT_BUDGET = 2^26): it bounds the divisor scan, each degree of the
+    window priced alone as in modulus_right_divisors and all of them before
+    the first scan, and picks each candidate's distance method, exact
     when its q^k messages fit the budget, otherwise ``distance_trials``
     seeded random codewords (exact=False).
     """
@@ -377,6 +378,30 @@ def _candidate_stream(
                 yield (g, fs)
 
 
+def _window_divisors(
+    field: FieldSpec, s: int, degrees: Sequence[int], budget: int
+) -> List[SkewPoly]:
+    """The monic right divisors of x^s - 1 (central in every campaign) of the
+    window's degrees, as one modulus_right_divisors call per degree lists
+    them.  Each degree is priced alone against the budget, all of them
+    before the first scan, and each scanned degree min(d, s - d) is scanned
+    once: a degree d > s/2 takes the cofactors of the divisors of degree
+    s - d."""
+    for dg in degrees:
+        cost = _divisor_scan_cost(field, s, [dg])
+        if cost > budget:
+            raise BudgetExceededError("divisor scan too large", cost, budget)
+    modulus = x_pow_minus_one(field, s)
+    scanned: Dict[int, List[SkewPoly]] = {}
+    out: List[SkewPoly] = []
+    for dg in degrees:
+        low = min(dg, s - dg)
+        if low not in scanned:
+            scanned[low] = modulus_right_divisors(field, s, low, budget=budget)
+        out.extend(scanned[low] if low == dg else _cofactor_divisors(modulus, scanned[low]))
+    return out
+
+
 def run_search(
     config: SearchConfig,
     workers: int = 1,  # only 1 is accepted; the keyword goes with the next benchmark change
@@ -396,8 +421,7 @@ def run_search(
     divisors: List[SkewPoly] = []
     if not config.g:
         gmin, gmax = config.degree_window
-        for dg in range(gmin, gmax + 1):
-            divisors.extend(modulus_right_divisors(field, s, dg, budget=config.budget))
+        divisors = _window_divisors(field, s, range(gmin, gmax + 1), config.budget)
         if not divisors:
             return
     stream = _candidate_stream(config, field, divisors)

@@ -17,7 +17,9 @@ underneath are checked by the linear systems.
 ``reference_build`` is the code construction that ranks all s shift images
 and then row-reduces their whole span; ``CodeStructure`` reduces only the
 first k images and tests the rest for membership, so agreement checks the
-R/R*h' basis argument it relies on.  ``blocks_to_polys`` reads a codeword
+R/R*h' basis argument it relies on.  Every rank and row reduction here is the
+list elimination ``linalg._rref_lists``, which shares no code with the
+packed rows that ``RowSpace`` reduces in characteristic 2.  ``blocks_to_polys`` reads a codeword
 back as its component polynomials, and ``codeword_set`` lists every codeword
 of a small code from one vectorized product over all q^k messages.
 Imported by ``test_skewpoly.py``, ``test_factorization.py``,
@@ -31,7 +33,7 @@ import numpy as np
 from skewqc.codes import CodeSpec, CodeStructure, polys_to_blocks, skew_shift
 from skewqc.errors import ConsistencyError
 from skewqc.field import FieldSpec
-from skewqc.linalg import rref
+from skewqc.linalg import _rref_lists as rref
 from skewqc.similarity import norm_to_fixed
 from skewqc.skewpoly import (
     SkewPoly,
@@ -254,6 +256,8 @@ def rank(field: FieldSpec, rows: Sequence[Sequence[int]]) -> int:
 
 
 class ReferenceBuild(NamedTuple):
+    g: SkewPoly
+    h: SkewPoly
     k: int
     pivots: List[int]
     genmatrix: np.ndarray
@@ -298,7 +302,7 @@ def reference_build(spec: CodeSpec, generator: Optional[SkewPoly] = None) -> Ref
         if len(pivots) != k:
             raise ConsistencyError(f"first {k} shift images have rank {len(pivots)}")
     genmatrix = np.array(reduced[:k], dtype=np.uint8).reshape(k, spec.n)
-    return ReferenceBuild(k, pivots, genmatrix, full_rank == k)
+    return ReferenceBuild(g, h, k, pivots, genmatrix, full_rank == k)
 
 
 def blocks_to_polys(spec: CodeSpec, vec: Sequence[int]) -> List[SkewPoly]:

@@ -150,6 +150,20 @@ def test_distance_enumerator_scans_once(monkeypatch, capsys):
     assert "[40,9,21]  d is exact  (87381 rows in" in out and "\n21\t480\n" in out
 
 
+def test_distance_enumerator_takes_d_from_its_scan_not_from_sampling(monkeypatch, capsys):
+    """With --enumerator, --sampled is not run: d, the witness and the row
+    count are the exact scan's, as without --sampled."""
+    def sampled(*args, **kwargs):
+        raise AssertionError("the sampled scan ran")
+
+    monkeypatch.setattr(cli, "min_distance_sampled", sampled)
+    argv = ["distance", "--name", "index2-l2-40-9-21", "--sampled", "10", "--enumerator",
+            "--witness"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert re.sub(r"in \d+\.\d\ds\)", "in X.XXs)", out) == ENUMERATOR_WITNESS_STDOUT
+
+
 def test_distance_sampled(capsys):
     assert main(
         ["distance", "--name", "index2-l2-40-9-21", "--sampled", "2000", "--seed", "5"]

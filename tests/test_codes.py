@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import blocks_to_polys, codeword_set, rank, reference_build
-from skewqc import codes
+from skewqc import codes, linalg, search
 from skewqc.codes import (
     CodeSpec,
     CodeStructure,
@@ -21,6 +21,7 @@ from skewqc.errors import ConsistencyError
 from skewqc.factorization import modulus_right_divisors
 from skewqc.field import gf4, make_field
 from skewqc.notation import parse_coeff_string
+from skewqc.search import SearchConfig
 from skewqc.skewpoly import SkewPoly, gcld_many, x_pow_minus_one
 from skewqc.tables import catalog, get
 
@@ -300,21 +301,22 @@ def test_pinned_build_refuses_dependent_first_images():
     lambda: get("index2-l2-40-9-21").build(),
 ], ids=["module", "pinned"])
 def test_build_shifts_k_times_and_tests_closure_once(build, monkeypatch):
-    """A build with k < s makes the images T^0 .. T^k: k shifts, then one
-    membership test of T^k decides module_closed."""
+    """A build with k < s makes the images T^0 .. T^k: k shifts of the byte
+    row, then one membership test of T^k against the basis decides
+    module_closed."""
     shifts, tests = [], []
 
     def counted_shift(*args):
         shifts.append(1)
-        return skew_shift(*args)
+        return shift_bytes(*args)
 
     def counted_test(self, vec):
         tests.append(1)
-        return is_codeword(self, vec)
+        return contains(self, vec)
 
-    is_codeword = CodeStructure.is_codeword
-    monkeypatch.setattr(codes, "skew_shift", counted_shift)
-    monkeypatch.setattr(CodeStructure, "is_codeword", counted_test)
+    shift_bytes, contains = codes._shift_bytes, linalg.RowSpace.contains
+    monkeypatch.setattr(codes, "_shift_bytes", counted_shift)
+    monkeypatch.setattr(linalg.RowSpace, "contains", counted_test)
     code = build()
     assert code.k < code.spec.s and code.module_closed
     assert (len(shifts), len(tests)) == (code.k, 1)
@@ -326,12 +328,14 @@ def test_build_shifts_k_times_and_tests_closure_once(build, monkeypatch):
 
 
 def _outcome(build, spec, generator=None):
-    """(k, pivots, genmatrix, module_closed), or the refusal's exception type."""
+    """(g, h, k, pivots, genmatrix, module_closed), or the refusal's
+    exception type."""
     try:
         code = build(spec, generator)
     except (ConsistencyError, ValueError) as exc:
         return type(exc)
-    return code.k, list(code.pivots), code.genmatrix.tolist(), code.module_closed
+    return (code.g, code.h, code.k, list(code.pivots), code.genmatrix.tolist(),
+            code.module_closed)
 
 
 def _assert_same_build(spec, generator=None):
@@ -341,9 +345,24 @@ def _assert_same_build(spec, generator=None):
 
 
 def test_catalog_builds_match_the_reference_build():
+    """All 72 rows, the 5 degenerate rows whose generator= build is not
+    closed among them."""
+    open_pinned = 0
     for entry in catalog():
         generator = parse_coeff_string(F, entry.g) if entry.degenerate else None
-        _assert_same_build(entry.build().spec, generator)
+        built = _assert_same_build(entry.build().spec, generator)
+        open_pinned += generator is not None and not built[-1]
+    assert open_pinned == 5
+
+
+def test_campaign_candidates_match_the_reference_build():
+    """The 60 module builds of the seed-3 campaign s=12 l=2 trials=60."""
+    config = SearchConfig(s=12, l=2, trials=60, seed=3)
+    divisors = search._window_divisors(F, 12, range(1, 12), config.budget)
+    stream = search._candidate_stream(config, F, divisors)
+    outcomes = [_assert_same_build(CodeSpec(F, 12, degenerate_tuple(g, fs, 12)))
+                for g, fs in itertools.islice(stream, 60)]
+    assert len(outcomes) == 60 and all(isinstance(o, tuple) for o in outcomes)
 
 
 def test_seeded_builds_match_the_reference_build():
@@ -378,7 +397,7 @@ def test_seeded_builds_match_the_reference_build():
     assert len(outcomes) >= 1000
     built = [o for o in outcomes if isinstance(o, tuple)]
     assert ConsistencyError in outcomes
-    assert any(o[3] for o in built) and not all(o[3] for o in built)
+    assert any(o[-1] for o in built) and not all(o[-1] for o in built)
 
 
 # ---------------------------------------------------------------------------

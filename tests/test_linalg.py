@@ -1,0 +1,110 @@
+"""The packed row reduction of characteristic 2 against the list elimination.
+
+``linalg.rref`` and ``linalg.RowSpace`` reduce packed rows over GF(2^e);
+``linalg._rref_lists`` is the list elimination that odd p runs and that the
+reference builds in ``oracles.py`` use.  The reduced row echelon form of a
+matrix is unique, so matrix and pivots must be equal on every input.
+"""
+
+import random
+
+import pytest
+
+from skewqc.codes import polys_to_blocks, skew_shift
+from skewqc.field import make_field
+from skewqc.linalg import RowSpace, _rref_lists, rref
+from skewqc.tables import catalog
+
+CHAR2 = {"GF(2)": (2, 1, 1), "GF(4)": (2, 1, 2), "GF(8)": (2, 1, 3),
+         "GF(16)": (2, 2, 2), "GF(256)": (2, 4, 2)}
+
+
+def _first_images(code):
+    """T^0 .. T^(k-1) of the code's tuple, the rows a build reduces."""
+    F, s = code.spec.field, code.spec.s
+    rows = [polys_to_blocks(code.spec, code.spec.generators)]
+    while len(rows) < code.k:
+        rows.append(skew_shift(F, s, rows[-1]))
+    return rows
+
+
+def test_packed_rref_matches_the_list_elimination_on_permuted_catalog_images():
+    """Every catalog row's first k shift images, under 5 seeded column
+    permutations each."""
+    rng = random.Random(2101)
+    checked = 0
+    for entry in catalog():
+        code = entry.build()
+        F = code.spec.field
+        assert F.p == 2
+        images = _first_images(code)
+        for _ in range(5):
+            order = list(range(code.n))
+            rng.shuffle(order)
+            rows = [[row[j] for j in order] for row in images]
+            got = rref(F, rows)
+            assert got == _rref_lists(F, rows)
+            assert len(got[1]) == code.k
+            checked += 1
+    assert checked == 5 * 72
+
+
+@pytest.mark.parametrize("name", list(CHAR2))
+def test_packed_rref_matches_the_list_elimination_on_random_matrices(name):
+    """Full-rank and rank-deficient matrices, zero rows, repeated rows and
+    sparse rows, of every shape up to 12 x 40."""
+    F = make_field(*CHAR2[name])
+    rng = random.Random(name)
+    ranks = set()
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 40)
+        rows = [[rng.randrange(F.q) if rng.random() < rng.choice((0.2, 1.0)) else 0
+                 for _ in range(ncols)] for _ in range(nrows)]
+        kind = rng.randrange(4)
+        if kind == 1:  # a zero row
+            rows[rng.randrange(nrows)] = [0] * ncols
+        elif kind == 2 and nrows > 1:  # a multiple of another row plus a third
+            a, b, c = (rng.randrange(nrows) for _ in range(3))
+            lam = rng.randrange(F.q)
+            rows[a] = [F.add[F.mul[lam][x]][y] for x, y in zip(rows[b], rows[c])]
+        elif kind == 3:  # rank at most 2 whatever the shape
+            basis = [rows[0], rows[-1]]
+            rows = [[F.add[F.mul[u][x]][F.mul[v][y]] for x, y in zip(*basis)]
+                    for u, v in ((rng.randrange(F.q), rng.randrange(F.q)) for _ in rows)]
+        expected = _rref_lists(F, rows)
+        assert rref(F, rows) == expected
+        ranks.add(len(expected[1]) < nrows)
+    assert ranks == {True, False}  # both full-rank and deficient inputs occurred
+
+
+@pytest.mark.parametrize("name", ["GF(4)", "GF(256)", "GF(9)"])
+def test_row_space_membership_agrees_with_rank(name):
+    """contains(v) exactly when appending v keeps the rank, over packed
+    (characteristic 2) and list (odd p) rows."""
+    F = make_field(3, 1, 2) if name == "GF(9)" else make_field(*CHAR2[name])
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(100):
+        ncols = rng.randint(1, 30)
+        rows = [[rng.randrange(F.q) for _ in range(ncols)] for _ in range(rng.randint(0, 6))]
+        space = RowSpace(F, [bytes(r) for r in rows], ncols)
+        mat, pivots = _rref_lists(F, rows)
+        assert space.pivots == pivots
+        assert space.rows() == [bytes(r) for r in mat[: len(pivots)]]
+        combo = [0] * ncols
+        for r in rows:
+            lam = rng.randrange(F.q)
+            combo = [F.add[a][F.mul[lam][b]] for a, b in zip(combo, r)]
+        for v in (combo, [rng.randrange(F.q) for _ in range(ncols)]):
+            inside = len(_rref_lists(F, rows + [v])[1]) == len(pivots)
+            assert space.contains(bytes(v)) == inside
+            seen.add(inside)
+    assert seen == {True, False}
+
+
+def test_rref_keeps_one_row_per_input_row():
+    F = make_field(2, 1, 2)
+    assert rref(F, []) == ([], [])
+    # (0, a, a^2) and a times it: rank 1, the zero rows last
+    assert rref(F, [[0, 0, 0], [0, 2, 3], [0, 3, 1]]) == (
+        [[0, 1, 2], [0, 0, 0], [0, 0, 0]], [1])

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from skewqc import factorization, search
 from skewqc.distance import exact_cost, min_distance, weight_enumerator
 from skewqc.errors import BudgetExceededError
 from skewqc.field import make_field
@@ -27,6 +28,7 @@ from skewqc.search import (
     verify_entry,
     verify_table,
 )
+from skewqc.factorization import modulus_right_divisors
 from skewqc.skewpoly import gcld_many, x_pow_minus_one
 from skewqc.tables import get
 
@@ -244,6 +246,54 @@ def test_fixed_campaign_export_is_byte_identical():
     tsv = export_records(records, "tsv")
     assert hashlib.sha256(tsv.encode()).hexdigest() == (
         "76b239733197468d07951ad2554df5f332345e0772c5b6516b5a7c4404815949")
+
+
+def _spy_on_divisor_scans(monkeypatch):
+    """The degrees of every batched divisor scan made from now on."""
+    scans = []
+
+    def spied(field, modulus, dg):
+        scans.append(dg)
+        return scan(field, modulus, dg)
+
+    scan = factorization._scan_modulus_divisors
+    monkeypatch.setattr(factorization, "_scan_modulus_divisors", spied)
+    return scans
+
+
+def test_campaign_scans_each_divisor_degree_once(monkeypatch):
+    """The seed-3 window 1..11 of x^12 - 1 scans degrees 1..6 once each,
+    5,460 candidates, where one scan per window degree made 11 over 6,824."""
+    scans = _spy_on_divisor_scans(monkeypatch)
+    list(run_search(SearchConfig(s=12, l=2, trials=1, seed=3)))
+    assert sorted(scans) == [1, 2, 3, 4, 5, 6]
+    assert sum(4**d for d in scans) == 5460
+
+
+@pytest.mark.parametrize("window", [(1, 11), (7, 11), (4, 9), (6, 6)])
+def test_window_divisors_list_every_degree_in_order(monkeypatch, window):
+    """The window lists what one modulus_right_divisors call per degree
+    lists, in the same order, with each degree min(d, 12 - d) scanned once."""
+    field = make_field(2, 1, 2)
+    degrees = range(window[0], window[1] + 1)
+    expected = [g for d in degrees for g in modulus_right_divisors(field, 12, d)]
+    scans = _spy_on_divisor_scans(monkeypatch)
+    assert search._window_divisors(field, 12, degrees, 2**26) == expected
+    assert sorted(scans) == sorted({min(d, 12 - d) for d in degrees})
+
+
+def test_campaign_refuses_an_over_budget_window_before_any_scan(monkeypatch):
+    """Each degree is priced alone, as one modulus_right_divisors call per
+    degree prices it: at s = 20 and budget 4^6 degrees 1..6 and 14..19 fit
+    and degree 7 does not, so the campaign is refused with no scan made."""
+    scans = _spy_on_divisor_scans(monkeypatch)
+    with pytest.raises(BudgetExceededError) as info:
+        list(run_search(SearchConfig(s=20, l=2, trials=1, budget=2**12)))
+    assert scans == []
+    assert (info.value.required, info.value.budget) == (4**7, 2**12)
+    window = SearchConfig(s=20, l=2, trials=1, budget=2**12, g_degree_max=6)
+    assert len(list(run_search(window))) == 1
+    assert sorted(scans) == [1, 2, 3, 4, 5, 6]
 
 
 def test_campaign_records_check_out():
