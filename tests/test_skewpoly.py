@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import pickle
 import random
@@ -356,6 +357,38 @@ def test_gcd_many_matches_the_extended_gcd_chain(field):
             dl = gcld(dl, q).gcd
         assert gcld_many(left) == dl.monic_right()
         assert gcld_many(left).degree >= c.degree
+
+
+def _ring_outputs(field, rng, count):
+    """Every ring output on ``count`` seeded nonzero pairs (a, b) and a third
+    factor c: both products, both divisions, gcrd and gcld with their
+    cofactors, lclm, lcrm and gcld_many."""
+    for _ in range(count):
+        a = rand_poly(rng, field, 9, allow_zero=False)
+        b = rand_poly(rng, field, 7, allow_zero=False)
+        c = rand_poly(rng, field, 3, allow_zero=False)
+        yield from (a * b, b * a, *right_divmod(a, b), *left_divmod(a, b),
+                    *gcrd(a, b), *gcld(a, b), lclm(a, b), lcrm(a, b),
+                    gcld_many([c * a, c * b]), gcld_many([a, b, c]))
+
+
+# sha256 of the coefficient tuples of _ring_outputs(field, Random(2209), 300),
+# recorded before the kernels moved to twisted scalar rows
+RING_PINS = {
+    (2, 1, 2): "1bebd2026ba26ef7fcc00294afc1f3dbe619e802c645ab16329e24c29778c172",
+    (2, 1, 3): "17d77155df10fc09162f6b8d6a760e0806475636dddd4eb157022594fab6f312",
+    (3, 1, 2): "d4710318adb28a55987d5e85f863660487877a075ef6f302c22c16f59aeb70f6",
+    (2, 2, 2): "df4fbba37f955007dc39027896bc2dcc6044ee11c0ffb6f006e57c092ea113b7",
+}
+
+
+@pytest.mark.parametrize("key", sorted(RING_PINS), ids=lambda k: "GF(%d)" % k[0] ** (k[1] * k[2]))
+def test_ring_outputs_match_the_pinned_digest(key):
+    field = make_field(*key)
+    digest = hashlib.sha256()
+    for p in _ring_outputs(field, random.Random(2209), 300):
+        digest.update(repr(p.coeffs).encode())
+    assert digest.hexdigest() == RING_PINS[key]
 
 
 def test_gcrd_of_zero_pair_raises():
