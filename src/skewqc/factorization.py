@@ -12,7 +12,7 @@ coincide and complementary factors commute.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -112,11 +112,12 @@ def modulus_right_divisors(
     every degree is scanned directly.
 
     The budget counts candidates examined, the unit of every guarded scan
-    (default DEFAULT_BUDGET): each degree is priced at the candidates
-    actually scanned, q^min(d, s - d) when central and q^d otherwise, and
-    the budget is checked before any work starts.  Output is in ascending
-    degree, lexicographic within a degree (x^0 coefficient varying fastest),
-    on either path.
+    (default DEFAULT_BUDGET): a call is priced at the candidates it actually
+    scans, q^e for each scanned degree e = min(d, s - d) when central (each
+    e scanned once, also when both d and s - d are asked for) and e = d
+    otherwise, and the budget is checked before any work starts.  Output is
+    in ascending degree, lexicographic within a degree (x^0 coefficient
+    varying fastest), on either path.
     """
     if s < 1:
         raise ValueError("s must be positive")
@@ -126,6 +127,7 @@ def modulus_right_divisors(
         raise BudgetExceededError("divisor scan too large", cost, budget)
     modulus = x_pow_minus_one(field, s)
     central = is_central(modulus)
+    scanned: Dict[int, List[SkewPoly]] = {}
     out: List[SkewPoly] = []
     for dg in degrees:
         if dg < 0 or dg > s:
@@ -134,18 +136,21 @@ def modulus_right_divisors(
             out.append(SkewPoly.one(field))
         elif dg == s:
             out.append(modulus)
-        elif central and s - dg < dg:
-            out.extend(_cofactor_divisors(modulus, _scan_modulus_divisors(field, modulus, s - dg)))
         else:
-            out.extend(_scan_modulus_divisors(field, modulus, dg))
+            low = min(dg, s - dg) if central else dg
+            if low not in scanned:
+                scanned[low] = _scan_modulus_divisors(field, modulus, low)
+            out.extend(scanned[low] if low == dg else _cofactor_divisors(modulus, scanned[low]))
     return out
 
 
 def _divisor_scan_cost(field: FieldSpec, s: int, degrees: Iterable[int]) -> int:
     """Candidates that modulus_right_divisors examines for these degrees:
-    q^min(d, s - d) per degree 0 < d < s when x^s - 1 is central, else q^d."""
+    q^d per degree d it scans, each degree once, where a central x^s - 1
+    scans min(d, s - d) for each 0 < d < s and any other modulus d itself."""
     central = is_central(x_pow_minus_one(field, s))
-    return sum(field.q ** (min(d, s - d) if central else d) for d in degrees if 1 <= d < s)
+    scans = {min(d, s - d) if central else d for d in degrees if 1 <= d < s}
+    return sum(field.q**d for d in scans)
 
 
 def _cofactor_divisors(modulus: SkewPoly, divisors: Sequence[SkewPoly]) -> List[SkewPoly]:

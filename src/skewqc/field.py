@@ -8,7 +8,10 @@ local lists and index into them directly.  Vectors of symbols are also kept
 as bytes, one byte per symbol, so that applying a symbol map to a whole
 vector is one ``bytes.translate``: ``field.theta_bytes`` applies theta and
 ``field.mul_bytes[c]`` multiplies by c, each a 256-byte table (entries from
-q on are never read).
+q on are never read).  ``field.twisted_rows[r][c]`` is the 256-byte row
+b -> c * theta^r(b), one per (r mod m, c): the skew-polynomial kernels take
+one row per outer coefficient and index it once per inner coefficient
+(m * q rows, 2,048 of 512 KB for GF(256) with m = 8).
 
 The distinguished automorphism is ``theta(e) = e**(p**t)``, i.e. the t-th
 power of the absolute Frobenius.  It has order m and fixes exactly the
@@ -226,8 +229,10 @@ class FieldSpec:
         self.np_theta = np.array(self.theta_pows, dtype=np.uint8)
 
     def _build_bytes(self) -> None:
-        self.theta_bytes = bytes(self.theta_pows[1 % self.m]).ljust(256, b"\0")
+        theta = [bytes(row).ljust(256, b"\0") for row in self.theta_pows]
+        self.theta_bytes = theta[1 % self.m]
         self.mul_bytes = tuple(bytes(row).ljust(256, b"\0") for row in self.mul)
+        self.twisted_rows = tuple(tuple(t.translate(mb) for mb in self.mul_bytes) for t in theta)
 
     def _build_tokens(self) -> None:
         q = self.q

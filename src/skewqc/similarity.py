@@ -47,14 +47,14 @@ class SimilarityResult:
 
 def _check_right(a: SkewPoly, b: SkewPoly, u: SkewPoly) -> bool:
     return (
-        _euclid(u, b, False, cofactors=0)[0].degree == 0
+        len(_euclid(a.field, u._c, b._c, False, cofactors=0)[0]) == 1
         and left_divmod(u * a, b)[1].is_zero
     )
 
 
 def _check_left(a: SkewPoly, b: SkewPoly, u: SkewPoly) -> bool:
     return (
-        _euclid(u, b, True, cofactors=0)[0].degree == 0
+        len(_euclid(a.field, u._c, b._c, True, cofactors=0)[0]) == 1
         and right_divmod(a * u, b)[1].is_zero
     )
 
@@ -75,6 +75,7 @@ def are_similar(
         raise ValueError("similarity is defined for monic nonzero polynomials")
     if side not in ("right", "left"):
         raise ValueError(f"unknown side {side!r}")
+    a._check(b)
     check = _check_right if side == "right" else _check_left
     if a.degree != b.degree:
         return SimilarityResult("dissimilar", None, 0)

@@ -26,13 +26,23 @@ left-division run.  The row that reaches zero, ``u*f + v*g = 0``, gives the
 least common multiple (Ore, 1933); lclm and lcrm return only that multiple,
 made monic.
 
-The arithmetic runs on plain coefficient lists through three kernels: one
-product, ``_mul_acc`` (for ``*`` and both Euclid updates), and one reduction
-loop per side, ``_right_reduce`` / ``_left_reduce`` (for the public division
-and the Euclid loop of that side).  ``SkewPoly(field, coeffs)`` is the one
-validating constructor: it takes any integer-like coefficients (numpy
-integers included) and rejects floats and out-of-range values.  Results
-computed here go through the trusted ``_make``.
+The arithmetic runs on plain coefficient lists over the field's twisted
+rows, ``F.twisted_rows[r][c]`` = the 256-byte row b -> c * theta^r(b): a
+kernel takes one row per outer coefficient and makes one lookup per inner
+coefficient.  ``_mul_acc`` is the product (``*``, lclm, lcrm) and
+``_right_reduce`` the right division; ``_left_reduce``, the left division,
+walks the divisor by residue class j = s mod m with the row of
+theta^s(c) for each quotient term c.  ``_euclid`` runs its own
+right-division loop, which subtracts each quotient term's row from the
+remainder and from both cofactors, and runs a left-division Euclid as that
+loop in the opposite ring F[x; theta^-1] (x^i c -> theta^-i(c) x^i reverses
+products, so f*q becomes q'*f').  It returns coefficient lists: gcrd, gcld,
+lclm and lcrm build only the polynomials they return, made monic (and
+mapped back from the opposite ring) in the same pass, one ``translate`` per
+residue class of the exponent (``_twisted``).  ``SkewPoly(field, coeffs)``
+is the one validating constructor: it takes any integer-like coefficients
+(numpy integers included) and rejects floats and out-of-range values.
+Results computed here go through the trusted ``_make``.
 """
 
 from __future__ import annotations
@@ -138,22 +148,21 @@ class SkewPoly:
         return self + (-other)
 
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
-        self._check(other)
+        F = self.field
+        if other.field is not F:
+            self._check(other)
         a, b = self._c, other._c
         out = [0] * (len(a) + len(b) - 1) if a and b else []
-        _mul_acc(self.field, out, a, b, self.field.add)
-        return _make(self.field, out)
+        _mul_acc(F, out, a, b, F.add)
+        return _make(F, out)
 
     def scale_left(self, c: int) -> "SkewPoly":
         """c * f  (multiply every coefficient by c on the left)."""
-        mul = self.field.mul[c]
-        return _make(self.field, [mul[x] for x in self._c])
+        return _make(self.field, self._c.translate(self.field.mul_bytes[c]))
 
     def scale_right(self, c: int) -> "SkewPoly":
         """f * c  (coefficient i picks up theta^i(c))."""
-        F = self.field
-        mul, tp, m = F.mul, F.theta_pows, F.m
-        return _make(F, [mul[x][tp[i % m][c]] for i, x in enumerate(self._c)])
+        return _make(self.field, _twisted(self.field, self._c, c))
 
     def monic_left(self) -> "SkewPoly":
         """The unique monic left-scalar multiple c * f."""
@@ -187,30 +196,56 @@ class SkewPoly:
         return f"SkewPoly({poly_to_terms(self)})"
 
 
-def _make(field: FieldSpec, cs: List[int]) -> SkewPoly:
+_new_poly = object.__new__
+_set_field = SkewPoly.field.__set__  # the slot descriptors, which bypass __setattr__
+_set_coeffs = SkewPoly._c.__set__
+_ONE_BYTE = tuple(bytes([c]) for c in range(256))  # the interpreter's shared 1-byte strings
+
+
+def _make(field: FieldSpec, cs) -> SkewPoly:
     """The trusted constructor for results computed here: trims trailing
-    zeros off the list ``cs`` of in-range ints, with no range check."""
-    while cs and cs[-1] == 0:
-        cs.pop()
-    p = object.__new__(SkewPoly)
-    object.__setattr__(p, "field", field)
-    object.__setattr__(p, "_c", bytes(cs))
+    zeros off ``cs``, a sequence of in-range ints (list, bytes or bytearray),
+    with no range check.  A constant takes the shared 1-byte string that
+    ``bytes([c])`` gives, where ``translate`` would make a new one."""
+    p = _new_poly(SkewPoly)
+    _set_field(p, field)
+    data = bytes(cs).rstrip(b"\0")
+    _set_coeffs(p, _ONE_BYTE[data[0]] if len(data) == 1 else data)
     return p
+
+
+def _twisted(F: FieldSpec, cs: Sequence[int], c: int = 1, sign: int = 0) -> bytearray:
+    """theta^i(c) * theta^(sign*i)(cs_i) for every coefficient cs_i, one
+    translate per residue class of i mod m.  sign = 0 gives f*c; sign = -1
+    (with c = 1) the image of f in the opposite ring (see _opposite_rows);
+    sign = 1 maps an image back, times theta^i(c)."""
+    out = bytearray(cs)
+    m, rows, tp = F.m, F.twisted_rows, F.theta_pows
+    for s in range(m):
+        out[s::m] = out[s::m].translate(rows[sign * s % m][tp[s][c]])
+    return out
+
+
+def _opposite_rows(F: FieldSpec):
+    """The twisted rows of the opposite ring F[x; theta^-1]:
+    rows[k][c][b] = c * theta^-k(b).  The map x^i c -> theta^-i(c) x^i takes
+    F[x; theta] onto it and reverses products, so g = f*q + r becomes
+    g' = q'*f' + r': a left division is a right division there."""
+    rows = F.twisted_rows
+    return rows[:1] + rows[:0:-1]
 
 
 def _mul_acc(F: FieldSpec, out: List[int], a: Sequence[int], b: Sequence[int], op) -> None:
     """out[i+j] = op[out[i+j]][a_i * theta^i(b_j)] in place: ``op = F.add``
     adds the product a*b to out, ``op = F.sub`` subtracts it.  out must have
-    at least len(a) + len(b) - 1 entries."""
-    mul, tp, m = F.mul, F.theta_pows, F.m
+    at least len(a) + len(b) - 1 entries.  One twisted row per a_i."""
+    rows, m = F.twisted_rows, F.m
     for i, ai in enumerate(a):
         if ai:
-            trow = tp[i % m]
-            mrow = mul[ai]
-            for j, bj in enumerate(b):
+            row = rows[i % m][ai]
+            for k, bj in enumerate(b, i):
                 if bj:
-                    k = i + j
-                    out[k] = op[out[k]][mrow[trow[bj]]]
+                    out[k] = op[out[k]][row[bj]]
 
 
 def x_pow_minus_one(field: FieldSpec, s: int) -> SkewPoly:
@@ -229,23 +264,22 @@ class ExtendedGcdResult(NamedTuple):
 
 def _right_reduce(F: FieldSpec, r: List[int], f: Sequence[int]) -> List[int]:
     """Reduce r in place to its remainder on dividing by f on the right
-    (r = q*f + remainder), trimmed; return q.  f is nonzero and trimmed."""
-    mul, sub, inv, tp, m = F.mul, F.sub, F.inv, F.theta_pows, F.m
+    (r = q*f + remainder), trimmed; return q.  f is nonzero and trimmed.
+    A quotient term c x^k subtracts the twisted row b -> c * theta^k(b) at
+    every f_j."""
+    rows, mul, sub, m = F.twisted_rows, F.mul, F.sub, F.m
     df = len(f) - 1
-    flead = f[-1]
-    q = [0] * max(len(r) - df, 0)
-    for top in range(len(r) - 1, df - 1, -1):
-        if r[top]:
-            k = top - df
-            trow = tp[k % m]
-            c = mul[r[top]][inv[trow[flead]]]
-            q[k] = c
-            crow = mul[c]
-            for j in range(df):
-                fj = f[j]
+    low, inv_lead = f[:df], F.inv[f[-1]]
+    q = [0] * (len(r) - df)
+    for k in range(len(q) - 1, -1, -1):
+        top = r[k + df]
+        if top:
+            by_c = rows[k % m]
+            c = q[k] = mul[top][by_c[1][inv_lead]]  # c * theta^k(lead f) = top
+            row = by_c[c]
+            for kj, fj in enumerate(low, k):
                 if fj:
-                    kj = k + j
-                    r[kj] = sub[r[kj]][crow[trow[fj]]]
+                    r[kj] = sub[r[kj]][row[fj]]
     del r[df:]
     while r and r[-1] == 0:
         r.pop()
@@ -253,22 +287,24 @@ def _right_reduce(F: FieldSpec, r: List[int], f: Sequence[int]) -> List[int]:
 
 
 def _left_reduce(F: FieldSpec, r: List[int], f: Sequence[int]) -> List[int]:
-    """The mirror of _right_reduce: r = f*q + remainder."""
-    mul, sub, inv, tp, m = F.mul, F.sub, F.inv, F.theta_pows, F.m
+    """The mirror of _right_reduce: r = f*q + remainder.  A quotient term
+    c x^k subtracts f_j * theta^j(c), walked by residue class j = s mod m
+    with the row of theta^s(c)."""
+    mul, sub, tp, m = F.mul, F.sub, F.theta_pows, F.m
     df = len(f) - 1
-    inv_lead = inv[f[-1]]
-    tlead = tp[(-df) % m]
-    q = [0] * max(len(r) - df, 0)
-    for top in range(len(r) - 1, df - 1, -1):
-        if r[top]:
-            k = top - df
-            c = tlead[mul[inv_lead][r[top]]]
-            q[k] = c
-            for j in range(df):
-                fj = f[j]
-                if fj:
-                    kj = k + j
-                    r[kj] = sub[r[kj]][mul[fj][tp[j % m][c]]]
+    inv_lead, tlead = F.inv[f[-1]], tp[-df % m]
+    classes = [(s, f[s:df:m]) for s in range(min(m, df))]
+    q = [0] * (len(r) - df)
+    for k in range(len(q) - 1, -1, -1):
+        top = r[k + df]
+        if top:
+            c = q[k] = tlead[mul[inv_lead][top]]  # lead f * theta^df(c) = top
+            for s, fs in classes:
+                row, kj = mul[tp[s][c]], k + s
+                for fj in fs:
+                    if fj:
+                        r[kj] = sub[r[kj]][row[fj]]
+                    kj += m
     del r[df:]
     while r and r[-1] == 0:
         r.pop()
@@ -276,14 +312,16 @@ def _left_reduce(F: FieldSpec, r: List[int], f: Sequence[int]) -> List[int]:
 
 
 def _divmod(g: SkewPoly, f: SkewPoly, reduce) -> Tuple[SkewPoly, SkewPoly]:
-    g._check(f)
-    if f.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
     F = g.field
-    if g.degree < f.degree:
-        return _make(F, []), g
+    if f.field is not F:
+        g._check(f)
+    fc = f._c
+    if not fc:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if len(g._c) < len(fc):
+        return _make(F, b""), g
     r = list(g._c)
-    q = reduce(F, r, f._c)
+    q = reduce(F, r, fc)
     return _make(F, q), _make(F, r)
 
 
@@ -298,82 +336,125 @@ def left_divmod(g: SkewPoly, f: SkewPoly) -> Tuple[SkewPoly, SkewPoly]:
 
 
 def _euclid(
-    f: SkewPoly, g: SkewPoly, right: bool, cofactors: int = 2
-) -> Tuple[SkewPoly, ...]:
-    """Extended Euclid on coefficient lists, with right division when
-    ``right`` and left division otherwise: one reduction loop per side, and
-    each row update x0 -= q*x1 (right) or x1*q (left) in place.
+    F: FieldSpec, f: Sequence[int], g: Sequence[int], right: bool,
+    cofactors: int = 2, zero_row: bool = True,
+) -> Tuple[List[int], ...]:
+    """Extended Euclid on the coefficient sequences f, g over F, with right
+    division when ``right`` and left division otherwise.  A left run is the
+    right run on the images f', g' in the opposite ring (_opposite_rows), so
+    one loop serves both sides, with the field tables looked up once: each
+    quotient term c x^k of a step takes one twisted row and subtracts it
+    from the remainder and, x0 -= q*x1, from the cofactors.
 
-    Returns the last two rows (r0, a0, b0, a1, b1).  On the right side
-    a0*f + b0*g = r0, a gcrd up to a unit, and a1*f + b1*g = 0, a common
-    left multiple of least degree; on the left side f*a0 + g*b0 = r0, a gcld
-    up to a unit, and f*a1 + g*b1 = 0.  ``cofactors`` is how many of the
-    cofactor sequences a, b are updated: 2 for both, 1 for a alone (lclm and
-    lcrm read only a1), 0 for callers that keep only r0; the entries of a
-    sequence not updated are meaningless."""
-    f._check(g)
-    F = f.field
-    reduce, sub = (_right_reduce if right else _left_reduce), F.sub
-    r0, a0, b0 = list(f._c), [1], []
-    r1, a1, b1 = list(g._c), [], [1]
+    Returns the last two rows (r0, a0, b0, a1, b1) as trimmed coefficient
+    lists.  On the right side a0*f + b0*g = r0, a gcrd up to a unit, and
+    a1*f + b1*g = 0, a common left multiple of least degree.  On the left
+    side the rows are opposite-ring images, which ``_twisted(F, row, c, 1)``
+    maps back: f*a0 + g*b0 = r0, a gcld up to a unit, and f*a1 + g*b1 = 0.
+    ``cofactors`` is how many of the cofactor sequences a, b are updated: 2
+    for both, 1 for a alone (lclm and lcrm read only a1), 0 for callers that
+    keep only r0; without ``zero_row`` the step that reaches r = 0 leaves
+    a1, b1 as they were (gcrd and gcld read only r0, a0, b0).  The entries
+    of a row not updated are meaningless."""
+    if right:
+        rows, r0, r1 = F.twisted_rows, list(f), list(g)
+    else:
+        rows, r0, r1 = _opposite_rows(F), list(_twisted(F, f, 1, -1)), list(_twisted(F, g, 1, -1))
+    mul, sub, inv, m = F.mul, F.sub, F.inv, F.m
+    a0, b0, a1, b1 = [1], [], [], [1]
     while r1:
-        q = reduce(F, r0, r1)  # r0 becomes the remainder r2
-        for x0, x1 in ((a0, a1), (b0, b1))[:cofactors]:
-            if x1:
-                x0 += [0] * (len(q) + len(x1) - 1 - len(x0))
-                if right:
-                    _mul_acc(F, x0, q, x1, sub)
-                else:
-                    _mul_acc(F, x0, x1, q, sub)
+        df = len(r1) - 1
+        nq = len(r0) - df  # quotient terms
+        if nq > 0:
+            low, inv_lead, terms = r1[:df], inv[r1[-1]], []
+            for k in range(nq - 1, -1, -1):
+                top = r0[k + df]
+                if top:
+                    by_c = rows[k % m]
+                    row = by_c[mul[top][by_c[1][inv_lead]]]
+                    terms.append((k, row))
+                    for kj, xj in enumerate(low, k):
+                        if xj:
+                            r0[kj] = sub[r0[kj]][row[xj]]
+            del r0[df:]
+            while r0 and r0[-1] == 0:
+                r0.pop()
+            if r0 or zero_row:
+                for x0, x1 in ((a0, a1), (b0, b1))[:cofactors]:
+                    if x1:
+                        x0 += [0] * (nq + len(x1) - 1 - len(x0))
+                        for k, row in terms:
+                            for kj, xj in enumerate(x1, k):
+                                if xj:
+                                    x0[kj] = sub[x0[kj]][row[xj]]
         r0, a0, b0, r1, a1, b1 = r1, a1, b1, r0, a0, b0
-    return _make(F, r0), _make(F, a0), _make(F, b0), _make(F, a1), _make(F, b1)
+    return r0, a0, b0, a1, b1
 
 
 def gcrd(f: SkewPoly, g: SkewPoly) -> ExtendedGcdResult:
     """Monic greatest common right divisor d with a*f + b*g = d."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcrd(0, 0) is undefined")
-    r0, a0, b0, _, _ = _euclid(f, g, True)
-    c = f.field.inv[r0.lead]
-    return ExtendedGcdResult(r0.scale_left(c), a0.scale_left(c), b0.scale_left(c))
+    f._check(g)
+    F = f.field
+    r0, a0, b0, _, _ = _euclid(F, f._c, g._c, True, zero_row=False)
+    row = F.mul_bytes[F.inv[r0[-1]]]
+    return ExtendedGcdResult(_make(F, bytes(r0).translate(row)),
+                             _make(F, bytes(a0).translate(row)),
+                             _make(F, bytes(b0).translate(row)))
 
 
 def gcld(f: SkewPoly, g: SkewPoly) -> ExtendedGcdResult:
     """Monic greatest common left divisor d with f*a + g*b = d."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcld(0, 0) is undefined")
+    f._check(g)
     F = f.field
-    r0, a0, b0, _, _ = _euclid(f, g, False)
-    c = F.theta(F.inv[r0.lead], -r0.degree)
-    return ExtendedGcdResult(r0.scale_right(c), a0.scale_right(c), b0.scale_right(c))
+    r0, a0, b0, _, _ = _euclid(F, f._c, g._c, False, zero_row=False)
+    c = F.inv[r0[-1]]
+    return ExtendedGcdResult(_make(F, _twisted(F, r0, c, 1)),
+                             _make(F, _twisted(F, a0, c, 1)),
+                             _make(F, _twisted(F, b0, c, 1)))
 
 
 def gcld_many(polys: Iterable[SkewPoly]) -> SkewPoly:
     """Monic gcld of a sequence (ignoring zero entries); runs Euclid without
     the Bezout cofactors, which it does not return."""
-    acc: Optional[SkewPoly] = None
+    first: Optional[SkewPoly] = None
     for p in polys:
         if p.is_zero:
             continue
-        acc = p if acc is None else _euclid(acc, p, False, cofactors=0)[0]
-        if acc.degree == 0:
+        if first is None:
+            first, acc = p, p._c
+        else:
+            first._check(p)
+            acc = _twisted(p.field, _euclid(p.field, acc, p._c, False, cofactors=0)[0], 1, 1)
+        if len(acc) == 1:
             break
-    if acc is None:
+    if first is None:
         raise ValueError("gcld of all-zero sequence is undefined")
-    return acc.monic_right()
+    return _make(first.field, acc).monic_right()
 
 
 def lclm(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     """Monic least common left multiple m = u*f = v*g of minimal degree."""
     if f.is_zero or g.is_zero:
         raise ValueError("lclm requires nonzero arguments")
-    u = _euclid(f, g, True, cofactors=1)[3]
-    return (u * f).monic_left()
+    f._check(g)
+    F = f.field
+    u = _euclid(F, f._c, g._c, True, cofactors=1)[3]
+    out = [0] * (len(u) + len(f._c) - 1)
+    _mul_acc(F, out, u, f._c, F.add)
+    return _make(F, bytes(out).translate(F.mul_bytes[F.inv[out[-1]]]))
 
 
 def lcrm(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     """Monic least common right multiple m = f*u = g*v of minimal degree."""
     if f.is_zero or g.is_zero:
         raise ValueError("lcrm requires nonzero arguments")
-    u = _euclid(f, g, False, cofactors=1)[3]
-    return (f * u).monic_right()
+    f._check(g)
+    F = f.field
+    u = _twisted(F, _euclid(F, f._c, g._c, False, cofactors=1)[3], 1, 1)
+    out = [0] * (len(f._c) + len(u) - 1)
+    _mul_acc(F, out, f._c, u, F.add)
+    return _make(F, _twisted(F, out, F.theta(F.inv[out[-1]], 1 - len(out))))

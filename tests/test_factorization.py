@@ -3,6 +3,7 @@ import hashlib
 import pytest
 from oracles import monic_polys, right_divisors
 
+from skewqc import factorization
 from skewqc.errors import BudgetExceededError
 from skewqc.factorization import (
     all_linear_factorizations,
@@ -187,6 +188,51 @@ def test_modulus_divisor_scan_non_central():
     fast = modulus_right_divisors(F, 5)
     slow = right_divisors(x_pow_minus_one(F, 5))
     assert [tuple(g.coeffs) for g in fast] == [tuple(g.coeffs) for g in slow]
+
+
+def _spy_on_divisor_scans(monkeypatch):
+    """The degrees of every batched divisor scan made from now on."""
+    scans = []
+
+    def spied(field, modulus, dg):
+        scans.append(dg)
+        return scan(field, modulus, dg)
+
+    scan = factorization._scan_modulus_divisors
+    monkeypatch.setattr(factorization, "_scan_modulus_divisors", spied)
+    return scans
+
+
+@pytest.mark.parametrize("field, s, scanned", [
+    (F, 12, [1, 2, 3, 4, 5, 6]),
+    (make_field(3, 1, 2), 6, [1, 2, 3]),
+    (F, 5, [1, 2, 3, 4]),  # not central: every degree is scanned itself
+], ids=["gf4-s12", "gf9-s6", "gf4-s5"])
+def test_all_modulus_divisors_scan_each_degree_once(monkeypatch, field, s, scanned):
+    """Without a degree, each scanned degree min(d, s - d) is scanned once,
+    the call is priced at exactly those scans, and the divisors and their
+    order are those of one call per degree."""
+    expected = [g for d in range(s + 1) for g in modulus_right_divisors(field, s, degree=d)]
+    cost = sum(field.q**d for d in scanned)
+    scans = _spy_on_divisor_scans(monkeypatch)
+    assert modulus_right_divisors(field, s, budget=cost) == expected
+    assert scans == scanned
+    with pytest.raises(BudgetExceededError) as info:
+        modulus_right_divisors(field, s, budget=cost - 1)
+    assert (info.value.required, info.value.budget) == (cost, cost - 1)
+    assert scans == scanned
+
+
+def test_all_modulus_divisors_are_priced_at_the_candidates_scanned(monkeypatch):
+    """x^12 - 1 costs 6 scans over 5,460 candidates, where a scan per degree
+    made 11 over 6,824; x^20 - 1 costs 10 scans over 1,398,100 instead of
+    19 over 1,747,624, refused before any scan."""
+    scans = _spy_on_divisor_scans(monkeypatch)
+    for s, cost in ((12, 5_460), (20, 1_398_100)):
+        with pytest.raises(BudgetExceededError) as info:
+            modulus_right_divisors(F, s, budget=cost - 1)
+        assert info.value.required == cost
+    assert scans == []
 
 
 def test_modulus_divisor_extremes():

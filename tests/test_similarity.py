@@ -45,6 +45,15 @@ def test_x_minus_one_a_a2_pairwise_similar():
         assert res.witness is not None
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_similarity_refuses_mixed_fields(side):
+    """a and b over different fields are refused, whatever their degrees."""
+    F9 = make_field(3, 1, 2)
+    for b in (SkewPoly(F9, [1, 1]), SkewPoly(F9, [1, 0, 1])):
+        with pytest.raises(ValueError, match="mixed-field"):
+            are_similar(SkewPoly(F, [1, 1]), b, side=side)
+
+
 def test_norm_map_on_gf4():
     # N(c) = c * theta(c) = c^3 for nonzero c, which is always 1 on GF(4)*
     assert norm_to_fixed(F, 0) == 0

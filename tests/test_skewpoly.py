@@ -19,6 +19,7 @@ from skewqc.field import gf4, make_field
 from skewqc.skewpoly import (
     SkewPoly,
     _euclid,
+    _twisted,
     gcld,
     gcld_many,
     gcrd,
@@ -33,10 +34,18 @@ F = gf4()
 A, A2 = 2, 3  # the encodings of a and a^2
 
 # The ring oracles run over GF(4) and GF(9), where theta has order 2 and so
-# theta^-1 = theta, and over GF(8), where theta has order 3 and a wrong sign
-# in a theta exponent shows.
+# theta^-1 = theta; over GF(8) and GF(27), where theta has order 3 and a
+# wrong sign in a theta exponent shows; over GF(2), where theta is the
+# identity (m = 1); over GF(16) with t = 2, where theta fixes GF(4); and over
+# GF(256) with m = 8, more than most divisor degrees, so that the residue
+# classes of the left reduction are short or empty.
+TWISTED_FIELDS = {
+    "gf4": gf4(), "gf9": make_field(3, 1, 2), "gf8": make_field(2, 1, 3),
+    "gf2": make_field(2, 1, 1), "gf16": make_field(2, 2, 2),
+    "gf27": make_field(3, 1, 3), "gf256": make_field(2, 1, 8),
+}
 ORACLE_FIELDS = pytest.mark.parametrize(
-    "field", [gf4(), make_field(3, 1, 2), make_field(2, 1, 3)], ids=["gf4", "gf9", "gf8"]
+    "field", list(TWISTED_FIELDS.values()), ids=list(TWISTED_FIELDS)
 )
 
 
@@ -185,6 +194,22 @@ def test_polynomials_store_one_byte_per_coefficient():
         assert per_poly <= 120, f"{label}: {per_poly:.1f} B per polynomial"
 
 
+@pytest.mark.parametrize("field", [gf4(), make_field(3, 1, 2)], ids=["gf4", "gf9"])
+def test_constant_results_share_the_one_byte_string(field):
+    """A constant result, such as the gcd of a coprime pair, holds the same
+    1-byte string as a constant from the constructor, not a new one per
+    result."""
+    one = SkewPoly.one(field)
+    x = SkewPoly.x(field)
+    for c in range(1, field.q):
+        f, g = x + SkewPoly(field, [c]), x  # coprime on both sides
+        results = [gcrd(f, g).gcd, gcld(f, g).gcd, gcld_many([f, g]),
+                   right_divmod(f, x)[1], left_divmod(f, x)[1], one.scale_left(c),
+                   one.scale_right(c), SkewPoly(field, [c]) * one]
+        for p in results:
+            assert p.degree == 0 and p._c is SkewPoly(field, [p.lead])._c
+
+
 def test_polynomials_pickle_and_copy_over_the_shared_field():
     F9 = make_field(3, 1, 2)
     for field in (F, F9):
@@ -193,6 +218,19 @@ def test_polynomials_pickle_and_copy_over_the_shared_field():
     for p in (SkewPoly(F, [1, A, 0, A2]), SkewPoly(F9, [0, 8, 1]), SkewPoly.zero(F)):
         for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
             assert twin == p and twin.field is p.field
+
+
+@ORACLE_FIELDS
+def test_twisted_rows_are_scaled_automorphism_rows(field):
+    """twisted_rows[r][c] maps b to c * theta^r(b) for every r < m and b < q."""
+    rows = field.twisted_rows
+    assert len(rows) == field.m and all(len(by_c) == field.q for by_c in rows)
+    for r in range(field.m):
+        for c in range(field.q):
+            row = rows[r][c]
+            assert type(row) is bytes and len(row) == 256
+            assert list(row[:field.q]) == [field.mul[c][field.theta_pows[r][b]]
+                                           for b in range(field.q)]
 
 
 # ---------------------------------------------------------------------------
@@ -277,25 +315,33 @@ def _euclid_cases(field, rng):
                     (f, SkewPoly.zero(field)), (SkewPoly.zero(field), f)]
 
 
-def _is_canonical(p, field):
+def _is_canonical(row, field):
+    """A coefficient list as a SkewPoly keeps it: trimmed Python ints in range."""
     return (
-        SkewPoly(field, p.coeffs) == p
-        and (not p.coeffs or p.coeffs[-1] != 0)
-        and all(type(c) is int and 0 <= c < field.q for c in p.coeffs)
+        type(row) is list
+        and (not row or row[-1] != 0)
+        and all(type(c) is int and 0 <= c < field.q for c in row)
+        and list(SkewPoly(field, row).coeffs) == row
     )
 
 
 @ORACLE_FIELDS
 def test_euclid_rows_match_the_object_reference(field):
     """All five rows of both list-kernel Euclid runs equal those of the
-    object-level runs in oracles.py, and every row is canonical."""
+    object-level runs in oracles.py, and every row is canonical; a run that
+    skips the zero row's cofactors (as gcrd and gcld do) has the same first
+    three rows."""
     rng = random.Random(808)
     for f, g in _euclid_cases(field, rng):
         for right, ref in ((True, right_euclid_reference),
                            (False, left_euclid_reference)):
-            rows = _euclid(f, g, right)
-            assert rows == ref(f, g)
-            assert all(_is_canonical(p, field) for p in rows)
+            rows = _euclid(field, f._c, g._c, right)
+            assert len(rows) == 5
+            assert all(_is_canonical(row, field) for row in rows)
+            assert _euclid(field, f._c, g._c, right, zero_row=False)[:3] == rows[:3]
+            if not right:  # images in the opposite ring, mapped back
+                rows = [list(_twisted(field, row, 1, 1)) for row in rows]
+            assert [tuple(row) for row in rows] == [p.coeffs for p in ref(f, g)]
 
 
 @ORACLE_FIELDS
