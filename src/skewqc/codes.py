@@ -31,9 +31,8 @@ of the coefficient bytes of ``SkewPoly``): T is one slice per block and one
 row-reduced by ``linalg.RowSpace`` (packed XOR rows in characteristic 2).
 
 A built code has one encoder, ``encode`` (message times the RREF basis), and
-one membership test, ``is_codeword`` (reduction against that basis); the
-components of u*(f_1, ..., f_l) are laid out as a vector by
-``polys_to_blocks``.
+one membership test, ``is_codeword`` (``RowSpace.contains``).  Both, and
+``skew_shift``, refuse symbols outside the field with ValueError.
 """
 
 from __future__ import annotations
@@ -88,18 +87,23 @@ def skew_shift(field: FieldSpec, s: int, vec: Sequence[int]) -> List[int]:
     """Apply T: per-block right rotation by one followed by theta."""
     if len(vec) % s:
         raise ValueError("vector length is not a multiple of s")
-    return list(_shift_bytes(field, s, bytes(list(vec))))
+    return list(_shift_bytes(field, s, _byte_row(field, vec)))
+
+
+def _byte_row(field: FieldSpec, vec: Sequence[int]) -> bytes:
+    """vec as a byte row, one byte per symbol; ValueError names the first
+    symbol outside the field."""
+    q = field.q
+    for c in vec:
+        if not 0 <= c < q:
+            raise ValueError(f"symbol {c} outside field of order {q}")
+    return bytes(list(vec))
 
 
 def _shift_bytes(field: FieldSpec, s: int, vec: bytes) -> bytes:
     """T on a byte row: each block rotated right by one, then theta."""
     blocks = (vec[b + s - 1 : b + s] + vec[b : b + s - 1] for b in range(0, len(vec), s))
     return b"".join(blocks).translate(field.theta_bytes)
-
-
-def polys_to_blocks(spec: CodeSpec, polys: Sequence[SkewPoly]) -> List[int]:
-    """The block-layout vector of l component polynomials of degree < s."""
-    return list(_blocks_bytes(spec.s, polys))
 
 
 def _blocks_bytes(s: int, polys: Sequence[SkewPoly]) -> bytes:
@@ -139,7 +143,7 @@ class CodeStructure:
         images = [_blocks_bytes(s, spec.generators)]
         for _ in range(self.k):
             images.append(_shift_bytes(F, s, images[-1]))
-        self._space = linalg.RowSpace(F, images[: self.k], self.n)
+        self._space = linalg.RowSpace(F, images[: self.k])
         self.pivots = self._space.pivots
         if len(self.pivots) != self.k:
             raise ConsistencyError(f"first {self.k} shift images have rank {len(self.pivots)}")
@@ -157,16 +161,16 @@ class CodeStructure:
             raise ValueError(f"message length must be {self.k}")
         F = self.spec.field
         acc = np.zeros(self.n, dtype=np.uint8)
-        for c, grow in zip(message, self.genmatrix):
+        for c, grow in zip(_byte_row(F, message), self.genmatrix):
             if c:
                 acc = F.np_add[acc, F.np_mul[c][grow]]
         return acc
 
     def is_codeword(self, vec: Sequence[int]) -> bool:
-        """Membership test by reduction against the RREF basis."""
+        """Membership test in the span of the RREF basis."""
         if len(vec) != self.n:
             raise ValueError("vector length mismatch")
-        return self._space.contains(np.asarray(vec, dtype=np.uint8).tobytes())
+        return self._space.contains(_byte_row(self.spec.field, vec))
 
     def params(self, d: Optional[int] = None) -> str:
         return f"[{self.n},{self.k}]" if d is None else f"[{self.n},{self.k},{d}]"

@@ -1,6 +1,5 @@
 """Exact Gaussian elimination over a tabulated finite field.
 
-``rref`` takes and returns plain lists of rows of int-encoded field elements.
 ``RowSpace`` takes byte rows (one byte per symbol, the layout of the shift
 images in ``codes``) and keeps its reduced basis in the form that is fastest
 for the field's characteristic, chosen by ``field.p``:
@@ -8,9 +7,9 @@ for the field's characteristic, chosen by ``field.p``:
 * p = 2: a row is one Python int whose byte j (little-endian) is symbol j.
   Adding rows is one XOR, entry j is ``(row >> 8j) & 255``, and scaling by c
   is one ``bytes.translate`` through ``field.mul_bytes[c]``.
-* odd p: a row is a list of ints, reduced by table lookups
-  (``_rref_lists``).  Addition is digit-wise mod p there, not XOR, so no
-  single int or bytes operation adds two rows.
+* odd p: a row is a list of ints, and ``_rref_lists`` both reduces rows and
+  tests membership (does appending the row keep the rank?).  Addition is
+  digit-wise mod p there, so no single int or bytes operation adds two rows.
 
 Sizes in this package stay small (a few hundred columns, a few dozen rows),
 and both forms return the same unique reduced row echelon form; the tests
@@ -25,15 +24,16 @@ from .field import FieldSpec
 
 
 class RowSpace:
-    """The reduced row echelon basis of byte rows of length n over a field.
+    """The reduced row echelon basis of byte rows of length n over a field
+    (n = 0 without rows: the empty basis spans only the zero vector).
 
     ``pivots`` are the pivot columns in increasing order, ``rows()`` the
     basis rows as bytes in pivot order, and ``contains`` tests a byte row for
-    membership by reducing it against the basis."""
+    membership in the span."""
 
-    def __init__(self, field: FieldSpec, rows: Sequence[bytes], n: int):
+    def __init__(self, field: FieldSpec, rows: Sequence[bytes]):
         self.field = field
-        self.n = n
+        self.n = len(rows[0]) if rows else 0
         if field.p == 2:
             self._basis, self.pivots = self._rref_packed([int.from_bytes(r, "little") for r in rows])
         else:
@@ -48,14 +48,7 @@ class RowSpace:
     def contains(self, vec: bytes) -> bool:
         if self.field.p == 2:
             return not self._reduce_packed(int.from_bytes(vec, "little"))
-        v = list(vec)
-        mul, sub = self.field.mul, self.field.sub
-        for pc, row in zip(self.pivots, self._basis):
-            c = v[pc]
-            if c:
-                factor = mul[c]
-                v = [sub[a][factor[b]] for a, b in zip(v, row)]
-        return not any(v)
+        return len(_rref_lists(self.field, self._basis + [vec])[1]) == len(self.pivots)
 
     # -- characteristic 2: packed rows --------------------------------------
 
@@ -121,21 +114,9 @@ def _lead(row: int) -> int:
     return ((row & -row).bit_length() - 1) >> 3
 
 
-def rref(field: FieldSpec, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices).  The
-    matrix keeps one row per input row: the basis in pivot order, then zero
-    rows."""
-    mat = [list(r) for r in rows]
-    if field.p != 2 or not mat:
-        return _rref_lists(field, mat)
-    n = len(mat[0])
-    space = RowSpace(field, [bytes(r) for r in mat], n)
-    zero = len(mat) - len(space.pivots)
-    return [list(r) for r in space.rows()] + [[0] * n for _ in range(zero)], space.pivots
-
-
 def _rref_lists(field: FieldSpec, rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
-    """``rref`` by list elimination with table lookups, for any field."""
+    """(matrix, pivot columns) of the reduced row echelon form, by list
+    elimination for any field: the basis in pivot order, then zero rows."""
     mat = [list(r) for r in rows]
     if not mat:
         return mat, []

@@ -274,10 +274,10 @@ class SearchRecord:
             field=tuple(int(x) for x in data.get("field", GF4)),
         )
 
-    def rebuild(self, field: Optional[FieldSpec] = None) -> CodeStructure:
-        """Reconstruct the code from the stored strings (over the record's
-        own field unless ``field`` is given)."""
-        F = field if field is not None else make_field(*self.field)
+    def rebuild(self) -> CodeStructure:
+        """Reconstruct the code from the stored strings over the record's
+        field."""
+        F = make_field(*self.field)
         s = self.n // len(self.generators)
         polys = tuple(parse_coeff_string(F, g) for g in self.generators)
         return build_code(F, s, polys)

@@ -153,16 +153,22 @@ class SkewPoly:
             self._check(other)
         a, b = self._c, other._c
         out = [0] * (len(a) + len(b) - 1) if a and b else []
-        _mul_acc(F, out, a, b, F.add)
+        _mul_acc(F, out, a, b)
         return _make(F, out)
 
     def scale_left(self, c: int) -> "SkewPoly":
         """c * f  (multiply every coefficient by c on the left)."""
-        return _make(self.field, self._c.translate(self.field.mul_bytes[c]))
+        F = self.field
+        if not 0 <= c < F.q:
+            raise ValueError(f"scalar {c} outside field of order {F.q}")
+        return _make(F, self._c.translate(F.mul_bytes[c]))
 
     def scale_right(self, c: int) -> "SkewPoly":
         """f * c  (coefficient i picks up theta^i(c))."""
-        return _make(self.field, _twisted(self.field, self._c, c))
+        F = self.field
+        if not 0 <= c < F.q:
+            raise ValueError(f"scalar {c} outside field of order {F.q}")
+        return _make(F, _twisted(F, self._c, c))
 
     def monic_left(self) -> "SkewPoly":
         """The unique monic left-scalar multiple c * f."""
@@ -235,17 +241,16 @@ def _opposite_rows(F: FieldSpec):
     return rows[:1] + rows[:0:-1]
 
 
-def _mul_acc(F: FieldSpec, out: List[int], a: Sequence[int], b: Sequence[int], op) -> None:
-    """out[i+j] = op[out[i+j]][a_i * theta^i(b_j)] in place: ``op = F.add``
-    adds the product a*b to out, ``op = F.sub`` subtracts it.  out must have
-    at least len(a) + len(b) - 1 entries.  One twisted row per a_i."""
-    rows, m = F.twisted_rows, F.m
+def _mul_acc(F: FieldSpec, out: List[int], a: Sequence[int], b: Sequence[int]) -> None:
+    """out[i+j] += a_i * theta^i(b_j) in place, adding the product a*b to out
+    (at least len(a) + len(b) - 1 entries).  One twisted row per a_i."""
+    rows, m, add = F.twisted_rows, F.m, F.add
     for i, ai in enumerate(a):
         if ai:
             row = rows[i % m][ai]
             for k, bj in enumerate(b, i):
                 if bj:
-                    out[k] = op[out[k]][row[bj]]
+                    out[k] = add[out[k]][row[bj]]
 
 
 def x_pow_minus_one(field: FieldSpec, s: int) -> SkewPoly:
@@ -444,7 +449,7 @@ def lclm(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     F = f.field
     u = _euclid(F, f._c, g._c, True, cofactors=1)[3]
     out = [0] * (len(u) + len(f._c) - 1)
-    _mul_acc(F, out, u, f._c, F.add)
+    _mul_acc(F, out, u, f._c)
     return _make(F, bytes(out).translate(F.mul_bytes[F.inv[out[-1]]]))
 
 
@@ -456,5 +461,5 @@ def lcrm(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     F = f.field
     u = _twisted(F, _euclid(F, f._c, g._c, False, cofactors=1)[3], 1, 1)
     out = [0] * (len(f._c) + len(u) - 1)
-    _mul_acc(F, out, f._c, u, F.add)
+    _mul_acc(F, out, f._c, u)
     return _make(F, _twisted(F, out, F.theta(F.inv[out[-1]], 1 - len(out))))

@@ -19,18 +19,21 @@ and then row-reduces their whole span; ``CodeStructure`` reduces only the
 first k images and tests the rest for membership, so agreement checks the
 R/R*h' basis argument it relies on.  Every rank and row reduction here is the
 list elimination ``linalg._rref_lists``, which shares no code with the
-packed rows that ``RowSpace`` reduces in characteristic 2.  ``blocks_to_polys`` reads a codeword
-back as its component polynomials, and ``codeword_set`` lists every codeword
-of a small code from one vectorized product over all q^k messages.
-Imported by ``test_skewpoly.py``, ``test_factorization.py``,
-``test_codes.py``, ``test_similarity.py`` and ``test_acceptance.py``.
+packed rows that ``RowSpace`` reduces in characteristic 2.
+``polys_to_blocks`` lays out component polynomials as a block-layout vector
+from their ``coeffs``, sharing no code with the byte rows of a build;
+``blocks_to_polys`` reads a codeword back as its component polynomials, and
+``codeword_set`` lists every codeword of a small code from one vectorized
+product over all q^k messages.  Imported by ``test_skewpoly.py``,
+``test_factorization.py``, ``test_codes.py``, ``test_linalg.py``,
+``test_similarity.py`` and ``test_acceptance.py``.
 """
 
 from typing import FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from skewqc.codes import CodeSpec, CodeStructure, polys_to_blocks, skew_shift
+from skewqc.codes import CodeSpec, CodeStructure, skew_shift
 from skewqc.errors import ConsistencyError
 from skewqc.field import FieldSpec
 from skewqc.linalg import _rref_lists as rref
@@ -303,6 +306,15 @@ def reference_build(spec: CodeSpec, generator: Optional[SkewPoly] = None) -> Ref
             raise ConsistencyError(f"first {k} shift images have rank {len(pivots)}")
     genmatrix = np.array(reduced[:k], dtype=np.uint8).reshape(k, spec.n)
     return ReferenceBuild(g, h, k, pivots, genmatrix, full_rank == k)
+
+
+def polys_to_blocks(spec: CodeSpec, polys: Sequence[SkewPoly]) -> List[int]:
+    """The block-layout vector of l component polynomials of degree < s,
+    written from their ``coeffs``."""
+    s = spec.s
+    if any(f.degree >= s for f in polys):
+        raise ValueError("component degree exceeds s - 1")
+    return [c for f in polys for c in f.coeffs + (0,) * (s - 1 - f.degree)]
 
 
 def blocks_to_polys(spec: CodeSpec, vec: Sequence[int]) -> List[SkewPoly]:

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import blocks_to_polys, codeword_set, rank, reference_build
+from oracles import blocks_to_polys, codeword_set, polys_to_blocks, rank, reference_build
 from skewqc import codes, linalg, search
 from skewqc.codes import (
     CodeSpec,
@@ -14,7 +14,6 @@ from skewqc.codes import (
     build_code,
     build_degenerate_code,
     degenerate_tuple,
-    polys_to_blocks,
     skew_shift,
 )
 from skewqc.errors import ConsistencyError
@@ -213,6 +212,21 @@ def test_encode_rejects_bad_message_length():
     code = build_code(F, 4, (SkewPoly.one(F),))
     with pytest.raises(ValueError):
         code.encode([0] * (code.k + 1))
+
+
+@pytest.mark.parametrize("field, s", [(F, 4), (make_field(3, 1, 2), 2)], ids=["gf4", "gf9"])
+def test_vector_entry_points_reject_symbols_outside_the_field(field, s):
+    """-1 and q are no symbols; the byte tables would read -1 as q - 1 and q
+    as 0 (theta's padded table) or fail with IndexError or OverflowError."""
+    code = build_code(field, s, (SkewPoly.one(field), SkewPoly.one(field)))
+    for bad in (-1, field.q):
+        vec = [0] * (code.n - 1) + [bad]
+        calls = (lambda: skew_shift(field, s, vec),
+                 lambda: code.encode([0] * (code.k - 1) + [bad]),
+                 lambda: code.is_codeword(vec))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"symbol {bad} outside field of order {field.q}"):
+                call()
 
 
 # ---------------------------------------------------------------------------

@@ -461,6 +461,17 @@ def test_monic_normalizations():
     assert mr.is_monic
 
 
+@pytest.mark.parametrize("field", [gf4(), make_field(3, 1, 2)], ids=["gf4", "gf9"])
+def test_scalar_multiples_reject_scalars_outside_the_field(field):
+    """-1 and q are no field elements; the byte tables would read -1 as the
+    last element and fail on q with an IndexError."""
+    f = SkewPoly(field, [1, 2])
+    for c in (-1, field.q):
+        for scale in (f.scale_left, f.scale_right):
+            with pytest.raises(ValueError, match=f"scalar {c} outside field of order {field.q}"):
+                scale(c)
+
+
 def test_right_divides_predicate():
     """f right-divides g exactly when right_divmod(g, f) leaves no remainder."""
     g = SkewPoly(F, [1, 1])  # x + 1
