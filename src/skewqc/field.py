@@ -253,12 +253,18 @@ class FieldSpec:
     def elements(self) -> range:
         return range(self.q)
 
+    def _check_element(self, a: int) -> None:
+        if not 0 <= a < self.q:
+            raise ValueError(f"element {a} outside field of order {self.q}")
+
     def invert(self, a: int) -> int:
+        self._check_element(a)
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self.inv[a]
 
     def pow(self, a: int, n: int) -> int:
+        self._check_element(a)
         if a == 0:
             if n == 0:
                 return 1
@@ -269,6 +275,7 @@ class FieldSpec:
 
     def theta(self, e: int, k: int = 1) -> int:
         """Apply the field automorphism k times."""
+        self._check_element(e)
         return self.theta_pows[k % self.m][e]
 
     def parse_token(self, tok: str) -> int:

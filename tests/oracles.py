@@ -10,9 +10,9 @@ the batched residue scan of ``modulus_right_divisors``, and the norm
 criterion ``linear_similar`` shares none with the witness search of
 ``are_similar``, so agreement between each pair is evidence for both.  The
 object-level Euclid runs step through public divisions and operators, one
-new SkewPoly per step, so they check the list bookkeeping of ``_euclid`` on
-either side (row sizing, in-place updates, factor order); the kernels
-underneath are checked by the linear systems.
+new SkewPoly per step, so they check the bookkeeping of ``_euclid`` on
+either side (row sizing and slots, in-place updates, factor order); the
+kernels underneath are checked by the linear systems.
 
 ``reference_build`` is the code construction that ranks all s shift images
 and then row-reduces their whole span; ``CodeStructure`` reduces only the

@@ -45,6 +45,18 @@ def test_gf4_inverses():
         F.invert(0)
 
 
+@pytest.mark.parametrize("field", [gf4(), make_field(3, 1, 2)], ids=["gf4", "gf9"])
+@pytest.mark.parametrize("e", [-1, "q", "q+3"])
+@pytest.mark.parametrize("op", ["invert", "pow", "theta"])
+def test_element_operations_reject_elements_outside_the_field(field, e, op):
+    """-1 would read the tables' last element and q or more would fail
+    with an IndexError; both are no field elements."""
+    e = {"q": field.q, "q+3": field.q + 3}.get(e, e)
+    call = {"invert": field.invert, "pow": lambda a: field.pow(a, 2), "theta": field.theta}[op]
+    with pytest.raises(ValueError, match=f"element {e} outside field of order {field.q}"):
+        call(e)
+
+
 # ---------------------------------------------------------------------------
 # constructor and other small fields
 # ---------------------------------------------------------------------------

@@ -19,6 +19,12 @@ from skewqc.field import gf4, make_field
 from skewqc.skewpoly import (
     SkewPoly,
     _euclid,
+    _euclid_lists,
+    _euclid_packed,
+    _mul_acc,
+    _product,
+    _right_reduce,
+    _right_reduce_packed,
     _twisted,
     gcld,
     gcld_many,
@@ -316,19 +322,21 @@ def _euclid_cases(field, rng):
 
 
 def _is_canonical(row, field):
-    """A coefficient list as a SkewPoly keeps it: trimmed Python ints in range."""
+    """A coefficient list (bytes from the packed characteristic-2 kernel) as
+    a SkewPoly keeps it: trimmed Python ints in range."""
     return (
-        type(row) is list
+        type(row) is (bytes if field.p == 2 else list)
         and (not row or row[-1] != 0)
         and all(type(c) is int and 0 <= c < field.q for c in row)
-        and list(SkewPoly(field, row).coeffs) == row
+        and list(SkewPoly(field, row).coeffs) == list(row)
     )
 
 
 @ORACLE_FIELDS
 def test_euclid_rows_match_the_object_reference(field):
-    """All five rows of both list-kernel Euclid runs equal those of the
-    object-level runs in oracles.py, and every row is canonical; a run that
+    """All five rows of both Euclid runs (packed in characteristic 2, on
+    lists otherwise) equal those of the object-level runs in oracles.py,
+    and every row is canonical; a run that
     skips the zero row's cofactors (as gcrd and gcld do) has the same first
     three rows."""
     rng = random.Random(808)
@@ -405,14 +413,20 @@ def test_gcd_many_matches_the_extended_gcd_chain(field):
         assert gcld_many(left).degree >= c.degree
 
 
-def _ring_outputs(field, rng, count):
-    """Every ring output on ``count`` seeded nonzero pairs (a, b) and a third
-    factor c: both products, both divisions, gcrd and gcld with their
-    cofactors, lclm, lcrm and gcld_many."""
+def _ring_triples(field, rng, count):
+    """``count`` seeded nonzero pairs (a, b) and a third factor c."""
     for _ in range(count):
         a = rand_poly(rng, field, 9, allow_zero=False)
         b = rand_poly(rng, field, 7, allow_zero=False)
         c = rand_poly(rng, field, 3, allow_zero=False)
+        yield a, b, c
+
+
+def _ring_outputs(field, rng, count):
+    """Every ring output on the triples (a, b, c) of _ring_triples: both
+    products, both divisions, gcrd and gcld with their cofactors, lclm, lcrm
+    and gcld_many."""
+    for a, b, c in _ring_triples(field, rng, count):
         yield from (a * b, b * a, *right_divmod(a, b), *left_divmod(a, b),
                     *gcrd(a, b), *gcld(a, b), lclm(a, b), lcrm(a, b),
                     gcld_many([c * a, c * b]), gcld_many([a, b, c]))
@@ -435,6 +449,41 @@ def test_ring_outputs_match_the_pinned_digest(key):
     for p in _ring_outputs(field, random.Random(2209), 300):
         digest.update(repr(p.coeffs).encode())
     assert digest.hexdigest() == RING_PINS[key]
+
+
+CHAR2_FIELDS = {name: field for name, field in TWISTED_FIELDS.items() if field.p == 2}
+
+
+@pytest.mark.parametrize("field", list(CHAR2_FIELDS.values()), ids=list(CHAR2_FIELDS))
+def test_packed_kernels_match_the_list_kernels(field):
+    """In characteristic 2 the ring runs on the packed kernels; the list
+    kernels, which odd p runs, give the same Euclid rows on both sides at
+    every cofactor count (the rows a run updates: r0 alone without
+    cofactors, r0, a0 and a1 with one, all five with two), the same
+    products and the same right divisions, on _euclid_cases and on the
+    _ring_triples pairs."""
+    rng = random.Random(909)
+    pairs = list(_euclid_cases(field, rng))
+    pairs += [(a, b) for a, b, _ in _ring_triples(field, random.Random(2209), 300)]
+    kept = {0: (0,), 1: (0, 1, 3), 2: (0, 1, 2, 3, 4)}
+    for f, g in pairs:
+        for right in (True, False):
+            for cofactors, rows in kept.items():
+                packed = _euclid_packed(field, f._c, g._c, right, cofactors)
+                lists = _euclid_lists(field, f._c, g._c, right, cofactors)
+                assert _euclid(field, f._c, g._c, right, cofactors) == packed
+                assert [list(packed[i]) for i in rows] == [lists[i] for i in rows]
+            lists = _euclid_lists(field, f._c, g._c, right, zero_row=False)
+            assert [list(row) for row in packed[:3]] == list(lists[:3])  # packed: cofactors 2
+        for a, b in ((f, g), (g, f)):
+            out = [0] * (len(a._c) + len(b._c) - 1) if a._c and b._c else []
+            _mul_acc(field, out, a._c, b._c)
+            assert list(_product(field, a._c, b._c)) == out
+            if b._c and len(a._c) >= len(b._c):
+                r = list(a._c)
+                q = _right_reduce(field, r, b._c)
+                packed_q, packed_r = _right_reduce_packed(field, a._c, b._c)
+                assert list(packed_q) == q and list(packed_r.rstrip(b"\0")) == r
 
 
 def test_gcrd_of_zero_pair_raises():
