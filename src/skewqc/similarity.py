@@ -98,6 +98,7 @@ def are_similar(
 
 def norm_to_fixed(field: FieldSpec, alpha: int) -> int:
     """Product of theta^j(alpha) over j = 0..m-1; lands in the fixed field."""
+    field._check_element(alpha)
     out = 1
     for j in range(field.m):
         out = field.mul[out][field.theta_pows[j][alpha]]

@@ -12,47 +12,39 @@ of Python ints, and a polynomial hashes like it.  A degree-12 GF(4)
 polynomial takes about 103 B, a degree-8 GF(9) one 99 B and a degree-24
 product 114 B (tracemalloc, list slot included).
 
-Every one-sided operation exists in two flavours:
+Every one-sided operation exists in two flavours.  ``gcrd(f, g)`` returns
+Bezout multipliers with ``a*f + b*g = d`` (multipliers act on the left);
+``gcld`` mirrors this with ``f*a + g*b = d``.
 
-* right division  ``g = q*f + r``   (drives gcrd / lclm)
-* left division   ``g = f*q + r``   (drives gcld / lcrm)
-
-``gcrd(f, g)`` returns Bezout multipliers with ``a*f + b*g = d`` (multipliers
-act on the left); ``gcld`` mirrors this with ``f*a + g*b = d``.
-
-One extended Euclid run, ``_euclid``, serves both sides: gcrd and lclm read
-the last two rows of a right-division run, gcld and lcrm those of a
-left-division run.  The row that reaches zero, ``u*f + v*g = 0``, gives the
-least common multiple (Ore, 1933); lclm and lcrm return only that multiple,
-made monic.
+A Euclid run is repeated right division (Ore, 1933), and a right division
+is one Euclid step.  ``_euclid`` serves both sides: gcrd and lclm read the
+last two rows of a run of right divisions ``g = q*f + r``, gcld and lcrm
+those of a run of left divisions ``g = f*q + r``, which are right
+divisions g' = q'*f' + r' in the opposite ring F[x; theta^-1] (the map
+x^i c -> theta^-i(c) x^i reverses products).  The row that reaches zero,
+``u*f + v*g = 0``, gives the least common multiple; lclm and lcrm return
+only that multiple, monic.
 
 The arithmetic runs over the field's twisted rows, ``F.twisted_rows[r][c]``
-= the 256-byte row b -> c * theta^r(b), in one of two kernels chosen by the
-characteristic.  In characteristic 2 addition is XOR of the element codes,
-so a coefficient string read as one little-endian int adds with one ``^``,
-and one ``translate`` through a row applies c * theta^r(.) to the whole
-string: a product term or a quotient term costs one translate, one shift
-and one XOR, whatever the lengths.  ``_product`` (``*``, lclm, lcrm) and
-``_right_reduce_packed`` work so, and ``_euclid_packed`` packs each Euclid
-row (r, a, b) into one int of three byte slots, so that one step updates
-the remainder and both cofactors.  In odd characteristic the list kernels
-take one row per outer coefficient and make one lookup per inner
-coefficient: ``_mul_acc`` is the product and ``_right_reduce`` the right
-division, and ``_euclid_lists`` runs its own right-division loop, which
-subtracts each quotient term's row from the remainder and from both
-cofactors.  ``_left_reduce``, the left division in every characteristic,
-walks the divisor by residue class j = s mod m with the row of theta^s(c)
-for each quotient term c.  Both Euclid kernels run a left-division Euclid
-as their right-division loop in the opposite ring F[x; theta^-1]
-(x^i c -> theta^-i(c) x^i reverses products, so f*q becomes q'*f').
-``_euclid`` picks the kernel by ``F.p`` and returns coefficient sequences
-(bytes in characteristic 2, lists otherwise): gcrd, gcld, lclm and lcrm
-build only the polynomials they return, made monic (and mapped back from
-the opposite ring) in the same pass, one ``translate`` per residue class of
-the exponent (``_twisted``).  On the ``ring-algebra`` seed-1 GF(4) pairs
-(degree <= 12) a gcrd takes 12 us, a gcld 18 us, an lclm 13 us and a
-product 2.8 us, against 22, 26, 23 and 5.3 us on the list kernels
-(``tools/bench_ring_ops.py``, 2-core Xeon VM, Python 3.11.7).
+= the 256-byte row b -> c * theta^r(b), in three reduction loops:
+
+* ``_packed_steps`` (characteristic 2, where addition is XOR of the codes):
+  a row is one little-endian int, and a quotient term c x^k XORs in the
+  divisor row translated through the row of c at theta^k and shifted by k
+  bytes.  A Euclid row (r, a, b) packs three byte slots, so one term updates
+  the remainder and both cofactors; a right division is one step of g
+  against f with a slot byte 1 below f, which collects c * theta^k(1) = c
+  at byte k: the quotient.  ``_product`` multiplies the same way.
+* ``_right_reduce`` (odd characteristic) reduces a coefficient list in
+  place and returns each quotient term as (k, row of c); right_divmod reads
+  c = row[1], and a Euclid step subtracts the rows from the cofactors.
+* ``_left_reduce`` (left division in every characteristic) walks the
+  divisor by residue class j = s mod m with the row of theta^s(c) for each
+  quotient term c, faster than a right division in the opposite ring.
+
+gcrd, gcld, lclm and lcrm build only the polynomials they return, made
+monic (and mapped back from the opposite ring) in the same pass, one
+``translate`` per residue class of the exponent (``_twisted``).
 
 ``SkewPoly(field, coeffs)`` is the one validating constructor: it takes any
 integer-like coefficients (numpy integers included) and rejects floats and
@@ -300,52 +292,60 @@ class ExtendedGcdResult(NamedTuple):
     cofactor_g: SkewPoly
 
 
-def _right_reduce(F: FieldSpec, r: List[int], f: Sequence[int]) -> List[int]:
+def _packed_steps(F: FieldSpec, rows, p0: int, p1: int, lo: int, steps=-1) -> Tuple[int, int]:
+    """Euclid steps on packed rows in characteristic 2, where subtraction is
+    XOR.  A row is a little-endian int whose bytes from ``lo`` up hold a
+    remainder; the bytes below hold whatever rides along with it.  One step
+    reduces p0 by p1 on the right in the ring of ``rows``: a quotient term
+    c x^k XORs in p1's bytes translated through rows[k % m][c] and shifted by
+    k bytes, which clears p0's top remainder byte; then the two rows swap.
+    The run stops when p1's remainder is zero or after ``steps`` steps.
+    Returns (p0, p1)."""
+    mul, inv, m = F.mul, F.inv, F.m
+    n1 = (p1.bit_length() + 7) >> 3  # bytes of p1, lo + len of its remainder
+    while n1 > lo and steps:
+        row1 = p1.to_bytes(n1, "little")
+        inv_lead = inv[row1[-1]]
+        n0 = (p0.bit_length() + 7) >> 3
+        while (k := n0 - n1) >= 0:  # deg r0 - deg r1: a quotient term c x^k
+            by_c = rows[k % m]
+            c = mul[p0 >> 8 * n0 - 8][by_c[1][inv_lead]]  # c * theta^k(lead r1) = lead r0
+            p0 ^= _from_bytes(row1.translate(by_c[c]), "little") << 8 * k
+            n0 = (p0.bit_length() + 7) >> 3
+        p0, p1, n1 = p1, p0, n0
+        steps -= 1
+    return p0, p1
+
+
+def _right_reduce(F: FieldSpec, rows, r: List[int], f: Sequence[int]) -> List[Tuple[int, bytes]]:
     """Reduce r in place to its remainder on dividing by f on the right
-    (r = q*f + remainder), trimmed; return q.  f is nonzero and trimmed.
-    A quotient term c x^k subtracts the twisted row b -> c * theta^k(b) at
-    every f_j."""
-    rows, mul, sub, m = F.twisted_rows, F.mul, F.sub, F.m
+    (r = q*f + remainder) in the ring of ``rows``, trimmed; f is nonzero and
+    trimmed.  A quotient term c x^k subtracts the twisted row
+    rows[k % m][c] at every f_j.  Returns the quotient terms as (k, row),
+    highest k first; row[1] is c."""
+    mul, sub, inv, m = F.mul, F.sub, F.inv, F.m
     df = len(f) - 1
-    low, inv_lead = f[:df], F.inv[f[-1]]
-    q = [0] * (len(r) - df)
-    for k in range(len(q) - 1, -1, -1):
+    low, inv_lead, terms = f[:df], inv[f[-1]], []
+    for k in range(len(r) - 1 - df, -1, -1):
         top = r[k + df]
         if top:
             by_c = rows[k % m]
-            c = q[k] = mul[top][by_c[1][inv_lead]]  # c * theta^k(lead f) = top
-            row = by_c[c]
+            row = by_c[mul[top][by_c[1][inv_lead]]]  # c * theta^k(lead f) = top
+            terms.append((k, row))
             for kj, fj in enumerate(low, k):
                 if fj:
                     r[kj] = sub[r[kj]][row[fj]]
     del r[df:]
     while r and r[-1] == 0:
         r.pop()
-    return q
-
-
-def _right_reduce_packed(F: FieldSpec, g: bytes, f: bytes) -> Tuple[bytearray, bytes]:
-    """_right_reduce in characteristic 2, on g read as a little-endian int:
-    a quotient term c x^k XORs in f translated through the row of c at
-    theta^k, shifted by k bytes, which clears the top byte.  Returns the
-    quotient and the remainder (untrimmed).  len(g) >= len(f)."""
-    rows, mul, m = F.twisted_rows, F.mul, F.m
-    nf, inv_lead = len(f), F.inv[f[-1]]
-    r = _from_bytes(g, "little")
-    q = bytearray(len(g) - nf + 1)
-    k = len(g) - nf  # deg r - deg f: the exponent of the next quotient term
-    while k >= 0:
-        by_c = rows[k % m]
-        c = q[k] = mul[r >> 8 * (k + nf - 1)][by_c[1][inv_lead]]
-        r ^= _from_bytes(f.translate(by_c[c]), "little") << 8 * k
-        k = ((r.bit_length() + 7) >> 3) - nf
-    return q, r.to_bytes(nf - 1, "little")
+    return terms
 
 
 def _left_reduce(F: FieldSpec, r: List[int], f: Sequence[int]) -> List[int]:
-    """The mirror of _right_reduce: r = f*q + remainder.  A quotient term
-    c x^k subtracts f_j * theta^j(c), walked by residue class j = s mod m
-    with the row of theta^s(c)."""
+    """The mirror of _right_reduce, in every characteristic: r = f*q +
+    remainder; returns q.  A quotient term c x^k subtracts
+    f_j * theta^j(c), walked by residue class j = s mod m with the row of
+    theta^s(c)."""
     mul, sub, tp, m = F.mul, F.sub, F.theta_pows, F.m
     df = len(f) - 1
     inv_lead, tlead = F.inv[f[-1]], tp[-df % m]
@@ -367,7 +367,7 @@ def _left_reduce(F: FieldSpec, r: List[int], f: Sequence[int]) -> List[int]:
     return q
 
 
-def _divmod(g: SkewPoly, f: SkewPoly, reduce) -> Tuple[SkewPoly, SkewPoly]:
+def _divmod(g: SkewPoly, f: SkewPoly, right: bool) -> Tuple[SkewPoly, SkewPoly]:
     F = g.field
     if f.field is not F:
         g._check(f)
@@ -376,133 +376,83 @@ def _divmod(g: SkewPoly, f: SkewPoly, reduce) -> Tuple[SkewPoly, SkewPoly]:
         raise ZeroDivisionError("division by the zero polynomial")
     if len(g._c) < len(fc):
         return _make(F, b""), g
-    if F.p == 2 and reduce is _right_reduce:  # the left division has no packed kernel
-        q, r = _right_reduce_packed(F, g._c, fc)
-    else:
+    W = len(g._c) - len(fc) + 1  # quotient terms
+    if not right:
         r = list(g._c)
-        q = reduce(F, r, fc)
+        q = _left_reduce(F, r, fc)
+    elif F.p == 2:  # one Euclid step of g against f, whose slot byte 1 collects q
+        pg, pf = _from_bytes(g._c, "little") << 8 * W, _from_bytes(fc, "little") << 8 * W | 1
+        out = _packed_steps(F, F.twisted_rows, pg, pf, W, 1)[1].to_bytes(len(g._c), "little")
+        q, r = out[:W], out[W:]
+    else:
+        r, q = list(g._c), bytearray(W)
+        for k, row in _right_reduce(F, F.twisted_rows, r, fc):
+            q[k] = row[1]
     return _make(F, q), _make(F, r)
 
 
 def right_divmod(g: SkewPoly, f: SkewPoly) -> Tuple[SkewPoly, SkewPoly]:
     """Quotient and remainder with g = q*f + r, deg r < deg f."""
-    return _divmod(g, f, _right_reduce)
+    return _divmod(g, f, True)
 
 
 def left_divmod(g: SkewPoly, f: SkewPoly) -> Tuple[SkewPoly, SkewPoly]:
     """Quotient and remainder with g = f*q + r, deg r < deg f."""
-    return _divmod(g, f, _left_reduce)
+    return _divmod(g, f, False)
 
 
 def _euclid(
     F: FieldSpec, f: Sequence[int], g: Sequence[int], right: bool,
     cofactors: int = 2, zero_row: bool = True,
 ) -> Tuple[Sequence[int], ...]:
-    """Extended Euclid on the coefficient sequences f, g: _euclid_packed in
-    characteristic 2, which returns bytes rows and, with any cofactors,
-    computes all five (``zero_row`` saves it nothing), and _euclid_lists
-    otherwise."""
-    if F.p == 2:
-        return _euclid_packed(F, f, g, right, cofactors)
-    return _euclid_lists(F, f, g, right, cofactors, zero_row)
+    """Extended Euclid on the coefficient sequences f, g over F, with right
+    division when ``right`` and otherwise left division, run as the right
+    division of the images f', g' in the opposite ring (_opposite_rows).
 
+    Returns the last two rows (r0, a0, b0, a1, b1), trimmed: bytes in
+    characteristic 2, lists otherwise.  On the right side a0*f + b0*g = r0,
+    a gcrd up to a unit, and a1*f + b1*g = 0, a common left multiple of
+    least degree.  On the left side the rows are opposite-ring images, which
+    ``_twisted(F, row, c, 1)`` maps back: f*a0 + g*b0 = r0 and
+    f*a1 + g*b1 = 0.  ``cofactors`` is how many of a, b are updated: 2 for
+    both, 1 for a alone (lclm and lcrm read only a1), 0 for r0 alone;
+    without ``zero_row`` the step that reaches r = 0 leaves a1, b1 as they
+    were (gcrd and gcld read only r0, a0, b0).  Rows not updated are
+    meaningless.
 
-def _euclid_packed(
-    F: FieldSpec, f: Sequence[int], g: Sequence[int], right: bool, cofactors: int,
-) -> Tuple[bytes, ...]:
-    """_euclid_lists in characteristic 2, where subtraction is XOR.  A row
-    (r, a, b) is one little-endian int of three W-byte slots, a lowest and r
-    highest, W = len f + len g + 1, which no cofactor outgrows (the + 1
-    keeps a zero pair from overlapping).  A quotient term c x^k translates
-    the divisor row's bytes through the twisted row of c at theta^k, shifts
-    them by k bytes and XORs them in: r0, a0 and b0 in one step.  With
-    ``cofactors`` 0 a row is r alone (W = 0).  The degree of r0 is read off
-    the int's bit length, so the zero row comes free.  Returns the same
-    five rows as bytes, trimmed."""
+    In characteristic 2 a row (r, a, b) is one int of three W-byte slots,
+    a lowest, W = len f + len g + 1 (no cofactor outgrows it, and the + 1
+    keeps a zero pair apart), or r alone (W = 0) without cofactors; such a
+    run computes all five rows.  In odd characteristic each step subtracts
+    the rows of _right_reduce's quotient terms from the cofactors."""
     if right:
         rows = F.twisted_rows
     else:
         rows, f, g = _opposite_rows(F), _twisted(F, f, 1, -1), _twisted(F, g, 1, -1)
-    mul, inv, m = F.mul, F.inv, F.m
-    W = len(f) + len(g) + 1 if cofactors else 0
-    p0 = _from_bytes(f, "little") << 16 * W
-    p1 = _from_bytes(g, "little") << 16 * W
-    if cofactors:
-        p0 |= 1  # a0 = 1
-        p1 |= 1 << 8 * W  # b1 = 1
-    n1 = (p1.bit_length() + 7) >> 3  # bytes of row 1, 2W + len r1
-    while n1 > 2 * W:
-        row1 = p1.to_bytes(n1, "little")
-        inv_lead = inv[row1[-1]]
-        n0 = (p0.bit_length() + 7) >> 3
-        while (k := n0 - n1) >= 0:  # deg r0 - deg r1: a quotient term c x^k
-            by_c = rows[k % m]
-            c = mul[p0 >> 8 * n0 - 8][by_c[1][inv_lead]]
-            p0 ^= _from_bytes(row1.translate(by_c[c]), "little") << 8 * k
-            n0 = (p0.bit_length() + 7) >> 3
-        p0, p1, n1 = p1, p0, n0
-    (r0, a0, b0), (_, a1, b1) = _slots(p0, W), _slots(p1, W)
-    return r0, a0, b0, a1, b1
-
-
-def _slots(p: int, W: int) -> Tuple[bytes, bytes, bytes]:
-    """The trimmed (r, a, b) of a packed Euclid row."""
-    row = p.to_bytes((p.bit_length() + 7) >> 3, "little")
-    return row[2 * W:], row[:W].rstrip(b"\0"), row[W:2 * W].rstrip(b"\0")
-
-
-def _euclid_lists(
-    F: FieldSpec, f: Sequence[int], g: Sequence[int], right: bool,
-    cofactors: int = 2, zero_row: bool = True,
-) -> Tuple[List[int], ...]:
-    """Extended Euclid on the coefficient sequences f, g over F, with right
-    division when ``right`` and left division otherwise.  A left run is the
-    right run on the images f', g' in the opposite ring (_opposite_rows), so
-    one loop serves both sides, with the field tables looked up once: each
-    quotient term c x^k of a step takes one twisted row and subtracts it
-    from the remainder and, x0 -= q*x1, from the cofactors.
-
-    Returns the last two rows (r0, a0, b0, a1, b1) as trimmed coefficient
-    lists.  On the right side a0*f + b0*g = r0, a gcrd up to a unit, and
-    a1*f + b1*g = 0, a common left multiple of least degree.  On the left
-    side the rows are opposite-ring images, which ``_twisted(F, row, c, 1)``
-    maps back: f*a0 + g*b0 = r0, a gcld up to a unit, and f*a1 + g*b1 = 0.
-    ``cofactors`` is how many of the cofactor sequences a, b are updated: 2
-    for both, 1 for a alone (lclm and lcrm read only a1), 0 for callers that
-    keep only r0; without ``zero_row`` the step that reaches r = 0 leaves
-    a1, b1 as they were (gcrd and gcld read only r0, a0, b0).  The entries
-    of a row not updated are meaningless."""
-    if right:
-        rows, r0, r1 = F.twisted_rows, list(f), list(g)
-    else:
-        rows, r0, r1 = _opposite_rows(F), list(_twisted(F, f, 1, -1)), list(_twisted(F, g, 1, -1))
-    mul, sub, inv, m = F.mul, F.sub, F.inv, F.m
-    a0, b0, a1, b1 = [1], [], [], [1]
+    if F.p == 2:
+        W = len(f) + len(g) + 1 if cofactors else 0
+        p0 = _from_bytes(f, "little") << 16 * W
+        p1 = _from_bytes(g, "little") << 16 * W
+        if cofactors:
+            p0 |= 1  # a0 = 1
+            p1 |= 1 << 8 * W  # b1 = 1
+        p0, p1 = _packed_steps(F, rows, p0, p1, 2 * W)
+        row0 = p0.to_bytes((p0.bit_length() + 7) >> 3, "little")
+        row1 = p1.to_bytes((p1.bit_length() + 7) >> 3, "little")
+        return (row0[2 * W:], row0[:W].rstrip(b"\0"), row0[W:2 * W].rstrip(b"\0"),
+                row1[:W].rstrip(b"\0"), row1[W:2 * W].rstrip(b"\0"))
+    sub = F.sub
+    r0, r1, a0, b0, a1, b1 = list(f), list(g), [1], [], [], [1]
     while r1:
-        df = len(r1) - 1
-        nq = len(r0) - df  # quotient terms
-        if nq > 0:
-            low, inv_lead, terms = r1[:df], inv[r1[-1]], []
-            for k in range(nq - 1, -1, -1):
-                top = r0[k + df]
-                if top:
-                    by_c = rows[k % m]
-                    row = by_c[mul[top][by_c[1][inv_lead]]]
-                    terms.append((k, row))
-                    for kj, xj in enumerate(low, k):
-                        if xj:
-                            r0[kj] = sub[r0[kj]][row[xj]]
-            del r0[df:]
-            while r0 and r0[-1] == 0:
-                r0.pop()
-            if r0 or zero_row:
-                for x0, x1 in ((a0, a1), (b0, b1))[:cofactors]:
-                    if x1:
-                        x0 += [0] * (nq + len(x1) - 1 - len(x0))
-                        for k, row in terms:
-                            for kj, xj in enumerate(x1, k):
-                                if xj:
-                                    x0[kj] = sub[x0[kj]][row[xj]]
+        terms = _right_reduce(F, rows, r0, r1)
+        if terms and (r0 or zero_row):
+            for x0, x1 in ((a0, a1), (b0, b1))[:cofactors]:
+                if x1:
+                    x0 += [0] * (terms[0][0] + len(x1) - len(x0))
+                    for k, row in terms:
+                        for kj, xj in enumerate(x1, k):
+                            if xj:
+                                x0[kj] = sub[x0[kj]][row[xj]]
         r0, a0, b0, r1, a1, b1 = r1, a1, b1, r0, a0, b0
     return r0, a0, b0, a1, b1
 

@@ -14,7 +14,7 @@ _SPEC.loader.exec_module(bench_ring_ops)
 
 def test_load_imports_a_fresh_skewqc_per_side_and_splits_the_seed_pairs():
     """Two loads of one tree, as for --parent and --change: each side gets
-    its own skewqc module objects, the five operations and the seed-1 pairs
+    its own skewqc module objects, the six operations and the seed-1 pairs
     of the ring-algebra workload split by field.  sys.modules and sys.path
     are restored afterwards, so later tests keep the skewqc they imported."""
     modules, path = dict(sys.modules), list(sys.path)

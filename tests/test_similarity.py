@@ -61,6 +61,15 @@ def test_norm_map_on_gf4():
         assert norm_to_fixed(F, c) == 1
 
 
+@pytest.mark.parametrize("field", [gf4(), make_field(3, 1, 2)], ids=["gf4", "gf9"])
+def test_norm_rejects_elements_outside_the_field(field):
+    """-1, q and q + 3 are no field elements; theta_pows would read -1 as
+    the last element and fail on q with an IndexError."""
+    for alpha in (-1, field.q, field.q + 3):
+        with pytest.raises(ValueError, match=f"element {alpha} outside field of order {field.q}"):
+            norm_to_fixed(field, alpha)
+
+
 @pytest.mark.parametrize("field", [gf4(), make_field(3, 1, 2)])
 def test_linear_fast_path_agrees_with_witness_search(field):
     """Exhaustive over all pairs (alpha, beta) with beta nonzero."""

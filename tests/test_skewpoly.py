@@ -19,12 +19,12 @@ from skewqc.field import gf4, make_field
 from skewqc.skewpoly import (
     SkewPoly,
     _euclid,
-    _euclid_lists,
-    _euclid_packed,
+    _from_bytes,
     _mul_acc,
+    _opposite_rows,
+    _packed_steps,
     _product,
     _right_reduce,
-    _right_reduce_packed,
     _twisted,
     gcld,
     gcld_many,
@@ -332,24 +332,39 @@ def _is_canonical(row, field):
     )
 
 
-@ORACLE_FIELDS
-def test_euclid_rows_match_the_object_reference(field):
-    """All five rows of both Euclid runs (packed in characteristic 2, on
-    lists otherwise) equal those of the object-level runs in oracles.py,
-    and every row is canonical; a run that
-    skips the zero row's cofactors (as gcrd and gcld do) has the same first
-    three rows."""
+# The rows a Euclid run with this many cofactors updates: r0 alone without
+# cofactors, r0, a0 and a1 with one, all five with two (the default, which
+# keeps the bare field name as its test id).
+KEPT_ROWS = {0: (0,), 1: (0, 1, 3), 2: (0, 1, 2, 3, 4)}
+
+
+@pytest.mark.parametrize(
+    "field, cofactors",
+    [(field, n) for field in TWISTED_FIELDS.values() for n in sorted(KEPT_ROWS)],
+    ids=[name if n == 2 else f"{name}-cofactors{n}"
+         for name in TWISTED_FIELDS for n in sorted(KEPT_ROWS)],
+)
+def test_euclid_rows_match_the_object_reference(field, cofactors):
+    """The rows that a Euclid run with ``cofactors`` keeps, on both sides
+    (packed in characteristic 2, on lists otherwise), equal those of the
+    object-level runs in oracles.py, and each is canonical; a run that
+    skips the zero row's cofactors (as gcrd and gcld do) keeps the same
+    r0, a0 and b0."""
+    kept = KEPT_ROWS[cofactors]
     rng = random.Random(808)
     for f, g in _euclid_cases(field, rng):
         for right, ref in ((True, right_euclid_reference),
                            (False, left_euclid_reference)):
-            rows = _euclid(field, f._c, g._c, right)
+            rows = _euclid(field, f._c, g._c, right, cofactors)
             assert len(rows) == 5
-            assert all(_is_canonical(row, field) for row in rows)
-            assert _euclid(field, f._c, g._c, right, zero_row=False)[:3] == rows[:3]
+            assert all(_is_canonical(rows[i], field) for i in kept)
+            skipped = _euclid(field, f._c, g._c, right, cofactors, zero_row=False)
+            assert [skipped[i] for i in kept if i < 3] == [rows[i] for i in kept if i < 3]
+            rows = [rows[i] for i in kept]
             if not right:  # images in the opposite ring, mapped back
                 rows = [list(_twisted(field, row, 1, 1)) for row in rows]
-            assert [tuple(row) for row in rows] == [p.coeffs for p in ref(f, g)]
+            expected = ref(f, g)
+            assert [tuple(row) for row in rows] == [expected[i].coeffs for i in kept]
 
 
 @ORACLE_FIELDS
@@ -454,36 +469,40 @@ def test_ring_outputs_match_the_pinned_digest(key):
 CHAR2_FIELDS = {name: field for name, field in TWISTED_FIELDS.items() if field.p == 2}
 
 
+def _packed_right_divmod(field, rows, g, f):
+    """Right division of g by f in the ring of ``rows`` as one packed Euclid
+    step, the way right_divmod runs it: (q, r) as trimmed lists."""
+    W = len(g) - len(f) + 1
+    out = _packed_steps(field, rows, _from_bytes(g, "little") << 8 * W,
+                        _from_bytes(f, "little") << 8 * W | 1, W, 1)[1]
+    out = out.to_bytes(len(g), "little")
+    return list(out[:W].rstrip(b"\0")), list(out[W:].rstrip(b"\0"))
+
+
 @pytest.mark.parametrize("field", list(CHAR2_FIELDS.values()), ids=list(CHAR2_FIELDS))
 def test_packed_kernels_match_the_list_kernels(field):
-    """In characteristic 2 the ring runs on the packed kernels; the list
-    kernels, which odd p runs, give the same Euclid rows on both sides at
-    every cofactor count (the rows a run updates: r0 alone without
-    cofactors, r0, a0 and a1 with one, all five with two), the same
-    products and the same right divisions, on _euclid_cases and on the
-    _ring_triples pairs."""
+    """In characteristic 2 the ring runs on packed ints; the list kernels,
+    which odd p runs, give the same right divisions (quotient read off the
+    terms, c = row[1]) in F[x; theta] and in the opposite ring, with
+    right_divmod taking the packed step, and the same products, on
+    _euclid_cases and on the _ring_triples pairs."""
     rng = random.Random(909)
     pairs = list(_euclid_cases(field, rng))
     pairs += [(a, b) for a, b, _ in _ring_triples(field, random.Random(2209), 300)]
-    kept = {0: (0,), 1: (0, 1, 3), 2: (0, 1, 2, 3, 4)}
     for f, g in pairs:
-        for right in (True, False):
-            for cofactors, rows in kept.items():
-                packed = _euclid_packed(field, f._c, g._c, right, cofactors)
-                lists = _euclid_lists(field, f._c, g._c, right, cofactors)
-                assert _euclid(field, f._c, g._c, right, cofactors) == packed
-                assert [list(packed[i]) for i in rows] == [lists[i] for i in rows]
-            lists = _euclid_lists(field, f._c, g._c, right, zero_row=False)
-            assert [list(row) for row in packed[:3]] == list(lists[:3])  # packed: cofactors 2
         for a, b in ((f, g), (g, f)):
             out = [0] * (len(a._c) + len(b._c) - 1) if a._c and b._c else []
             _mul_acc(field, out, a._c, b._c)
             assert list(_product(field, a._c, b._c)) == out
-            if b._c and len(a._c) >= len(b._c):
-                r = list(a._c)
-                q = _right_reduce(field, r, b._c)
-                packed_q, packed_r = _right_reduce_packed(field, a._c, b._c)
-                assert list(packed_q) == q and list(packed_r.rstrip(b"\0")) == r
+            if not b._c or len(a._c) < len(b._c):
+                continue
+            for rows in (field.twisted_rows, _opposite_rows(field)):
+                r, q = list(a._c), [0] * (len(a._c) - len(b._c) + 1)
+                for k, row in _right_reduce(field, rows, r, b._c):
+                    q[k] = row[1]
+                assert _packed_right_divmod(field, rows, a._c, b._c) == (q, r)
+                if rows is field.twisted_rows:
+                    assert [list(p.coeffs) for p in right_divmod(a, b)] == [q, r]
 
 
 def test_gcrd_of_zero_pair_raises():
