@@ -361,10 +361,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("verify-table", help="re-check the shipped code catalog")
-    p.add_argument("--family", action="append",
-                   help="restrict to a catalog family (repeatable)")
-    p.add_argument("--name", action="append",
-                   help="restrict to specific entries (repeatable)")
+    rows = p.add_mutually_exclusive_group()
+    rows.add_argument("--family", action="append",
+                      help="restrict to a catalog family (repeatable)")
+    rows.add_argument("--name", action="append",
+                      help="restrict to specific entries (repeatable)")
     p.add_argument("--max-k", type=int, help="only rows with dimension <= this")
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                    help="exact distance when q^k <= BUDGET messages, else sampled "

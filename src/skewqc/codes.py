@@ -43,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .errors import ConsistencyError
+from .errors import ConsistencyError, as_index
 from .field import FieldSpec
 from .skewpoly import SkewPoly, gcld_many, left_divmod, right_divmod, x_pow_minus_one
 
@@ -58,6 +58,7 @@ class CodeSpec:
     generators: Tuple[SkewPoly, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "s", as_index("s", self.s))
         if self.s < 1:
             raise ValueError("s must be positive")
         if self.s % self.field.m != 0:

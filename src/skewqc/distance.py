@@ -5,18 +5,18 @@ orbit (first nonzero message digit pinned to 1), splitting the free rows into
 an inner table of q^ki precomputed combinations and an outer Gray walk; every
 batch of q^ki weights is histogrammed at once, and nonzero counts are
 multiplied by q - 1 at the end.  All rows come from one table of scaled
-generator rows, built once per code: over GF(4) they are bitsliced into two
-bit planes and weights come from popcounts, which is what makes full 4^16
-enumerations practical; other fields keep their symbols.  Every vector,
-table and offset has one layout: a list of word groups, each group's first
-axis holding its rows.  Over GF(4) there is one group per plane word j,
-rows lo and hi, in the dtype of one width rule (_word_dtypes): (n - 1) // 64
-full uint64 words, then a last word of the narrowest of uint8, uint32 and
-uint64 that holds the symbols left, so n = 72 pays a 64-bit and an 8-bit
-pass per plane, not two 64-bit ones, and n = 24 one 32-bit pass.  Over any
-other field there is one group, of n symbols.  So the row table T is a
-list of (width, k, q) groups, an R-wide table a list of (width, R) groups
-and an offset a list of (width,) groups.
+generator rows, built once per code.  Characteristic 2: e bit planes;
+over GF(2^e) symbol bit b goes into plane b and weights come from
+popcounts, which is what makes full 4^16 enumerations practical.  Odd p:
+symbols.  Every vector, table and offset has one layout: a list of word
+groups, each group's first axis holding its rows.  Over GF(2^e) there is
+one group per plane word j, rows planes 0 .. e - 1, in the dtype of one
+width rule (_word_dtypes): (n - 1) // 64 full uint64 words, then a last
+word of the narrowest of uint8, uint32 and uint64 that holds the symbols
+left, so n = 72 pays a 64-bit and an 8-bit pass per plane, not two 64-bit
+ones, and n = 24 one 32-bit pass.  Over odd p there is one group, of n
+symbols.  So the row table T is a list of (width, k, q) groups, an R-wide
+table a list of (width, R) groups and an offset a list of (width,) groups.
 
 The inner table is built once per code too: every combination of the last
 ki rows, ki the largest value with q^ki <= INNER_TABLE_LIMIT and ki <= k - 1.
@@ -29,9 +29,9 @@ rows; the rows in between take one scan per step of a Gray walk.
 Each group of a table is stored row-major: one contiguous run of its
 columns per plane word row or per symbol.  One weight kernel serves every
 field and both engines: it walks the table group by group with scratch
-buffers reused from batch to batch (over GF(4): XOR the lo and hi rows with
-the offset's lo and hi words, OR them, popcount, add; elsewhere: compare
-with the negated offset and count), so a row two or three words wide costs
+buffers reused from batch to batch (over GF(2^e): XOR the e plane rows
+with the offset's words, OR them, popcount, add; over odd p: compare with
+the negated offset and count), so a row two or three words wide costs
 two or three passes over contiguous memory, the last one as narrow as the
 rule allows.  The exact scan calls it once per span of SCAN_SPAN = 2^15
 columns of the lead's view, writing into that span of the weights, so the
@@ -71,7 +71,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .codes import CodeStructure
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, as_index
 from .field import FieldSpec
 
 INNER_TABLE_LIMIT = 2**16
@@ -117,9 +117,9 @@ class DistanceReport:
 
 
 # ---------------------------------------------------------------------------
-# packed rows: GF(4) symbols 0..3 = lo_bit + 2 * hi_bit go into two bit planes,
-# where addition is XOR of both planes and the weight of a vector is
-# popcount(lo | hi); any other field keeps its symbols
+# packed rows: a GF(2^e) symbol, sum of bit_b * 2^b, goes into e bit planes,
+# where addition is XOR of every plane and the weight of a vector is the
+# popcount of the OR of its planes; odd p keeps its symbols
 
 
 def _word_dtypes(n: int) -> Tuple[np.dtype, ...]:
@@ -133,11 +133,11 @@ def _word_dtypes(n: int) -> Tuple[np.dtype, ...]:
     return (np.dtype(np.uint64),) * full + (np.dtype(last),)
 
 
-def pack_gf4(mat: np.ndarray) -> List[np.ndarray]:
-    """Pack (..., n) symbols into word groups: group j has shape (2, ...),
-    rows lo and hi word j of the bit planes, in dtype _word_dtypes(n)[j].
+def pack_planes(mat: np.ndarray, e: int) -> List[np.ndarray]:
+    """Pack (..., n) symbols of GF(2^e) into word groups: group j has shape
+    (e, ...), row b word j of bit plane b, in dtype _word_dtypes(n)[j].
 
-    Symbol i lands in bit i % 64 of word i // 64; both planes are packed in
+    Symbol i lands in bit i % 64 of word i // 64; all planes are packed in
     one pass by np.packbits into whole uint64 words over the symbols
     zero-padded to 64 * nw, and each word is cast to its dtype, which holds
     the symbols left in it by the width rule.
@@ -145,9 +145,9 @@ def pack_gf4(mat: np.ndarray) -> List[np.ndarray]:
     mat = np.asarray(mat, dtype=np.uint8)
     n = mat.shape[-1]
     dtypes = _word_dtypes(n)
-    bits = np.zeros((2,) + mat.shape[:-1] + (64 * len(dtypes),), dtype=np.uint8)
-    bits[0, ..., :n] = mat & 1
-    bits[1, ..., :n] = (mat >> 1) & 1
+    bits = np.zeros((e,) + mat.shape[:-1] + (64 * len(dtypes),), dtype=np.uint8)
+    for b in range(e):
+        bits[b, ..., :n] = (mat >> b) & 1
     words = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
     return [np.ascontiguousarray(words[..., j], dtype=dt) for j, dt in enumerate(dtypes)]
 
@@ -156,23 +156,24 @@ def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[List[np.ndarray], Callabl
     """(T, add, weights): the table T[i, lam] = lam * G[i] as word groups
     of shape (width, k, q), its addition and the weight kernel.
 
-    Over GF(4) T is pack_gf4 of the scaled rows and ``add`` is XOR; over
-    any other field T is one group, the n symbols of every scaled row, and
-    ``add`` is one lookup in the flattened F.np_add.  ``add(a, b,
-    out=None)`` acts elementwise on two groups, broadcasts and writes into
-    ``out`` when given, so vectors and tables add group by group.
+    Characteristic 2: e bit planes.  Over GF(2^e) T is pack_planes of the
+    scaled rows and ``add`` is XOR.  Odd p: symbols.  T is one group, the
+    n symbols of every scaled row, and ``add`` is one lookup in the
+    flattened F.np_add.  ``add(a, b, out=None)`` acts elementwise on two
+    groups, broadcasts and writes into ``out`` when given, so vectors and
+    tables add group by group.
 
     ``weights(block, offset, out)`` reads an R-wide table ``block`` and a
     vector ``offset`` and writes the weight of each column of ``block +
     offset`` into ``out`` (shape (R,), any integer dtype that holds n).
-    Over GF(4) it loops over the groups: XOR the lo and hi rows with the
-    offset's lo and hi words in one call, OR them, popcount and add, all
-    into scratch buffers kept between calls with the same R.  Over other
-    fields a + o is zero exactly when a == -o, so it counts the symbols that
-    differ from -offset.
+    Over GF(2^e) it loops over the groups: XOR the e plane rows with the
+    offset's e words in one call, OR them into plane 0, popcount and add,
+    all into scratch buffers, and their plane views, kept between calls
+    with the same R.  Over odd p a + o is zero exactly when a == -o, so it
+    counts the symbols that differ from -offset.
     """
     scaled = F.np_mul[np.arange(F.q)[None, :, None], G[:, None, :]]  # (k, q, n)
-    if F.q != 4:
+    if F.p != 2:
 
         def symbol_weights(block: List[np.ndarray], offset: List[np.ndarray],
                            out: np.ndarray) -> None:
@@ -187,19 +188,21 @@ def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[List[np.ndarray], Callabl
             return flat_add.take(a.astype(np.uint16) * q + b, out=out)
 
         return [np.ascontiguousarray(scaled.transpose(2, 0, 1))], symbol_add, symbol_weights
-    T = pack_gf4(scaled)
+    e = F.degree
+    T = pack_planes(scaled, e)
     scratch: List = []
 
     def weights(block: List[np.ndarray], offset: List[np.ndarray], out: np.ndarray) -> None:
         if not scratch or scratch[0].shape != out.shape:
+            xys = {g.dtype: np.empty((e,) + out.shape, g.dtype) for g in T}
             scratch[:] = [np.empty(out.shape, np.uint8),
-                          {g.dtype: np.empty((2,) + out.shape, g.dtype) for g in T}]
+                          {dt: (xy, xy[0], list(xy[1:])) for dt, xy in xys.items()}]
         c, buffers = scratch
         for j, (words, o) in enumerate(zip(block, offset)):
-            xy = buffers[words.dtype]
+            xy, x, planes = buffers[words.dtype]
             np.bitwise_xor(words, o[:, None], out=xy)
-            x = xy[0]
-            np.bitwise_or(x, xy[1], out=x)
+            for plane in planes:
+                np.bitwise_or(x, plane, out=x)
             if j == 0:
                 np.bitwise_count(x, out=out)
             else:
@@ -421,6 +424,7 @@ def min_distance_sampled(
     seed: int = 0,
 ) -> DistanceReport:
     """Seeded random-message upper bound on the distance (exact=False)."""
+    trials, seed = as_index("trials", trials), as_index("seed", seed)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     F = code.spec.field

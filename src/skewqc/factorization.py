@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET, DEFAULT_OPEN_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, DEFAULT_OPEN_BUDGET, BudgetExceededError, as_index
 from .field import FieldSpec
 from .skewpoly import SkewPoly, right_divmod, x_pow_minus_one
 
@@ -119,9 +119,10 @@ def modulus_right_divisors(
     in ascending degree, lexicographic within a degree (x^0 coefficient
     varying fastest), on either path.
     """
+    s = as_index("s", s)
     if s < 1:
         raise ValueError("s must be positive")
-    degrees = range(s + 1) if degree is None else [degree]
+    degrees = range(s + 1) if degree is None else [as_index("degree", degree)]
     cost = _divisor_scan_cost(field, s, degrees)
     if cost > budget:
         raise BudgetExceededError("divisor scan too large", cost, budget)

@@ -35,7 +35,7 @@ from .distance import (
     min_distance,
     min_distance_sampled,
 )
-from .errors import DEFAULT_BUDGET as DEFAULT_DISTANCE_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET as DEFAULT_DISTANCE_BUDGET, BudgetExceededError, as_index
 from .factorization import _cofactor_divisors, _divisor_scan_cost, modulus_right_divisors
 from .field import FieldSpec, make_field
 from .notation import parse_coeff_string, poly_coeff_string
@@ -84,6 +84,10 @@ class SearchConfig:
     fs: str = ""
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is not None:  # g_degree_max may be None
+                object.__setattr__(self, name, as_index(name, value))
         if self.s < 1:
             raise ValueError("s must be positive")
         if self.s % self.m != 0:
@@ -118,6 +122,7 @@ class SearchConfig:
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(SearchConfig)}
 _STR_FIELDS = {name for name, kind in get_type_hints(SearchConfig).items() if kind is str}
+_INT_FIELDS = [name for name in _CONFIG_FIELDS if name not in _STR_FIELDS]
 
 
 def _parse_value(key: str, raw: str):
@@ -493,11 +498,14 @@ class RowReport:
         return body
 
 
-def _check_verify_args(budget: int, sample_trials: int, seed: int) -> None:
+def _check_verify_args(budget: int, sample_trials: int, seed: int) -> Tuple[int, int]:
+    """sample_trials and seed as Python ints, once they are checked."""
+    sample_trials, seed = as_index("sample_trials", sample_trials), as_index("seed", seed)
     if budget < 1 or sample_trials < 1:
         raise ValueError(f"budget {budget} and sample_trials {sample_trials} must be positive")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    return sample_trials, seed
 
 
 def verify_entry(
@@ -511,7 +519,7 @@ def verify_entry(
     DEFAULT_BUDGET = 2^26), otherwise sampled consistency over
     ``sample_trials`` codewords (no codeword below the claim).  Rows shipped
     as unverified transcriptions are reported, never asserted."""
-    _check_verify_args(budget, sample_trials, seed)
+    sample_trials, seed = _check_verify_args(budget, sample_trials, seed)
     t0 = time.perf_counter()
     name, n, k, d = entry.name, entry.n, entry.k, entry.d
     unverified = entry.note == "unverified-transcription"
@@ -564,7 +572,7 @@ def verify_table(
     """Re-check a batch of catalog rows (the whole catalog by default).
     ``workers`` must be 1."""
     _check_workers(workers)
-    _check_verify_args(budget, sample_trials, seed)
+    sample_trials, seed = _check_verify_args(budget, sample_trials, seed)
     rows = list(entries) if entries is not None else catalog()
     reports = []
     for entry in rows:

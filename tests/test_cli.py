@@ -443,6 +443,18 @@ def test_verify_table_family_filter(capsys):
     assert "failed" in out.splitlines()[-1]
 
 
+@pytest.mark.parametrize("flags", [["--name", "index2-l2-40-9-21", "--family", "new"],
+                                   ["--family", "new", "--name", "index2-l2-40-9-21"]])
+def test_verify_table_refuses_name_with_family(flags, capsys):
+    """--name picks rows by name and would drop --family unread; argparse
+    refuses the pair before any row is checked."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-table"] + flags)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument" in err
+
+
 @pytest.mark.parametrize("max_k", ["5", "-3"])
 def test_verify_table_empty_selection_is_an_error(max_k, capsys):
     """A selection with no row checks nothing, so it must not pass."""

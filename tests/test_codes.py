@@ -429,6 +429,17 @@ def test_spec_validation():
         CodeSpec(F, 4, (SkewPoly.one(F9),))
 
 
+def test_spec_takes_s_as_a_python_int():
+    """A numpy s becomes a Python int, so k and the q^k price of a scan are
+    Python ints too: np.int64 would wrap 4^40 to 0.  A float s is refused
+    with a ValueError naming s."""
+    code = build_code(F, np.int64(40), (parse_coeff_string(F, "1a1"),))
+    assert type(code.spec.s) is int and type(code.k) is int and code.k == 40
+    for s in (4.0, "4"):
+        with pytest.raises(ValueError, match="s must be an integer"):
+            CodeSpec(F, s, (SkewPoly.one(F),))
+
+
 def test_spec_reduces_generators_mod_modulus():
     f = parse_coeff_string(F, "1" + "0" * 5 + "1")  # x^6 + 1, degree 6 >= s
     spec = CodeSpec(F, 4, (f,))

@@ -1,3 +1,4 @@
+import math
 import random
 from types import SimpleNamespace
 
@@ -14,14 +15,16 @@ from skewqc.distance import (
     _enumerate_blocks,
     _gray_steps,
     _packed_rows,
+    _table_rows,
     min_distance,
     min_distance_sampled,
-    pack_gf4,
+    pack_planes,
     weight_enumerator,
 )
 from skewqc.errors import BudgetExceededError
 from skewqc.factorization import modulus_right_divisors
 from skewqc.field import gf4, make_field
+from skewqc.linalg import RowSpace
 from skewqc.notation import parse_coeff_string
 from skewqc.search import DEFAULT_SAMPLE_TRIALS
 from skewqc.skewpoly import SkewPoly
@@ -29,7 +32,17 @@ from skewqc.tables import get
 
 F = gf4()
 F9 = make_field(3, 1, 2)
-FIELDS = pytest.mark.parametrize("field", [F, F9], ids=["gf4", "gf9"])
+F2 = make_field(2, 1, 1)
+F8 = make_field(2, 1, 3)
+F16 = make_field(2, 1, 4)
+F256 = make_field(2, 1, 8)
+CHAR2 = (F2, F, F8, F16, F256)
+FIELDS = pytest.mark.parametrize(
+    "field", [F, F9, F2, F8, F16, F256], ids=["gf4", "gf9", "gf2", "gf8", "gf16", "gf256"]
+)
+# bit planes per symbol of the characteristic-2 fields GF(2), GF(4), GF(8),
+# GF(16) and GF(256)
+PLANES = (1, 2, 3, 4, 8)
 
 
 def rand_code(rng, s, l, field=F):
@@ -83,33 +96,33 @@ def word_dtypes(n):
     return [word_dtype(n, j) for j in range((n + 63) // 64)]
 
 
-def column_loop_pack_gf4(mat):
-    """Reference packing, one column at a time: word group j, shape
-    (2, ...), holds the lo and hi bits of symbols 64j .. 64j + 63 in
+def column_loop_pack_planes(mat, e):
+    """Reference packing, one column and one plane at a time: word group j,
+    shape (e, ...), holds bit b of symbols 64j .. 64j + 63 in its row b, in
     word_dtype(n, j)."""
     mat = np.asarray(mat, dtype=np.uint8)
     n = mat.shape[-1]
-    groups = [np.zeros((2,) + mat.shape[:-1], dtype=dt) for dt in word_dtypes(n)]
+    groups = [np.zeros((e,) + mat.shape[:-1], dtype=dt) for dt in word_dtypes(n)]
     for j in range(n):
-        w, b = divmod(j, 64)
+        w, i = divmod(j, 64)
         word = groups[w].dtype.type
-        bit = word(1) << word(b)
+        bit = word(1) << word(i)
         col = mat[..., j]
-        groups[w][0] |= np.where(col & 1, bit, word(0))
-        groups[w][1] |= np.where(col & 2, bit, word(0))
+        for b in range(e):
+            groups[w][b] |= np.where((col >> b) & 1, bit, word(0))
     return groups
 
 
-def unpack_gf4(groups, n):
-    """Inverse of pack_gf4: word groups, shape (2, ...), back to (..., n)
+def unpack_planes(groups, n):
+    """Inverse of pack_planes: word groups, shape (e, ...), back to (..., n)
     symbols."""
     assert [g.dtype for g in groups] == word_dtypes(n)
     out = np.zeros(groups[0].shape[1:] + (n,), dtype=np.uint8)
     for j in range(n):
-        w, b = divmod(j, 64)
+        w, i = divmod(j, 64)
         word = groups[w].dtype.type
-        lo, hi = (groups[w] >> word(b)) & word(1)
-        out[..., j] = lo | (hi << word(1))
+        for b, plane in enumerate((groups[w] >> word(i)) & word(1)):
+            out[..., j] |= (plane << word(b)).astype(np.uint8)
     return out
 
 
@@ -137,37 +150,43 @@ def gray_oracle(code):
 @pytest.mark.parametrize("n", [1, 8, 9, 31, 32, 33, 48, 64, 72, 130])
 @pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
 def test_pack_gf4_matches_column_loop(lead, n):
+    """pack_planes equals the column loop for every plane count in PLANES."""
     rng = np.random.default_rng(n)
-    mat = rng.integers(0, 4, size=lead + (n,)).astype(np.uint8)
-    got, want = pack_gf4(mat), column_loop_pack_gf4(mat)
-    assert len(got) == len(want) == (n + 63) // 64
-    for j, (g, w) in enumerate(zip(got, want)):
-        assert g.dtype == w.dtype == word_dtype(n, j)
-        assert g.shape == w.shape == (2,) + lead
-        assert g.flags.c_contiguous
-        assert np.array_equal(g, w)
+    for e in PLANES:
+        mat = rng.integers(0, 2**e, size=lead + (n,)).astype(np.uint8)
+        got, want = pack_planes(mat, e), column_loop_pack_planes(mat, e)
+        assert len(got) == len(want) == (n + 63) // 64
+        for j, (g, w) in enumerate(zip(got, want)):
+            assert g.dtype == w.dtype == word_dtype(n, j)
+            assert g.shape == w.shape == (e,) + lead
+            assert g.flags.c_contiguous
+            assert np.array_equal(g, w)
 
 
 def test_pack_unpack_round_trip():
     rng = np.random.default_rng(11)
-    for n in (1, 7, 8, 9, 32, 33, 64, 65, 130):
-        vec = rng.integers(0, 4, size=n).astype(np.uint8)
-        assert np.array_equal(unpack_gf4(pack_gf4(vec), n), vec)
+    for e in PLANES:
+        for n in (1, 7, 8, 9, 32, 33, 64, 65, 130):
+            vec = rng.integers(0, 2**e, size=n).astype(np.uint8)
+            assert np.array_equal(unpack_planes(pack_planes(vec, e), n), vec)
 
 
 def test_gf4_scale_matches_table():
-    """Each packed row T[i, lam], the column (i, lam) of every group of T,
-    unpacks to lam * G[i] by the mul table."""
+    """Over every characteristic-2 field, each packed row T[i, lam], the
+    column (i, lam) of every group of T, unpacks to lam * G[i] by the mul
+    table."""
     rng = np.random.default_rng(33)
-    for n in (5, 31, 32, 33, 64, 70, 130):
-        G = rng.integers(0, 4, size=(3, n)).astype(np.uint8)
-        T, _, _ = _packed_rows(F, G)
-        assert [g.shape for g in T] == [(2, 3, 4)] * ((n + 63) // 64)
-        assert [g.dtype for g in T] == word_dtypes(n)
-        for i in range(3):
-            for lam in range(4):
-                got = unpack_gf4([g[:, i, lam] for g in T], n)
-                assert np.array_equal(got, F.np_mul[lam][G[i]])
+    for field in CHAR2:
+        q, e = field.q, field.degree
+        for n in (5, 31, 32, 33, 64, 70, 130):
+            G = rng.integers(0, q, size=(3, n)).astype(np.uint8)
+            T, _, _ = _packed_rows(field, G)
+            assert [g.shape for g in T] == [(e, 3, q)] * ((n + 63) // 64)
+            assert [g.dtype for g in T] == word_dtypes(n)
+            got = unpack_planes(T, n)  # (3, q, n)
+            for i in range(3):
+                for lam in range(q):
+                    assert np.array_equal(got[i, lam], field.np_mul[lam][G[i]])
 
 
 @FIELDS
@@ -177,21 +196,22 @@ def test_packed_rows_weight_matches_count_nonzero(field):
     sizes it: uint8 up to n = 255, uint16 above.  Row 0 of G has no zero
     symbol, so the messages c * e_0 reach weight n: 255 fills the uint8
     range and 300 needs the wider one.  Over GF(4) the word groups follow
-    the width rule: n = 5 is one uint8 word, 32 one uint32 word, 72 a
-    uint64 and a uint8 word, and 100, 255 and 300 uint64 words only."""
+    the width rule over every characteristic-2 field: n = 5 is one uint8
+    word, 32 one uint32 word, 72 a uint64 and a uint8 word, and 100, 255
+    and 300 uint64 words only."""
     rng = np.random.default_rng(22)
     q = field.q
     for n in (5, 32, 64, 72, 100, 255, 300):
         G = rng.integers(0, q, size=(4, n)).astype(np.uint8)
         G[0] = rng.integers(1, q, size=n)
         T, add, weights = _packed_rows(field, G)
-        msgs = rng.integers(0, q, size=(50, 4))
+        msgs = rng.integers(0, q, size=(max(50, 2 * q), 4))  # holds the q - 1 messages c * e_0
         msgs[: q - 1] = [[c, 0, 0, 0] for c in range(1, q)]
         block = [g[:, 0, msgs[:, 0]] for g in T]
         for i in range(1, 4):
             block = [add(a, g[:, i, msgs[:, i]]) for a, g in zip(block, T)]
         block = [np.ascontiguousarray(a) for a in block]
-        if q == 4:
+        if field.p == 2:
             assert [g.dtype for g in block] == word_dtypes(n)
         for shift in (np.zeros(4, dtype=int), rng.integers(0, q, size=4)):
             offset = [g[:, 0, shift[0]] for g in T]
@@ -230,13 +250,21 @@ def test_rows_tables_and_offsets_share_the_word_dtypes(n):
 # ---------------------------------------------------------------------------
 
 
+def naive_sized(field, codes, seed):
+    """The codes whose q^k messages the naive count can list, at most 4^6,
+    then a random [10, k] MatrixCode with the largest such k, so that every
+    field checks at least one code."""
+    small = [code for code in codes if field.q**code.k <= 4**6]
+    return small + [MatrixCode(10, _table_rows(field.q, 4**6, 10), seed, field)]
+
+
 @FIELDS
 def test_weight_enumerator_matches_naive(field):
+    """Random codes, with s a multiple of m: 2 or 4 over GF(4) and GF(9)."""
     rng = random.Random(2024)
-    for _ in range(8):
-        code = rand_code(rng, rng.choice((2, 4)), rng.choice((1, 2)), field)
-        if field.q**code.k > 4**6:
-            continue
+    codes = [rand_code(rng, math.lcm(rng.choice((2, 4)), field.m), rng.choice((1, 2)), field)
+             for _ in range(8)]
+    for code in naive_sized(field, codes, seed=2024):
         we = weight_enumerator(code)
         assert we.counts == naive_distribution(code)
         assert we.total == field.q**code.k
@@ -246,10 +274,8 @@ def test_weight_enumerator_matches_naive(field):
 @FIELDS
 def test_min_distance_matches_naive(field):
     rng = random.Random(501)
-    for _ in range(8):
-        code = rand_code(rng, 4, 2, field)
-        if field.q**code.k > 4**6:
-            continue
+    codes = [rand_code(rng, math.lcm(4, field.m), 2, field) for _ in range(8)]
+    for code in naive_sized(field, codes, seed=501):
         ref = naive_distribution(code)
         d_ref = min(w for w in ref if w > 0)
         rep = min_distance(code)
@@ -268,26 +294,31 @@ def test_methods_agree_on_medium_code():
     assert weight_enumerator(code).counts == counts
 
 
-def multiword_code(s, l, k, seed):
-    """A GF(4) code [l*s, k] spanned by k shifts of (g, f_1*g, ...), with g
-    a degree-(s - k) right divisor of x^s - 1 and random multipliers."""
+def multiword_code(s, l, k, seed, field=F):
+    """A code [l*s, k], over GF(4) unless ``field`` says otherwise, spanned
+    by k shifts of (g, f_1*g, ...), with g a degree-(s - k) right divisor of
+    x^s - 1 and random multipliers."""
     rng = random.Random(seed)
-    divisors = modulus_right_divisors(F, s, degree=s - k)
+    divisors = modulus_right_divisors(field, s, degree=s - k)
     g = divisors[rng.randrange(len(divisors))]
-    fs = [SkewPoly(F, [rng.randrange(4) for _ in range(s)]) for _ in range(l - 1)]
-    return build_degenerate_code(F, s, g, fs)
+    fs = [SkewPoly(field, [rng.randrange(field.q) for _ in range(s)]) for _ in range(l - 1)]
+    return build_degenerate_code(field, s, g, fs)
 
 
 @pytest.mark.parametrize(
-    "s, l, words", [(36, 2, 2), (48, 3, 3), (96, 3, 5)], ids=["n72", "n144", "n288"]
+    "field, s, l, k, words",
+    [(F, 36, 2, 6, 2), (F, 48, 3, 6, 3), (F, 96, 3, 6, 5), (F8, 36, 2, 4, 2),
+     (F16, 48, 3, 3, 3)],
+    ids=["n72", "n144", "n288", "gf8-n72", "gf16-n144"],
 )
-def test_engine_matches_gray_oracle_on_multiword_rows(s, l, words):
+def test_engine_matches_gray_oracle_on_multiword_rows(field, s, l, k, words):
     """Rows of two, three and five words per bit plane: one uint64 word and
     a uint8 last word (n = 72), two and four uint64 words and a uint32 last
     word (n = 144, 288); n = 288 also takes the uint16 accumulator, and its
-    heaviest codewords weigh 288."""
-    code = multiword_code(s, l, 6, seed=s)
-    assert code.k == 6 and (code.n + 63) // 64 == words
+    heaviest codewords weigh 288.  Over GF(8) and GF(16) each word group
+    holds three and four planes."""
+    code = multiword_code(s, l, k, seed=s, field=field)
+    assert code.k == k and (code.n + 63) // 64 == words
     counts, d = gray_oracle(code)
     assert weight_enumerator(code).counts == counts
     rep = min_distance(code)
@@ -315,23 +346,29 @@ def test_engine_matches_gray_oracle_on_uint32_rows(s, l):
 
 
 class MatrixCode:
-    """A random [n, k] GF(4) code given only by its generator matrix: the
-    identity in k random columns, random symbols elsewhere.  It carries what
-    the engine and the oracles read of a code, and its n need not be l * s,
-    so n can sit on either side of every word-width boundary."""
+    """A random [n, k] code, over GF(4) unless ``field`` says otherwise,
+    given only by its generator matrix: the identity in k random columns,
+    random symbols elsewhere.  It carries what the engine and the oracles
+    read of a code, and its n need not be l * s, so n can sit on either side
+    of every word-width boundary."""
 
-    def __init__(self, n, k, seed):
+    def __init__(self, n, k, seed, field=F):
         rng = np.random.default_rng(seed)
-        G = rng.integers(0, 4, size=(k, n)).astype(np.uint8)
+        G = rng.integers(0, field.q, size=(k, n)).astype(np.uint8)
         G[:, rng.choice(n, size=k, replace=False)] = np.eye(k, dtype=np.uint8)
-        self.spec = SimpleNamespace(field=F)
+        self.spec = SimpleNamespace(field=field)
         self.genmatrix, self.k, self.n = G, k, n
 
     def encode(self, message):
+        field = self.spec.field
         word = np.zeros(self.n, dtype=np.uint8)
         for c, row in zip(message, self.genmatrix):
-            word = F.np_add[word, F.np_mul[c][row]]
+            word = field.np_add[word, field.np_mul[c][row]]
         return word
+
+    def is_codeword(self, vec):
+        rows = RowSpace(self.spec.field, [bytes(row) for row in self.genmatrix])
+        return rows.contains(bytes(list(vec)))
 
 
 # the last word of a plane widens from uint8 to uint32 after 8 symbols left
@@ -522,6 +559,29 @@ def test_budget_guard():
         weight_enumerator(code, budget=10)
 
 
+def test_numpy_block_length_is_priced_before_any_scan(monkeypatch):
+    """build_code with s = np.int64(40) gives a Python int k, so the scan
+    is priced at 4^40 and refused; int64 wrapped that price to 0, which
+    passed the budget check and started a 4^40-message scan."""
+
+    def no_scan(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(distance, "_enumerate_blocks", no_scan)
+    code = build_code(F, np.int64(40), (parse_coeff_string(F, "1a1"),))
+    assert distance.exact_cost(code) == 4**40
+    with pytest.raises(BudgetExceededError):
+        min_distance(code)
+
+
+@pytest.mark.parametrize("name, value", [("trials", 10.0), ("seed", 1.5), ("seed", "1")])
+def test_sampled_distance_refuses_non_integer_trials_and_seed(name, value):
+    code = build_code(F, 4, (parse_coeff_string(F, "1111"),))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        min_distance_sampled(code, **{"trials": 10, "seed": 0, name: value})
+    assert min_distance_sampled(code, trials=np.int64(10), seed=np.uint8(1)).enumerated == 10
+
+
 def test_sampled_distance_is_deterministic_upper_bound():
     code = build_code(
         F, 10, (parse_coeff_string(F, "1a011"), parse_coeff_string(F, "0a^2111"))
@@ -634,10 +694,6 @@ def test_sampled_distance_at_the_verify_defaults_is_pinned():
         2, 0, 0, 2, 0, 3, 1, 1, 0, 0, 1, 0, 0, 1, 0, 2, 2, 1, 2, 3
     ]
     assert int(np.count_nonzero(rep.witness)) == 78
-
-
-F8 = make_field(2, 1, 3)
-F16 = make_field(2, 1, 4)
 
 
 @pytest.mark.parametrize("field, s, coeffs, d, message", [

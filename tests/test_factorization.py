@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 from oracles import monic_polys, right_divisors
 
@@ -130,6 +131,24 @@ def test_right_divisors_budget_guard():
         modulus_right_divisors(F, 12, degree=6, budget=4**6 - 1)
     # degree 11 is priced at the 4^1 candidates of its degree-1 cofactors
     assert len(modulus_right_divisors(F, 12, degree=11, budget=100)) == 3
+
+
+def test_divisor_scan_prices_numpy_integers_before_any_scan(monkeypatch):
+    """s and degree go through operator.index: np.int64 arguments are priced
+    at 4^40 candidates and refused, where int64 wrapped the price to 0 and
+    the scan started; a float degree is refused with a ValueError."""
+
+    def no_scan(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(factorization, "_scan_modulus_divisors", no_scan)
+    with pytest.raises(BudgetExceededError) as exc:
+        modulus_right_divisors(F, np.int64(80), np.int64(40))
+    assert exc.value.required == 4**40
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        modulus_right_divisors(F, 8, 2.0)
+    with pytest.raises(ValueError, match="s must be an integer"):
+        modulus_right_divisors(F, 8.0, 2)
 
 
 def test_monic_polys_enumeration():

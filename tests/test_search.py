@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from skewqc import factorization, search
@@ -118,6 +119,22 @@ def test_config_validation():
         SearchConfig(s=8, g_degree_max=8)
     with pytest.raises(ValueError):
         SearchConfig(s=8, budget=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("trials", 2.0), ("budget", "8"), ("g_degree_max", 1.0), ("s", 4.0),
+])
+def test_config_refuses_non_integer_int_fields(field, value):
+    """Every int field goes through operator.index, so a seed of 1.5 no
+    longer waits for numpy's SeedSequence to fail mid-campaign."""
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SearchConfig(**{"s": 4, "budget": 8, "g_degree_max": 1, field: value})
+
+
+def test_config_takes_numpy_integers_as_python_ints():
+    config = SearchConfig(s=np.int64(8), seed=np.uint8(3), g_degree_max=np.int32(5))
+    assert config == SearchConfig(s=8, seed=3, g_degree_max=5)
+    assert all(type(getattr(config, name)) is int for name in ("s", "seed", "g_degree_max"))
 
 
 def test_degree_window():
@@ -508,6 +525,18 @@ def test_verify_rejects_negative_seed():
         verify_entry(sampled_row, seed=-1)
     with pytest.raises(ValueError, match="seed"):
         verify_table([exact_row, sampled_row], seed=-1, progress=lines.append)
+    assert lines == []
+
+
+@pytest.mark.parametrize("name, value", [("sample_trials", 10.0), ("seed", 1.5)])
+def test_verify_refuses_non_integer_trials_and_seed(name, value):
+    """Both calls refuse before building anything."""
+    entry = get("new-l3-72-21-29")
+    lines = []
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        verify_entry(entry, **{name: value})
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        verify_table([entry], progress=lines.append, **{name: value})
     assert lines == []
 
 

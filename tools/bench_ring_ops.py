@@ -30,16 +30,24 @@ OPS = ("products", "right_divisions", "left_divisions", "gcrd", "gcld", "lclm")
 SUMMED = ("products", "gcrd", "gcld", "lclm")
 
 
-def _load(tree: Path, seed: int):
-    """The ring operations of ``tree`` and its seeded pairs, by field."""
+def import_tree(tree: Path, *names: str) -> list:
+    """Fresh module objects of ``names``, imported from ``tree / "src"`` and
+    ``tree / "perfbench"``: every ``skewqc`` module and ``workloads`` that
+    is already imported is dropped first, so each tree gets its own, and
+    sys.path is restored afterwards."""
     for name in [n for n in sys.modules if n == "workloads" or n.split(".")[0] == "skewqc"]:
         del sys.modules[name]
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     try:
-        skewqc = importlib.import_module("skewqc")
-        pairs = importlib.import_module("workloads").ring_setup(seed)["pairs"]
+        return [importlib.import_module(name) for name in names]
     finally:
         del sys.path[:2]
+
+
+def _load(tree: Path, seed: int):
+    """The ring operations of ``tree`` and its seeded pairs, by field."""
+    skewqc, workloads = import_tree(tree, "skewqc", "workloads")
+    pairs = workloads.ring_setup(seed)["pairs"]
     calls = {
         "products": lambda a, b: (a * b, b * a),
         "right_divisions": skewqc.right_divmod,
