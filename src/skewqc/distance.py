@@ -1,6 +1,15 @@
-"""Exact weight enumerators and minimum distances by exhaustive enumeration.
+"""Weight enumerators and minimum distances: one weight kernel, two exact
+engines and a sampler.
 
-One engine serves every field.  It enumerates one representative per scalar
+One weight kernel (_packed_rows) serves every field and every engine.  The
+brute scan (_enumerate_blocks) serves min_distance, weight_enumerator and
+``skewqc distance``: it visits (q^k - 1)/(q - 1) rows, which ``exact-deep``
+checks, and a histogram needs them all.  Brouwer-Zimmermann
+(min_distance_bz) serves the exact d of campaigns and catalog checks
+(search._distance) when it is predicted cheaper, bz_cost(code) *
+BZ_COST_RATIO against the brute scan's rows.
+
+The brute scan serves every field.  It enumerates one representative per scalar
 orbit (first nonzero message digit pinned to 1), splitting the free rows into
 an inner table of q^ki precomputed combinations and an outer Gray walk; every
 batch of q^ki weights is histogrammed at once, and nonzero counts are
@@ -50,29 +59,42 @@ and the price is checked against the budget (default DEFAULT_BUDGET = 2^26)
 *before* any work starts (BudgetExceededError), so oversized requests fail
 fast instead of hanging; ``DistanceReport.enumerated`` counts the rows
 actually scanned.  ``min_distance_sampled`` draws seeded random messages and
-sums ceil(k/c) chunk tables per message instead of k single rows: chunk
-tables hold every combination of c consecutive rows (q^c <= CHUNK_TABLE_LIMIT),
-built by the same filler as the inner table, and a chunk's column is its c
-digits read in base q.  The result is a reproducible upper bound for codes
-beyond exhaustive reach.  The digits of a batch of b messages are exactly
+weighs each batch with _message_weigher, which sums ceil(k/c) chunk tables
+per message instead of k single rows: chunk tables hold every combination of
+c consecutive rows (q^c <= CHUNK_TABLE_LIMIT), built by the same filler as
+the inner table, and a chunk's column is its c digits read in base q.  The
+result is a reproducible upper bound for codes beyond exhaustive reach.  The
+digits of a batch of b messages are exactly
 ``Generator.integers(0, q, (b, k), dtype=np.uint8)``: when q = 2^e they
 are read straight from the generator's raw 64-bit outputs, the top e bits
 of each byte (low byte first), which is what that call returns; any other q
 calls it.
+
+Brouwer-Zimmermann (Betten et al., Error-Correcting Linear Codes, ch. 1;
+Grassl 2006) takes greedy disjoint information sets, each a systematic form
+from RowSpace with the columns no earlier set took first.  It weighs every
+message of weight 1, 2, ... in each set (first nonzero digit 1, in batches
+of at most SAMPLE_BATCH through _message_weigher) and stops when the
+lightest codeword found meets Zimmermann's bound, the sum over the sets of
+max(0, w + 1 - (k - r)), r the rank of the set's fresh columns.  Its report
+has method "bz", exact=True and ``enumerated`` = the codewords weighed.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .codes import CodeStructure
 from .errors import DEFAULT_BUDGET, BudgetExceededError, as_index
 from .field import FieldSpec
+from .linalg import RowSpace
 
 INNER_TABLE_LIMIT = 2**16
 # columns per weight-kernel call in the exact scan, and so the width of the
@@ -80,6 +102,11 @@ INNER_TABLE_LIMIT = 2**16
 # a 2 MiB L2 from one Gray step to the next; table-wide scratch would not fit
 SCAN_SPAN = 2**15
 SAMPLE_BATCH = 2**14
+# the time of one codeword that Brouwer-Zimmermann builds (weighed messages
+# and chunk-table columns) over that of one brute-scan row: the median over
+# the 294 candidates with k >= 4 of the s=12 l=2 trials=60 campaigns at
+# seeds 3-7 was 65 (quartiles 18 and 110; 67 at k = 10, 130 at k = 12)
+BZ_COST_RATIO = 64
 CHUNK_TABLE_LIMIT = 2**10
 
 
@@ -418,6 +445,60 @@ def _draw_messages(rng: np.random.Generator, q: int, b: int, k: int) -> np.ndarr
     return (data >> (8 - e)).reshape(b, k)
 
 
+def _chunks(q: int, k: int) -> List[Tuple[int, int]]:
+    """(first row, rows) of each chunk table of _message_weigher: runs of
+    c rows, c the largest value with q^c <= CHUNK_TABLE_LIMIT (>= 1, as
+    q <= 256), the last run shorter."""
+    c = _table_rows(q, CHUNK_TABLE_LIMIT, k)
+    return [(i, min(c, k - i)) for i in range(0, k, c)]
+
+
+def _message_weigher(F: FieldSpec, G: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
+    """weigh(digits, out): the weight of every message of a batch, for the
+    generator matrix G.  ``digits`` holds one contiguous row per message
+    digit, shape (k, b) with b <= SAMPLE_BATCH, and ``out`` (b,) any
+    integer dtype that holds n.
+
+    A message is summed from ceil(k/c) chunk tables, not k single rows:
+    chunk tables hold every combination of c consecutive rows
+    (q^c <= CHUNK_TABLE_LIMIT), built by the same filler as the inner table,
+    and a chunk's column is its c digits read in base q.  The sum goes
+    through the weight kernel of _packed_rows.  Scratch buffers are kept
+    from batch to batch while b stays the same."""
+    q = F.q
+    rows = _packed_rows(F, G)
+    T, add, weights = rows
+    # chunk (first, last, table): every combination of the rows first..last
+    chunks = [(first, first + count - 1, _combination_table(rows, first, count))
+              for first, count in _chunks(q, G.shape[0])]
+    zero = [np.zeros(g.shape[0], g.dtype) for g in T]
+    scratch: List = []
+
+    def weigh(digits: np.ndarray, out: np.ndarray) -> None:
+        b = out.shape[0]
+        if not scratch or scratch[2].shape[0] != b:
+            acc = [np.empty((g.shape[0], b), g.dtype) for g in chunks[0][2]]
+            scratch[:] = [acc, [np.empty_like(a) for a in acc], np.empty(b, dtype=np.uint16)]
+        acc, part, idx = scratch
+        for first, last, table in chunks:
+            # the column of this chunk's digits, by Horner's rule from its last row
+            np.copyto(idx, digits[last])
+            for i in range(last - 1, first - 1, -1):
+                np.multiply(idx, q, out=idx)
+                np.add(idx, digits[i], out=idx)
+            # every index is in range; mode="clip" spares the copy that the
+            # default mode="raise" makes of ``out``
+            for g, a, p in zip(table, acc, part):
+                if first == 0:
+                    np.take(g, idx, axis=1, out=a, mode="clip")
+                else:
+                    np.take(g, idx, axis=1, out=p, mode="clip")
+                    add(a, p, out=a)
+        weights(acc, zero, out)
+
+    return weigh
+
+
 def min_distance_sampled(
     code: CodeStructure,
     trials: int,
@@ -433,13 +514,7 @@ def min_distance_sampled(
     if k == 0:
         return DistanceReport(None, True, "empty", 0, elapsed=time.perf_counter() - t0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    rows = _packed_rows(F, code.genmatrix)
-    T, add, weights = rows
-    c = _table_rows(q, CHUNK_TABLE_LIMIT, k)  # >= 1: q <= 256
-    # chunk (first, last, table): every combination of the rows first..last
-    chunks = [(i, min(i + c, k) - 1, _combination_table(rows, i, min(c, k - i)))
-              for i in range(0, k, c)]
-    zero = [np.zeros(g.shape[0], g.dtype) for g in T]
+    weigh = _message_weigher(F, code.genmatrix)
     best = n + 1
     best_msg = None
     done = 0
@@ -449,26 +524,8 @@ def min_distance_sampled(
         msgs = _draw_messages(rng, q, b, k)
         done += b
         if w.shape[0] != b:
-            acc = [np.empty((g.shape[0], b), g.dtype) for g in chunks[0][2]]
-            part = [np.empty_like(a) for a in acc]
-            idx = np.empty(b, dtype=np.uint16)
             w = np.empty(b, dtype=np.min_scalar_type(n + 1))
-        digits = np.ascontiguousarray(msgs.T)  # one contiguous row per message digit
-        for first, last, table in chunks:
-            # the column of this chunk's digits, by Horner's rule from its last row
-            np.copyto(idx, digits[last])
-            for i in range(last - 1, first - 1, -1):
-                np.multiply(idx, q, out=idx)
-                np.add(idx, digits[i], out=idx)
-            # every index is in range; mode="clip" spares the copy that the
-            # default mode="raise" makes of ``out``
-            for g, a, p in zip(table, acc, part):
-                if first == 0:
-                    np.take(g, idx, axis=1, out=a, mode="clip")
-                else:
-                    np.take(g, idx, axis=1, out=p, mode="clip")
-                    add(a, p, out=a)
-        weights(acc, zero, w)
+        weigh(np.ascontiguousarray(msgs.T), w)  # one contiguous row per message digit
         # the rows of G are independent, so only the zero message weighs 0;
         # n + 1 keeps it out of the minimum
         w[w == 0] = n + 1
@@ -486,3 +543,184 @@ def min_distance_sampled(
         witness_message=best_msg,
         elapsed=time.perf_counter() - t0,
     )
+
+
+# ---------------------------------------------------------------------------
+# Brouwer-Zimmermann over greedy disjoint information sets
+
+
+def _weight_batches(q: int, k: int, w: int) -> Iterable[np.ndarray]:
+    """Every message of weight w whose first nonzero digit is 1, as digit
+    batches of shape (k, b), b <= SAMPLE_BATCH: the supports in
+    lexicographic order (itertools.combinations), and on each support the
+    (q - 1)^(w - 1) values of the other digits, the second digit fastest.
+    A weight that fits one batch is made once per (q, k, w) and kept, read
+    only, for the next code; larger ones are made batch by batch."""
+    if math.comb(k, w) * (q - 1) ** (w - 1) <= SAMPLE_BATCH:
+        return (_one_batch(q, k, w),)
+    return _batches(q, k, w)
+
+
+@functools.lru_cache(maxsize=64)
+def _one_batch(q: int, k: int, w: int) -> np.ndarray:
+    batch = next(_batches(q, k, w))
+    batch.flags.writeable = False
+    return batch
+
+
+def _batches(q: int, k: int, w: int) -> Iterator[np.ndarray]:
+    values = (q - 1) ** (w - 1)
+    place = (q - 1) ** np.arange(w - 1, dtype=np.int64)
+    per_batch = max(1, SAMPLE_BATCH // values)  # supports per batch
+    supports = itertools.combinations(range(k), w)
+    while True:
+        pos = np.array(list(itertools.islice(supports, per_batch)), dtype=np.intp).reshape(-1, w)
+        if not pos.shape[0]:
+            return
+        for u0 in range(0, values, SAMPLE_BATCH):
+            u = np.arange(u0, min(values, u0 + SAMPLE_BATCH), dtype=np.int64)
+            vals = np.ones((u.shape[0], w), dtype=np.uint8)
+            vals[:, 1:] = u[:, None] // place % (q - 1) + 1
+            b = pos.shape[0] * u.shape[0]
+            digits = np.zeros((k, b), dtype=np.uint8)
+            cols = np.arange(b)
+            at = np.repeat(pos, u.shape[0], axis=0)
+            val = np.tile(vals, (pos.shape[0], 1))
+            for t in range(w):
+                digits[at[:, t], cols] = val[:, t]
+            yield digits
+
+
+def _bz_bound(k: int, ranks: Sequence[int], done: Sequence[int]) -> int:
+    """Zimmermann's lower bound on the weight of any codeword not yet seen,
+    once set i has weighed every message of weight <= done[i]: the sum of
+    max(0, done[i] + 1 - (k - r_i)).  Such a codeword has more than done[i]
+    nonzero digits on set i's pivots, so at least done[i] + 1 - (k - r_i)
+    on the r_i of them that no earlier set took, and those columns are
+    disjoint from set to set."""
+    return sum(max(0, w + 1 - (k - r)) for r, w in zip(ranks, done))
+
+
+def _bz_steps(k: int, n: int, next_set: Callable[[int], int]) -> Iterator[Tuple]:
+    """The order of the walk: (set, weights to weigh there, ranks, weights
+    done per set after them).  Weight w = 1, 2, ... k goes over the sets in
+    order.  A set waits while w < k - r, where it would add nothing to the
+    bound, and on its first turn weighs every weight up to w, as the bound
+    needs.  Sets are made as the walk comes to need them: the next one,
+    ``next_set(left)`` with ``left`` columns not yet taken and returning its
+    rank r, once w >= k - min(k, left), the earliest weight at which it can
+    add to the bound; none after a set of rank 0."""
+    ranks: List[int] = []
+    done: List[int] = []
+    left = n
+    for w in range(1, k + 1):
+        while left and w >= k - min(k, left):
+            r = next_set(left)
+            if not r:
+                left = 0
+                break
+            ranks.append(r)
+            done.append(0)
+            left -= r
+        for i, r in enumerate(ranks):
+            if w >= k - r:
+                todo = range(done[i] + 1, w + 1)
+                done[i] = w
+                yield i, todo, ranks, done
+
+
+def _brouwer_zimmermann(
+    F: FieldSpec, G: np.ndarray, limit: int
+) -> Optional[Tuple[int, np.ndarray, int]]:
+    """Exact minimum distance of the full-rank (k, n) matrix G by
+    Brouwer-Zimmermann: (d, message, codewords examined), the message in
+    the basis of the reduced form of G, or None as soon as a batch would
+    take the count past ``limit``.
+
+    The information sets are greedy and disjoint.  Each one row-reduces G
+    with the columns that no earlier set took first (RowSpace's ``order``),
+    so r of its k pivots land among them and the other k - r among the
+    columns already taken; its systematic form S is the identity on its
+    pivots, in the original coordinates.  The first set takes the columns
+    left to right, so its S is the reduced form of G (G itself when G is
+    reduced, as genmatrix is).  The walk follows _bz_steps, and after each
+    step the scan stops once the lightest codeword found meets _bz_bound.
+    The first set has r = k, so at w = k it has seen every codeword."""
+    k, n = G.shape
+    rows = [bytes(r) for r in G]
+    fresh = list(range(n))
+    sets: List[Tuple[np.ndarray, List[int], Callable]] = []  # (S, pivots, weigh)
+
+    def next_set(left: int) -> int:
+        taken = set(fresh)
+        space = RowSpace(F, rows, fresh + [c for c in range(n) if c not in taken])
+        r = sum(c in taken for c in space.pivots)  # the first r pivots
+        if r:
+            S = np.frombuffer(b"".join(space.rows()), dtype=np.uint8).reshape(k, n)
+            sets.append((S, space.pivots, _message_weigher(F, S)))
+            used = set(space.pivots[:r])
+            fresh[:] = [c for c in fresh if c not in used]
+        return r
+
+    best, best_at, seen = n + 1, None, 0
+    out = np.empty(0)
+    for i, todo, ranks, done in _bz_steps(k, n, next_set):
+        for w in todo:
+            for digits in _weight_batches(F.q, k, w):
+                b = digits.shape[1]
+                if seen + b > limit:
+                    return None
+                seen += b
+                if out.shape[0] != b:
+                    out = np.empty(b, dtype=np.min_scalar_type(n))
+                sets[i][2](digits, out)
+                j = int(np.argmin(out))
+                if out[j] < best:
+                    best, best_at = int(out[j]), (i, digits[:, j].copy())
+        if best <= _bz_bound(k, ranks, done):
+            break
+    i, message = best_at
+    word = np.zeros(n, dtype=np.uint8)
+    for c, row in zip(message, sets[i][0]):
+        if c:
+            word = F.np_add[word, F.np_mul[c][row]]
+    return best, word[sets[0][1]], seen
+
+
+def bz_cost(code: CodeStructure) -> int:
+    """Codewords that Brouwer-Zimmermann is predicted to build on ``code``,
+    from n, k, q and the lightest genmatrix row alone, before any work:
+    the messages it weighs and the columns of each set's chunk tables.
+    Every set is taken to have the largest rank it can, min(k, columns
+    left), and the walk (_bz_steps) to run until its bound reaches that
+    row's weight.  0 for a zero code."""
+    F, k, n = code.spec.field, code.k, code.n
+    if not k:
+        return 0
+    q = F.q
+    upper = int(np.count_nonzero(code.genmatrix, axis=1).min())
+    tables = sum(q**count for _, count in _chunks(q, k))
+    cost = 0
+    for _, todo, ranks, done in _bz_steps(k, n, lambda left: min(k, left)):
+        cost += sum(math.comb(k, w) * (q - 1) ** (w - 1) for w in todo)
+        if todo.start == 1:  # the set's first turn: its chunk tables
+            cost += tables
+        if _bz_bound(k, ranks, done) >= upper:
+            break
+    return cost
+
+
+def min_distance_bz(code: CodeStructure, limit: int) -> Optional[DistanceReport]:
+    """Exact minimum distance with a witness by Brouwer-Zimmermann
+    (method "bz"; ``enumerated`` counts the codewords weighed), or None
+    when it would weigh more than ``limit`` codewords."""
+    F, k = code.spec.field, code.k
+    t0 = time.perf_counter()
+    if k == 0:
+        return DistanceReport(None, True, "empty", 0, elapsed=time.perf_counter() - t0)
+    found = _brouwer_zimmermann(F, code.genmatrix, limit)
+    if found is None:
+        return None
+    d, message, seen = found
+    return DistanceReport(d, True, "bz", seen, witness=code.encode(message),
+                          witness_message=message, elapsed=time.perf_counter() - t0)

@@ -14,11 +14,19 @@ for the field's characteristic, chosen by ``field.p``:
 Sizes in this package stay small (a few hundred columns, a few dozen rows),
 and both forms return the same unique reduced row echelon form; the tests
 compare the packed one with ``_rref_lists``.
+
+``order`` sets the order in which pivot columns are chosen: the rows are
+reduced with their columns taken in that order, as if permuted by it, and
+every row and pivot that ``RowSpace`` hands out is in the original
+coordinates.  Without it the columns are taken left to right.  The
+distance engine reads its information sets from it: the columns not yet
+used first, so that the pivots land there as far as their rank allows.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from operator import itemgetter
+from typing import List, Optional, Sequence, Tuple
 
 from .field import FieldSpec
 
@@ -27,25 +35,43 @@ class RowSpace:
     """The reduced row echelon basis of byte rows of length n over a field
     (n = 0 without rows: the empty basis spans only the zero vector).
 
-    ``pivots`` are the pivot columns in increasing order, ``rows()`` the
-    basis rows as bytes in pivot order, and ``contains`` tests a byte row for
-    membership in the span."""
+    ``pivots`` are the pivot columns in the order chosen (increasing
+    without ``order``), ``rows()`` the basis rows as bytes in pivot order,
+    and ``contains`` tests a byte row for membership in the span.  The basis
+    is kept in the permuted coordinates; ``rows()`` and ``contains`` map
+    between them and the original ones."""
 
-    def __init__(self, field: FieldSpec, rows: Sequence[bytes]):
+    def __init__(self, field: FieldSpec, rows: Sequence[bytes],
+                 order: Optional[Sequence[int]] = None):
         self.field = field
         self.n = len(rows[0]) if rows else 0
+        self._take = self._put = None  # column permutation and its inverse
+        if order is not None:
+            order = list(order)
+            if sorted(order) != list(range(self.n)):
+                raise ValueError(f"order must be a permutation of the {self.n} columns")
+            if order != sorted(order):  # so n >= 2 and each getter returns a tuple
+                inverse = sorted(range(self.n), key=order.__getitem__)
+                self._take, self._put = itemgetter(*order), itemgetter(*inverse)
+                rows = [bytes(self._take(r)) for r in rows]
         if field.p == 2:
-            self._basis, self.pivots = self._rref_packed([int.from_bytes(r, "little") for r in rows])
+            packed = [int.from_bytes(r, "little") for r in rows]
+            self._basis, self._pivots = self._rref_packed(packed)
         else:
-            mat, self.pivots = _rref_lists(field, rows)
-            self._basis = mat[: len(self.pivots)]
+            mat, self._pivots = _rref_lists(field, rows)
+            self._basis = mat[: len(self._pivots)]
+        self.pivots = self._pivots if self._take is None else [order[c] for c in self._pivots]
 
     def rows(self) -> List[bytes]:
         if self.field.p == 2:
-            return [r.to_bytes(self.n, "little") for r in self._basis]
-        return [bytes(r) for r in self._basis]
+            out = [r.to_bytes(self.n, "little") for r in self._basis]
+        else:
+            out = [bytes(r) for r in self._basis]
+        return out if self._put is None else [bytes(self._put(r)) for r in out]
 
     def contains(self, vec: bytes) -> bool:
+        if self._take is not None:
+            vec = bytes(self._take(vec))
         if self.field.p == 2:
             return not self._reduce_packed(int.from_bytes(vec, "little"))
         return len(_rref_lists(self.field, self._basis + [vec])[1]) == len(self.pivots)
@@ -61,7 +87,7 @@ class RowSpace:
     def _reduce_packed(self, v: int) -> int:
         """v minus its components along the basis: zero exactly when v lies
         in the span."""
-        for pc, row in zip(self.pivots, self._basis):
+        for pc, row in zip(self._pivots, self._basis):
             c = v >> 8 * pc & 255
             if c:
                 v ^= self._scaled(row, c)

@@ -29,10 +29,13 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .codes import CodeStructure, build_code, degenerate_tuple
 from .distance import (
+    BZ_COST_RATIO,
     DistanceReport,
     _check_workers,
+    bz_cost,
     exact_cost,
     min_distance,
+    min_distance_bz,
     min_distance_sampled,
 )
 from .errors import DEFAULT_BUDGET as DEFAULT_DISTANCE_BUDGET, BudgetExceededError, as_index
@@ -337,10 +340,24 @@ def export_records(records: Sequence[SearchRecord], fmt: str = "tsv") -> str:
 
 def _distance(code: CodeStructure, budget: int, trials: int, seed: int) -> DistanceReport:
     """Exact distance when exact_cost(code) = q^k fits the budget, otherwise
-    an upper bound from ``trials`` seeded random codewords."""
-    if exact_cost(code) <= budget:
-        return min_distance(code, budget=budget)
-    return min_distance_sampled(code, trials=trials, seed=seed)
+    an upper bound from ``trials`` seeded random codewords.
+
+    The exact distance comes from one of two engines, chosen by the code
+    alone before any work.  The brute scan visits R = (q^k - 1)/(q - 1)
+    rows; Brouwer-Zimmermann is predicted to weigh bz_cost(code) codewords,
+    each BZ_COST_RATIO times dearer than a row.  BZ runs when that is the
+    cheaper, with R / BZ_COST_RATIO codewords to spend, and hands over to
+    the brute scan if it runs out (the report is then the brute scan's, and
+    the codewords BZ weighed are not counted in it)."""
+    if exact_cost(code) > budget:
+        return min_distance_sampled(code, trials=trials, seed=seed)
+    q = code.spec.field.q
+    rows = (q**code.k - 1) // (q - 1)
+    if bz_cost(code) * BZ_COST_RATIO < rows:
+        report = min_distance_bz(code, limit=rows // BZ_COST_RATIO)
+        if report is not None:
+            return report
+    return min_distance(code, budget=budget)
 
 
 def _exhaustive_vectors(field: FieldSpec, s: int, count: int) -> Iterator[Tuple[SkewPoly, ...]]:

@@ -44,7 +44,11 @@ The arithmetic runs over the field's twisted rows, ``F.twisted_rows[r][c]``
 
 gcrd, gcld, lclm and lcrm build only the polynomials they return, made
 monic (and mapped back from the opposite ring) in the same pass, one
-``translate`` per residue class of the exponent (``_twisted``).
+``translate`` per residue class of the exponent (``_twisted``).  A left
+Euclid run maps f and g into the opposite ring with one ``_twisted`` call,
+and gcld maps its row r0 | a0 | b0 back with one more: the rows sit in
+slots whose width is a multiple of m, so a byte's residue mod m is its
+coefficient index's.
 
 ``SkewPoly(field, coeffs)`` is the one validating constructor: it takes any
 integer-like coefficients (numpy integers included) and rejects floats and
@@ -237,6 +241,13 @@ def _twisted(F: FieldSpec, cs: Sequence[int], c: int = 1, sign: int = 0) -> byte
     return out
 
 
+def _slot(F: FieldSpec, size: int) -> int:
+    """``size`` rounded up to a multiple of m: rows joined in slots of this
+    width keep each byte's index mod m equal to its coefficient's, so one
+    _twisted call maps them all."""
+    return -(-size // F.m) * F.m
+
+
 def _opposite_rows(F: FieldSpec):
     """The twisted rows of the opposite ring F[x; theta^-1]:
     rows[k][c][b] = c * theta^-k(b).  The map x^i c -> theta^-i(c) x^i takes
@@ -403,34 +414,42 @@ def left_divmod(g: SkewPoly, f: SkewPoly) -> Tuple[SkewPoly, SkewPoly]:
 
 def _euclid(
     F: FieldSpec, f: Sequence[int], g: Sequence[int], right: bool,
-    cofactors: int = 2, zero_row: bool = True,
+    cofactors: int = 2, zero_row: bool = True, back: bool = False,
 ) -> Tuple[Sequence[int], ...]:
     """Extended Euclid on the coefficient sequences f, g over F, with right
     division when ``right`` and otherwise left division, run as the right
     division of the images f', g' in the opposite ring (_opposite_rows).
 
     Returns the last two rows (r0, a0, b0, a1, b1), trimmed: bytes in
-    characteristic 2, lists otherwise.  On the right side a0*f + b0*g = r0,
-    a gcrd up to a unit, and a1*f + b1*g = 0, a common left multiple of
-    least degree.  On the left side the rows are opposite-ring images, which
-    ``_twisted(F, row, c, 1)`` maps back: f*a0 + g*b0 = r0 and
-    f*a1 + g*b1 = 0.  ``cofactors`` is how many of a, b are updated: 2 for
-    both, 1 for a alone (lclm and lcrm read only a1), 0 for r0 alone;
-    without ``zero_row`` the step that reaches r = 0 leaves a1, b1 as they
-    were (gcrd and gcld read only r0, a0, b0).  Rows not updated are
-    meaningless.
+    characteristic 2, lists otherwise (r0, a0, b0 bytes with ``back``).  On
+    the right side a0*f + b0*g = r0, a gcrd up to a unit, and
+    a1*f + b1*g = 0, a common left multiple of least degree.  On the left
+    side the rows are opposite-ring images, which ``_twisted(F, row, c, 1)``
+    maps back: f*a0 + g*b0 = r0 and f*a1 + g*b1 = 0.  ``cofactors`` is how
+    many of a, b are updated: 2 for both, 1 for a alone (lclm and lcrm read
+    only a1), 0 for r0 alone; without ``zero_row`` the step that reaches
+    r = 0 leaves a1, b1 as they were (gcrd and gcld read only r0, a0, b0).
+    Rows not updated are meaningless.  With ``back`` (left side) r0, a0
+    and b0 come mapped back and made monic, ``_twisted(F, row, c, 1)`` with
+    c the inverse of r0's lead, in one call over the row a0 | b0 | r0; only
+    the last two rows stay images.  f and g go into the opposite ring in
+    one call too.  Both calls join rows in slots of a multiple of m bytes
+    (_slot), so each byte's residue mod m is its coefficient index's.
 
     In characteristic 2 a row (r, a, b) is one int of three W-byte slots,
-    a lowest, W = len f + len g + 1 (no cofactor outgrows it, and the + 1
-    keeps a zero pair apart), or r alone (W = 0) without cofactors; such a
-    run computes all five rows.  In odd characteristic each step subtracts
-    the rows of _right_reduce's quotient terms from the cofactors."""
+    a lowest, W = len f + len g + 1 rounded up by _slot (no cofactor
+    outgrows it, and the + 1 keeps a zero pair apart), or r alone (W = 0)
+    without cofactors; such a run computes all five rows.  In odd
+    characteristic each step subtracts the rows of _right_reduce's quotient
+    terms from the cofactors."""
     if right:
         rows = F.twisted_rows
-    else:
-        rows, f, g = _opposite_rows(F), _twisted(F, f, 1, -1), _twisted(F, g, 1, -1)
+    else:  # f and g into the opposite ring with one _twisted, g in a slot from W
+        W = _slot(F, len(f))
+        fg = _twisted(F, bytes(f).ljust(W, b"\0") + bytes(g), 1, -1)
+        rows, f, g = _opposite_rows(F), fg[:len(f)], fg[W:]
     if F.p == 2:
-        W = len(f) + len(g) + 1 if cofactors else 0
+        W = _slot(F, len(f) + len(g) + 1) if cofactors else 0
         p0 = _from_bytes(f, "little") << 16 * W
         p1 = _from_bytes(g, "little") << 16 * W
         if cofactors:
@@ -438,6 +457,8 @@ def _euclid(
             p1 |= 1 << 8 * W  # b1 = 1
         p0, p1 = _packed_steps(F, rows, p0, p1, 2 * W)
         row0 = p0.to_bytes((p0.bit_length() + 7) >> 3, "little")
+        if back:
+            row0 = _twisted(F, row0, F.inv[row0[-1]], 1)
         row1 = p1.to_bytes((p1.bit_length() + 7) >> 3, "little")
         return (row0[2 * W:], row0[:W].rstrip(b"\0"), row0[W:2 * W].rstrip(b"\0"),
                 row1[:W].rstrip(b"\0"), row1[W:2 * W].rstrip(b"\0"))
@@ -454,6 +475,11 @@ def _euclid(
                             if xj:
                                 x0[kj] = sub[x0[kj]][row[xj]]
         r0, a0, b0, r1, a1, b1 = r1, a1, b1, r0, a0, b0
+    if back:
+        W = _slot(F, max(len(a0), len(b0)))
+        row = bytes(a0).ljust(W, b"\0") + bytes(b0).ljust(W, b"\0") + bytes(r0)
+        row = _twisted(F, row, F.inv[r0[-1]], 1)
+        r0, a0, b0 = row[2 * W:], row[:W].rstrip(b"\0"), row[W:2 * W].rstrip(b"\0")
     return r0, a0, b0, a1, b1
 
 
@@ -476,11 +502,8 @@ def gcld(f: SkewPoly, g: SkewPoly) -> ExtendedGcdResult:
         raise ValueError("gcld(0, 0) is undefined")
     f._check(g)
     F = f.field
-    r0, a0, b0, _, _ = _euclid(F, f._c, g._c, False, zero_row=False)
-    c = F.inv[r0[-1]]
-    return ExtendedGcdResult(_make(F, _twisted(F, r0, c, 1)),
-                             _make(F, _twisted(F, a0, c, 1)),
-                             _make(F, _twisted(F, b0, c, 1)))
+    r0, a0, b0, _, _ = _euclid(F, f._c, g._c, False, zero_row=False, back=True)
+    return ExtendedGcdResult(_make(F, r0), _make(F, a0), _make(F, b0))
 
 
 def gcld_many(polys: Iterable[SkewPoly]) -> SkewPoly:

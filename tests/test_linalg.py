@@ -112,3 +112,37 @@ def test_rref_keeps_one_row_per_input_row():
     # (0, a, a^2) and a times it: rank 1, the zero rows last
     assert _rref_lists(F, [[0, 0, 0], [0, 2, 3], [0, 3, 1]]) == (
         [[0, 1, 2], [0, 0, 0], [0, 0, 0]], [1])
+
+
+@pytest.mark.parametrize("name,spec", list(CHAR2.items()) + [("GF(9)", (3, 1, 2)), ("GF(3)", (3, 1, 1))])
+def test_column_order_chooses_the_pivots_in_the_original_coordinates(name, spec):
+    """RowSpace(field, rows, order) is the reduction of the rows with their
+    columns permuted by ``order``, mapped back: pivots are original columns
+    in the order chosen, each basis row is 1 on its pivot and 0 on the
+    others, the span is the same, and an identity order changes nothing."""
+    F = make_field(*spec)
+    rng = random.Random(name)
+    for _ in range(30):
+        k, n = rng.randint(1, 6), rng.randint(2, 14)
+        rows = [bytes(rng.randrange(F.q) for _ in range(n)) for _ in range(k)]
+        order = list(range(n))
+        rng.shuffle(order)
+        space = RowSpace(F, rows, order)
+        permuted = _checked_row_space(F, [[r[c] for c in order] for r in rows])
+        assert space.pivots == [order[c] for c in permuted.pivots]
+        assert space.rows() == [bytes(r[order.index(c)] for c in range(n)) for r in permuted.rows()]
+        for i, row in enumerate(space.rows()):
+            assert [row[c] for c in space.pivots] == [int(i == j) for j in range(len(space.pivots))]
+        plain = RowSpace(F, rows)
+        assert all(space.contains(r) and plain.contains(r) for r in rows + plain.rows())
+        assert all(plain.contains(r) for r in space.rows())
+        same = RowSpace(F, rows, range(n))
+        assert same.pivots == plain.pivots and same.rows() == plain.rows()
+
+
+def test_column_order_must_be_a_permutation():
+    F = make_field(2, 1, 2)
+    rows = [bytes([1, 2, 3])]
+    for order in ([0, 1], [0, 1, 1], [0, 1, 3]):
+        with pytest.raises(ValueError, match="permutation"):
+            RowSpace(F, rows, order)
