@@ -1,10 +1,10 @@
 """Weight enumerators and minimum distances: one weight kernel, two exact
 engines and a sampler.
 
-One weight kernel (_packed_rows) serves every field and every engine.  The
-brute scan (_enumerate_blocks) serves min_distance, weight_enumerator and
-``skewqc distance``: it visits (q^k - 1)/(q - 1) rows, which ``exact-deep``
-checks, and a histogram needs them all.  Brouwer-Zimmermann
+One weight kernel (_weight_kernel) serves every field and every engine.
+The brute scan (_enumerate_blocks) serves min_distance, weight_enumerator
+and ``skewqc distance``: it visits (q^k - 1)/(q - 1) rows, which
+``exact-deep`` checks, and a histogram needs them all.  Brouwer-Zimmermann
 (min_distance_bz) serves the exact d of campaigns and catalog checks
 (search._distance) when it is predicted cheaper, bz_cost(code) *
 BZ_COST_RATIO against the brute scan's rows.
@@ -59,10 +59,10 @@ and the price is checked against the budget (default DEFAULT_BUDGET = 2^26)
 *before* any work starts (BudgetExceededError), so oversized requests fail
 fast instead of hanging; ``DistanceReport.enumerated`` counts the rows
 actually scanned.  ``min_distance_sampled`` draws seeded random messages and
-weighs each batch with _message_weigher, which sums ceil(k/c) chunk tables
-per message instead of k single rows: chunk tables hold every combination of
-c consecutive rows (q^c <= CHUNK_TABLE_LIMIT), built by the same filler as
-the inner table, and a chunk's column is its c digits read in base q.  The
+sums each batch with _message_sums, ceil(k/c) chunk tables per message
+instead of k single rows: chunk tables hold every combination of c
+consecutive rows (q^c <= CHUNK_TABLE_LIMIT), built by the same filler as the
+inner table, and a chunk's column is its c digits read in base q.  The
 result is a reproducible upper bound for codes beyond exhaustive reach.  The
 digits of a batch of b messages are exactly
 ``Generator.integers(0, q, (b, k), dtype=np.uint8)``: when q = 2^e they
@@ -73,11 +73,21 @@ calls it.
 Brouwer-Zimmermann (Betten et al., Error-Correcting Linear Codes, ch. 1;
 Grassl 2006) takes greedy disjoint information sets, each a systematic form
 from RowSpace with the columns no earlier set took first.  It weighs every
-message of weight 1, 2, ... in each set (first nonzero digit 1, in batches
-of at most SAMPLE_BATCH through _message_weigher) and stops when the
-lightest codeword found meets Zimmermann's bound, the sum over the sets of
-max(0, w + 1 - (k - r)), r the rank of the set's fresh columns.  Its report
-has method "bz", exact=True and ``enumerated`` = the codewords weighed.
+message of weight 1, 2, ... in each set (first nonzero digit 1) and stops
+when the lightest codeword found meets Zimmermann's bound, the sum over the
+sets of max(0, w + 1 - (k - r)), r the rank of the set's fresh columns.
+The walk meets in the middle: each set splits its k message digits into a
+left and a right half, each with a table of every combination of its rows
+(_combination_table, at most INNER_TABLE_LIMIT columns), and a weight-w
+class is the pairs of a left class of weight a and a right class of weight
+w - a, the left one gathered with first digit 1 (or the zero vector for
+a = 0, against the right class with first digit 1).  Each pair is one call
+of the weight kernel, the left class as an offset with a column axis
+broadcast against the right class as the block, in chunks of at most
+SCAN_SPAN cells.  When the left half is too long for a table (GF(4) at
+k >= 17, say) its classes are digit batches summed through chunk tables.
+Its report has method "bz", exact=True and ``enumerated`` = the codewords
+weighed.
 """
 
 from __future__ import annotations
@@ -87,7 +97,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,10 +113,18 @@ INNER_TABLE_LIMIT = 2**16
 SCAN_SPAN = 2**15
 SAMPLE_BATCH = 2**14
 # the time of one codeword that Brouwer-Zimmermann builds (weighed messages
-# and chunk-table columns) over that of one brute-scan row: the median over
-# the 294 candidates with k >= 4 of the s=12 l=2 trials=60 campaigns at
-# seeds 3-7 was 65 (quartiles 18 and 110; 67 at k = 10, 130 at k = 12)
-BZ_COST_RATIO = 64
+# and half-table columns) over that of one brute-scan row, fitted together
+# with BZ_SET_COST: (2, 2^14) gave the least summed time of the engine choice
+# over the 294 candidates with k >= 4 of the s=12 l=2 trials=60 campaigns at
+# seeds 3-7 and the 26 exact catalog rows (0.287 s in-process; 0.323 s with
+# no set cost, 0.461 s at the earlier 64).  Measured alone a codeword cost a
+# median 3.4 rows on the k >= 12 rows, where bz_cost predicts a median 1.6
+# times the codewords built
+BZ_COST_RATIO = 2
+# what making one information set costs beyond its half tables, in
+# codewords: its row reduction, packed rows and tables took 139-202 us
+# (quartiles) on those campaign candidates, 10^4-10^5 of their brute rows
+BZ_SET_COST = 2**14
 CHUNK_TABLE_LIMIT = 2**10
 
 
@@ -181,7 +199,8 @@ def pack_planes(mat: np.ndarray, e: int) -> List[np.ndarray]:
 
 def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[List[np.ndarray], Callable, Callable]:
     """(T, add, weights): the table T[i, lam] = lam * G[i] as word groups
-    of shape (width, k, q), its addition and the weight kernel.
+    of shape (width, k, q), its addition and the weight kernel of
+    _weight_kernel.
 
     Characteristic 2: e bit planes.  Over GF(2^e) T is pack_planes of the
     scaled rows and ``add`` is XOR.  Odd p: symbols.  T is one group, the
@@ -189,24 +208,10 @@ def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[List[np.ndarray], Callabl
     flattened F.np_add.  ``add(a, b, out=None)`` acts elementwise on two
     groups, broadcasts and writes into ``out`` when given, so vectors and
     tables add group by group.
-
-    ``weights(block, offset, out)`` reads an R-wide table ``block`` and a
-    vector ``offset`` and writes the weight of each column of ``block +
-    offset`` into ``out`` (shape (R,), any integer dtype that holds n).
-    Over GF(2^e) it loops over the groups: XOR the e plane rows with the
-    offset's e words in one call, OR them into plane 0, popcount and add,
-    all into scratch buffers, and their plane views, kept between calls
-    with the same R.  Over odd p a + o is zero exactly when a == -o, so it
-    counts the symbols that differ from -offset.
     """
     scaled = F.np_mul[np.arange(F.q)[None, :, None], G[:, None, :]]  # (k, q, n)
+    weights = _weight_kernel(F, G.shape[1])
     if F.p != 2:
-
-        def symbol_weights(block: List[np.ndarray], offset: List[np.ndarray],
-                           out: np.ndarray) -> None:
-            np.add.reduce(block[0] != F.np_neg[offset[0]][:, None], axis=0, dtype=out.dtype,
-                          out=out)
-
         # one flat lookup; the index a*q + b < q^2 <= 65,536 fits uint16
         flat_add, q = F.np_add.reshape(-1), F.q
 
@@ -214,20 +219,55 @@ def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[List[np.ndarray], Callabl
                        out: Optional[np.ndarray] = None) -> np.ndarray:
             return flat_add.take(a.astype(np.uint16) * q + b, out=out)
 
-        return [np.ascontiguousarray(scaled.transpose(2, 0, 1))], symbol_add, symbol_weights
+        return [np.ascontiguousarray(scaled.transpose(2, 0, 1))], symbol_add, weights
+    return pack_planes(scaled, F.degree), np.bitwise_xor, weights
+
+
+def _weight_kernel(F: FieldSpec, n: int) -> Callable:
+    """The one weight kernel, for tables of _packed_rows over F with n
+    columns.
+
+    ``weights(block, offset, out)`` reads an R-wide table ``block`` and a
+    vector ``offset`` and writes the weight of each column of ``block +
+    offset`` into ``out`` (shape (R,), any integer dtype that holds n).
+    An offset may carry a column axis, groups (width, P): then ``out`` has
+    shape (P, R) and its cell (p, r) is the weight of offset column p plus
+    block column r, one broadcast.  Over GF(2^e) it loops over the groups:
+    XOR the e plane rows with the offset's e words in one call, OR them
+    into plane 0, popcount and add, all into scratch buffers, and their
+    plane views, kept for every shape of ``out`` seen, all views of one
+    flat buffer per dtype as wide as the widest ``out``.  Over odd p a + o
+    is zero exactly when a == -o, so it counts the symbols that differ from
+    -offset.
+    """
+    if F.p != 2:
+
+        def symbol_weights(block: List[np.ndarray], offset: List[np.ndarray],
+                           out: np.ndarray) -> None:
+            o = offset[0]
+            b = block[0] if o.ndim == 1 else block[0][:, None]
+            np.add.reduce(b != F.np_neg[o][..., None], axis=0, dtype=out.dtype, out=out)
+
+        return symbol_weights
     e = F.degree
-    T = pack_planes(scaled, e)
-    scratch: List = []
+    dtypes = set(_word_dtypes(n))
+    flat: List = []  # [counts, {dtype: planes}], flat buffers as wide as the widest out
+    scratch: Dict[Tuple[int, ...], Tuple] = {}  # out.shape -> (c, buffers), views of flat
 
     def weights(block: List[np.ndarray], offset: List[np.ndarray], out: np.ndarray) -> None:
-        if not scratch or scratch[0].shape != out.shape:
-            xys = {g.dtype: np.empty((e,) + out.shape, g.dtype) for g in T}
-            scratch[:] = [np.empty(out.shape, np.uint8),
-                          {dt: (xy, xy[0], list(xy[1:])) for dt, xy in xys.items()}]
-        c, buffers = scratch
+        found = scratch.get(out.shape)
+        if found is None:
+            size, shape = out.size, out.shape
+            if not flat or flat[0].shape[0] < size:
+                scratch.clear()
+                flat[:] = [np.empty(size, np.uint8), {dt: np.empty(e * size, dt) for dt in dtypes}]
+            xys = {dt: f[: e * size].reshape((e,) + shape) for dt, f in flat[1].items()}
+            found = scratch[shape] = (flat[0][:size].reshape(shape),
+                                      {dt: (xy, xy[0], list(xy[1:])) for dt, xy in xys.items()})
+        c, buffers = found
         for j, (words, o) in enumerate(zip(block, offset)):
             xy, x, planes = buffers[words.dtype]
-            np.bitwise_xor(words, o[:, None], out=xy)
+            np.bitwise_xor(words if o.ndim == 1 else words[:, None], o[..., None], out=xy)
             for plane in planes:
                 np.bitwise_or(x, plane, out=x)
             if j == 0:
@@ -236,7 +276,7 @@ def _packed_rows(F: FieldSpec, G: np.ndarray) -> Tuple[List[np.ndarray], Callabl
                 np.bitwise_count(x, out=c)
                 np.add(out, c, out=out)
 
-    return T, np.bitwise_xor, weights
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +321,10 @@ def _combination_table(rows: Tuple, first: int, count: int) -> List[np.ndarray]:
     first .. first + count - 1 of the _packed_rows table T: column u carries
     digit u % q on row first, (u // q) % q on the next, ...  Each group is
     filled in place, each row adding its nonzero multiples to the columns
-    so far (T[r, 0] is the zero row)."""
+    so far, as many multiples per broadcast as fill CHUNK_TABLE_LIMIT
+    columns and at least one: a small table takes one call per row, and
+    over odd p, whose addition is a lookup with an index of 8 bytes per
+    symbol, a call on a large table writes one multiple, as it must."""
     T, add, _ = rows
     q = T[0].shape[-1]
     table = []
@@ -290,8 +333,12 @@ def _combination_table(rows: Tuple, first: int, count: int) -> List[np.ndarray]:
         B[:, 0] = 0
         size = 1
         for r in range(first, first + count):
-            for lam in range(1, q):
-                add(B[:, :size], g[:, r, lam][:, None], out=B[:, lam * size : (lam + 1) * size])
+            step = max(1, CHUNK_TABLE_LIMIT // size)
+            for lo in range(1, q, step):
+                hi = min(q, lo + step)
+                # column lam * size + u is column u plus lam times row r
+                add(B[:, None, :size], g[:, r, lo:hi, None],
+                    out=B[:, lo * size : hi * size].reshape(-1, hi - lo, size))
             size *= q
         table.append(B)
     return table
@@ -446,36 +493,34 @@ def _draw_messages(rng: np.random.Generator, q: int, b: int, k: int) -> np.ndarr
 
 
 def _chunks(q: int, k: int) -> List[Tuple[int, int]]:
-    """(first row, rows) of each chunk table of _message_weigher: runs of
-    c rows, c the largest value with q^c <= CHUNK_TABLE_LIMIT (>= 1, as
+    """(first row, rows) of each chunk table of _message_sums: runs of c
+    rows, c the largest value with q^c <= CHUNK_TABLE_LIMIT (>= 1, as
     q <= 256), the last run shorter."""
     c = _table_rows(q, CHUNK_TABLE_LIMIT, k)
     return [(i, min(c, k - i)) for i in range(0, k, c)]
 
 
-def _message_weigher(F: FieldSpec, G: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
-    """weigh(digits, out): the weight of every message of a batch, for the
-    generator matrix G.  ``digits`` holds one contiguous row per message
-    digit, shape (k, b) with b <= SAMPLE_BATCH, and ``out`` (b,) any
-    integer dtype that holds n.
+def _message_sums(rows: Tuple, count: int) -> Callable[[np.ndarray], List[np.ndarray]]:
+    """sums(digits): the vectors of a batch of messages on the first
+    ``count`` rows of the _packed_rows table ``rows``, as word groups of
+    shape (width, b).  ``digits`` holds one contiguous row per message
+    digit, shape (count, b) with b <= SAMPLE_BATCH.
 
-    A message is summed from ceil(k/c) chunk tables, not k single rows:
-    chunk tables hold every combination of c consecutive rows
-    (q^c <= CHUNK_TABLE_LIMIT), built by the same filler as the inner table,
-    and a chunk's column is its c digits read in base q.  The sum goes
-    through the weight kernel of _packed_rows.  Scratch buffers are kept
-    from batch to batch while b stays the same."""
-    q = F.q
-    rows = _packed_rows(F, G)
-    T, add, weights = rows
+    A message is summed from ceil(count/c) chunk tables, not count single
+    rows: chunk tables hold every combination of c consecutive rows
+    (q^c <= CHUNK_TABLE_LIMIT), built by the same filler as the inner
+    table, and a chunk's column is its c digits read in base q.  The sums
+    are written into scratch buffers kept from batch to batch while b stays
+    the same, so they hold until the next call."""
+    T, add, _ = rows
+    q = T[0].shape[-1]
     # chunk (first, last, table): every combination of the rows first..last
-    chunks = [(first, first + count - 1, _combination_table(rows, first, count))
-              for first, count in _chunks(q, G.shape[0])]
-    zero = [np.zeros(g.shape[0], g.dtype) for g in T]
+    chunks = [(first, first + n - 1, _combination_table(rows, first, n))
+              for first, n in _chunks(q, count)]
     scratch: List = []
 
-    def weigh(digits: np.ndarray, out: np.ndarray) -> None:
-        b = out.shape[0]
+    def sums(digits: np.ndarray) -> List[np.ndarray]:
+        b = digits.shape[1]
         if not scratch or scratch[2].shape[0] != b:
             acc = [np.empty((g.shape[0], b), g.dtype) for g in chunks[0][2]]
             scratch[:] = [acc, [np.empty_like(a) for a in acc], np.empty(b, dtype=np.uint16)]
@@ -494,9 +539,9 @@ def _message_weigher(F: FieldSpec, G: np.ndarray) -> Callable[[np.ndarray, np.nd
                 else:
                     np.take(g, idx, axis=1, out=p, mode="clip")
                     add(a, p, out=a)
-        weights(acc, zero, out)
+        return acc
 
-    return weigh
+    return sums
 
 
 def min_distance_sampled(
@@ -514,7 +559,10 @@ def min_distance_sampled(
     if k == 0:
         return DistanceReport(None, True, "empty", 0, elapsed=time.perf_counter() - t0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    weigh = _message_weigher(F, code.genmatrix)
+    rows = _packed_rows(F, code.genmatrix)
+    T, _, weights = rows
+    sums = _message_sums(rows, k)
+    zero = [np.zeros(g.shape[0], g.dtype) for g in T]
     best = n + 1
     best_msg = None
     done = 0
@@ -525,7 +573,7 @@ def min_distance_sampled(
         done += b
         if w.shape[0] != b:
             w = np.empty(b, dtype=np.min_scalar_type(n + 1))
-        weigh(np.ascontiguousarray(msgs.T), w)  # one contiguous row per message digit
+        weights(sums(np.ascontiguousarray(msgs.T)), zero, w)  # one row per message digit
         # the rows of G are independent, so only the zero message weighs 0;
         # n + 1 keeps it out of the minimum
         w[w == 0] = n + 1
@@ -549,26 +597,12 @@ def min_distance_sampled(
 # Brouwer-Zimmermann over greedy disjoint information sets
 
 
-def _weight_batches(q: int, k: int, w: int) -> Iterable[np.ndarray]:
-    """Every message of weight w whose first nonzero digit is 1, as digit
-    batches of shape (k, b), b <= SAMPLE_BATCH: the supports in
-    lexicographic order (itertools.combinations), and on each support the
-    (q - 1)^(w - 1) values of the other digits, the second digit fastest.
-    A weight that fits one batch is made once per (q, k, w) and kept, read
-    only, for the next code; larger ones are made batch by batch."""
-    if math.comb(k, w) * (q - 1) ** (w - 1) <= SAMPLE_BATCH:
-        return (_one_batch(q, k, w),)
-    return _batches(q, k, w)
-
-
-@functools.lru_cache(maxsize=64)
-def _one_batch(q: int, k: int, w: int) -> np.ndarray:
-    batch = next(_batches(q, k, w))
-    batch.flags.writeable = False
-    return batch
-
-
 def _batches(q: int, k: int, w: int) -> Iterator[np.ndarray]:
+    """Every message of k digits of weight w >= 1 whose first nonzero digit
+    is 1, as digit batches of shape (k, b), b <= SAMPLE_BATCH: the supports
+    in lexicographic order (itertools.combinations), and on each support
+    the (q - 1)^(w - 1) values of the other digits, the second digit
+    fastest."""
     values = (q - 1) ** (w - 1)
     place = (q - 1) ** np.arange(w - 1, dtype=np.int64)
     per_batch = max(1, SAMPLE_BATCH // values)  # supports per batch
@@ -629,13 +663,87 @@ def _bz_steps(k: int, n: int, next_set: Callable[[int], int]) -> Iterator[Tuple]
                 yield i, todo, ranks, done
 
 
+def _halves(q: int, k: int) -> Tuple[int, int]:
+    """(left, right): Brouwer-Zimmermann splits the k message digits into
+    the first ``left`` and the last ``right``, right = ceil(k/2) while
+    q^right <= INNER_TABLE_LIMIT and fewer otherwise."""
+    right = _table_rows(q, INNER_TABLE_LIMIT, (k + 1) // 2)
+    return k - right, right
+
+
+@functools.lru_cache(maxsize=256)
+def _weight_class(q: int, count: int, a: int, first_one: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """(columns, digits): the columns of a q^count-wide combination table
+    whose digits have weight a >= 1 (and whose first nonzero digit is 1
+    when ``first_one``), ascending, and their digits, shape (count, P).
+    Made once per (q, count, a, first_one) and kept, read only."""
+    u = np.arange(q**count)
+    digits = np.stack([u // q**r % q for r in range(count)]).astype(np.uint8)
+    nonzero = digits != 0
+    keep = nonzero.sum(axis=0) == a
+    if first_one:
+        keep &= digits[nonzero.argmax(axis=0), u] == 1
+    columns = np.flatnonzero(keep)
+    picked = digits[:, columns]
+    columns.flags.writeable = picked.flags.writeable = False
+    return columns, picked
+
+
+def _class_pairs(F: FieldSpec, S: np.ndarray) -> Callable[[int], Iterator[Tuple]]:
+    """pairs(w) for one information set's systematic form S: every message
+    of weight w whose first nonzero digit is 1, once, as (offset, left
+    digits, block, right digits).
+
+    The digits split into halves (_halves).  The right half's messages come
+    from a table of every combination of its rows, the left half's from
+    another while q^left <= INNER_TABLE_LIMIT, and from _batches summed
+    through chunk tables (_message_sums) beyond.  A weight-w message is a
+    pair of weight a on the left and w - a on the right: for a > 0 the left
+    class a with first digit 1 against the whole right class w - a, for
+    a = 0 the zero vector against the right class w with first digit 1.
+    The offset holds the left class as word groups (width, P), the block
+    the right class as groups (width, R), and the digits are (left, P) and
+    (right, R).  A class is gathered from its table when first asked for
+    and kept for the next weight."""
+    q, k = F.q, S.shape[0]
+    left, right = _halves(q, k)
+    rows = _packed_rows(F, S)
+    T = rows[0]
+    zero = [np.zeros((g.shape[0], 1), g.dtype) for g in T]
+    zero_left, zero_right = (np.zeros((count, 1), np.uint8) for count in (left, right))
+    tables = [_combination_table(rows, 0, left) if q**left <= INNER_TABLE_LIMIT else None,
+              _combination_table(rows, left, right)]
+    sums = _message_sums(rows, left) if tables[0] is None else None
+    gathered: Dict[Tuple[int, int, bool], Tuple] = {}
+
+    def weight_class(side: int, a: int, first_one: bool) -> Tuple:
+        key = (side, a, first_one)
+        if key not in gathered:
+            columns, digits = _weight_class(q, (left, right)[side], a, first_one)
+            gathered[key] = ([np.take(g, columns, axis=1) for g in tables[side]], digits)
+        return gathered[key]
+
+    def pairs(w: int) -> Iterator[Tuple]:
+        for a in range(max(0, w - right), min(left, w) + 1):
+            block, right_digits = weight_class(1, w - a, a == 0) if w > a else (zero, zero_right)
+            if a == 0:
+                yield zero, zero_left, block, right_digits
+            elif sums is None:
+                yield weight_class(0, a, True) + (block, right_digits)
+            else:
+                for digits in _batches(q, left, a):
+                    yield sums(digits), digits, block, right_digits
+
+    return pairs
+
+
 def _brouwer_zimmermann(
     F: FieldSpec, G: np.ndarray, limit: int
 ) -> Optional[Tuple[int, np.ndarray, int]]:
     """Exact minimum distance of the full-rank (k, n) matrix G by
     Brouwer-Zimmermann: (d, message, codewords examined), the message in
-    the basis of the reduced form of G, or None as soon as a batch would
-    take the count past ``limit``.
+    the basis of the reduced form of G, or None as soon as a class pair
+    would take the count past ``limit``.
 
     The information sets are greedy and disjoint.  Each one row-reduces G
     with the columns that no earlier set took first (RowSpace's ``order``),
@@ -643,13 +751,16 @@ def _brouwer_zimmermann(
     columns already taken; its systematic form S is the identity on its
     pivots, in the original coordinates.  The first set takes the columns
     left to right, so its S is the reduced form of G (G itself when G is
-    reduced, as genmatrix is).  The walk follows _bz_steps, and after each
-    step the scan stops once the lightest codeword found meets _bz_bound.
-    The first set has r = k, so at w = k it has seen every codeword."""
+    reduced, as genmatrix is).  The walk follows _bz_steps; a weight is
+    weighed as the class pairs of _class_pairs, each one broadcast of the
+    weight kernel over the left class times the right class, in chunks of
+    at most SCAN_SPAN cells.  After each step the scan stops once the
+    lightest codeword found meets _bz_bound.  The first set has r = k, so
+    at w = k it has seen every codeword."""
     k, n = G.shape
     rows = [bytes(r) for r in G]
     fresh = list(range(n))
-    sets: List[Tuple[np.ndarray, List[int], Callable]] = []  # (S, pivots, weigh)
+    sets: List[Tuple[np.ndarray, List[int], Callable]] = []  # (S, pivots, pairs)
 
     def next_set(left: int) -> int:
         taken = set(fresh)
@@ -657,26 +768,34 @@ def _brouwer_zimmermann(
         r = sum(c in taken for c in space.pivots)  # the first r pivots
         if r:
             S = np.frombuffer(b"".join(space.rows()), dtype=np.uint8).reshape(k, n)
-            sets.append((S, space.pivots, _message_weigher(F, S)))
+            sets.append((S, space.pivots, _class_pairs(F, S)))
             used = set(space.pivots[:r])
             fresh[:] = [c for c in fresh if c not in used]
         return r
 
     best, best_at, seen = n + 1, None, 0
-    out = np.empty(0)
+    weights = _weight_kernel(F, n)
+    cells = np.empty(SCAN_SPAN, dtype=np.min_scalar_type(n))
     for i, todo, ranks, done in _bz_steps(k, n, next_set):
         for w in todo:
-            for digits in _weight_batches(F.q, k, w):
-                b = digits.shape[1]
-                if seen + b > limit:
+            for offset, left_digits, block, right_digits in sets[i][2](w):
+                P, R = left_digits.shape[1], right_digits.shape[1]
+                if seen + P * R > limit:
                     return None
-                seen += b
-                if out.shape[0] != b:
-                    out = np.empty(b, dtype=np.min_scalar_type(n))
-                sets[i][2](digits, out)
-                j = int(np.argmin(out))
-                if out[j] < best:
-                    best, best_at = int(out[j]), (i, digits[:, j].copy())
+                seen += P * R
+                per, span = max(1, SCAN_SPAN // R), min(R, SCAN_SPAN)
+                for p0 in range(0, P, per):
+                    o = [g[:, p0 : p0 + per] for g in offset]
+                    for r0 in range(0, R, span):
+                        b = [g[:, r0 : r0 + span] for g in block]
+                        out = cells[: o[0].shape[1] * b[0].shape[1]].reshape(o[0].shape[1], -1)
+                        weights(b, o, out)
+                        j = int(np.argmin(out))
+                        if out.flat[j] < best:
+                            p, r = divmod(j, out.shape[1])
+                            best = int(out.flat[j])
+                            best_at = (i, np.concatenate([left_digits[:, p0 + p],
+                                                          right_digits[:, r0 + r]]))
         if best <= _bz_bound(k, ranks, done):
             break
     i, message = best_at
@@ -690,7 +809,8 @@ def _brouwer_zimmermann(
 def bz_cost(code: CodeStructure) -> int:
     """Codewords that Brouwer-Zimmermann is predicted to build on ``code``,
     from n, k, q and the lightest genmatrix row alone, before any work:
-    the messages it weighs and the columns of each set's chunk tables.
+    the messages it weighs, the columns of each set's half tables (the
+    left half's chunk tables when it has no table) and BZ_SET_COST per set.
     Every set is taken to have the largest rank it can, min(k, columns
     left), and the walk (_bz_steps) to run until its bound reaches that
     row's weight.  0 for a zero code."""
@@ -699,12 +819,14 @@ def bz_cost(code: CodeStructure) -> int:
         return 0
     q = F.q
     upper = int(np.count_nonzero(code.genmatrix, axis=1).min())
-    tables = sum(q**count for _, count in _chunks(q, k))
+    left, right = _halves(q, k)
+    per_set = BZ_SET_COST + q**right + (q**left if q**left <= INNER_TABLE_LIMIT
+                                        else sum(q**count for _, count in _chunks(q, left)))
     cost = 0
     for _, todo, ranks, done in _bz_steps(k, n, lambda left: min(k, left)):
         cost += sum(math.comb(k, w) * (q - 1) ** (w - 1) for w in todo)
-        if todo.start == 1:  # the set's first turn: its chunk tables
-            cost += tables
+        if todo.start == 1:  # the set's first turn: making it
+            cost += per_set
         if _bz_bound(k, ranks, done) >= upper:
             break
     return cost
@@ -713,7 +835,11 @@ def bz_cost(code: CodeStructure) -> int:
 def min_distance_bz(code: CodeStructure, limit: int) -> Optional[DistanceReport]:
     """Exact minimum distance with a witness by Brouwer-Zimmermann
     (method "bz"; ``enumerated`` counts the codewords weighed), or None
-    when it would weigh more than ``limit`` codewords."""
+    when it would weigh more than ``limit`` codewords.  ``limit`` must be
+    a nonnegative integer (ValueError otherwise)."""
+    limit = as_index("limit", limit)
+    if limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
     F, k = code.spec.field, code.k
     t0 = time.perf_counter()
     if k == 0:

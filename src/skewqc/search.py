@@ -344,11 +344,12 @@ def _distance(code: CodeStructure, budget: int, trials: int, seed: int) -> Dista
 
     The exact distance comes from one of two engines, chosen by the code
     alone before any work.  The brute scan visits R = (q^k - 1)/(q - 1)
-    rows; Brouwer-Zimmermann is predicted to weigh bz_cost(code) codewords,
-    each BZ_COST_RATIO times dearer than a row.  BZ runs when that is the
-    cheaper, with R / BZ_COST_RATIO codewords to spend, and hands over to
-    the brute scan if it runs out (the report is then the brute scan's, and
-    the codewords BZ weighed are not counted in it)."""
+    rows; Brouwer-Zimmermann is predicted to build bz_cost(code) codewords
+    (messages weighed, half-table columns and a fixed BZ_SET_COST per
+    information set), each BZ_COST_RATIO times dearer than a row.  BZ runs
+    when that is the cheaper, with R / BZ_COST_RATIO codewords to spend, and
+    hands over to the brute scan if it runs out (the report is then the
+    brute scan's, and the codewords BZ weighed are not counted in it)."""
     if exact_cost(code) > budget:
         return min_distance_sampled(code, trials=trials, seed=seed)
     q = code.spec.field.q

@@ -4,6 +4,7 @@ tools/bench_distance_engines.py on this repository's tree."""
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import skewqc
 
@@ -30,10 +31,11 @@ bench_distance_engines = _load_tool()
 def test_sides_import_their_own_skewqc_and_agree_on_every_group():
     """Two loads of one tree, as for --parent and --change: each side gets
     its own skewqc and builds its own codes, and both sides' passes agree
-    on (d, exact) over a slice of every group.  sys.modules and sys.path
-    are restored afterwards, so later tests keep the skewqc they imported.
-    The groups are the five campaigns and the 26 exact catalog rows, and
-    the catalog rows all take the brute scan."""
+    on (d, exact), and on the codewords weighed where both ran BZ, over a
+    slice of every group.  sys.modules and sys.path are restored
+    afterwards, so later tests keep the skewqc they imported.  The groups
+    are the five campaigns and the 26 exact catalog rows, and the first 8
+    catalog rows take the brute scan once (k = 9) and BZ otherwise."""
     modules, path = dict(sys.modules), list(sys.path)
     try:
         sides = [bench_distance_engines.import_tree(ROOT, "skewqc")[0] for _ in range(2)]
@@ -48,8 +50,28 @@ def test_sides_import_their_own_skewqc_and_agree_on_every_group():
     assert list(groups[0]) == [f"campaign seed {s}" for s in range(3, 8)] + ["catalog exact rows"]
     assert len(groups[0]["catalog exact rows"]) == 26
     for name in groups[0]:
-        passes = [bench_distance_engines.run_group(side, g[name][:8])
+        passes = [bench_distance_engines.run_group(side, g[name][:8])[1]
                   for side, g in zip(sides, groups)]
-        assert passes[0][1] == passes[1][1] and all(exact for _, exact in passes[0][1])
+        found = [bench_distance_engines.answers(reports) for reports in passes]
+        assert found[0] == found[1] and all(exact for _, exact in found[0])
+        assert not bench_distance_engines.bz_mismatch(*passes)
         if name.startswith("catalog"):
-            assert passes[0][2] == {"blocks": 8}
+            assert [r.method for r in passes[0]] == ["blocks"] + ["bz"] * 7
+
+
+def _report(method, enumerated, elapsed=1.0):
+    return SimpleNamespace(method=method, enumerated=enumerated, elapsed=elapsed, d=1, exact=True)
+
+
+def test_bz_counts_must_agree_and_rates_are_per_engine():
+    """A code that both sides scored by BZ with different codeword counts
+    is a mismatch; one scored by BZ on one side only, or by the brute scan
+    on both, is not.  Rates are each engine's codewords over its seconds."""
+    mismatch = bench_distance_engines.bz_mismatch
+    assert mismatch([_report("bz", 5)], [_report("bz", 6)])
+    assert not mismatch([_report("bz", 5)], [_report("bz", 5)])
+    assert not mismatch([_report("bz", 5)], [_report("blocks", 21)])
+    assert not mismatch([_report("blocks", 20)], [_report("blocks", 21)])
+    reports = [_report("blocks", 300, 0.5), _report("bz", 40, 0.25), _report("bz", 60, 0.25),
+               _report("blocks", 100, 0.5)]
+    assert bench_distance_engines.rates(reports) == {"blocks": 400, "bz": 200}

@@ -4,8 +4,11 @@
 engine choice of ``search._distance``, and its d must equal the best weight
 of ``distance._enumerate_blocks`` on campaign candidates over GF(4), GF(9)
 and GF(8), on seeded random matrices whose later information sets are
-rank-deficient, and on the exact catalog rows with k <= 11.  The last tests
-pin the witness and the engine choice itself.
+rank-deficient, on the 26 exact catalog rows, and with the half-table limit
+made small so that the left half's classes come from digit batches.  The
+codewords it weighs are pinned to counts recorded before the walk weighed
+each weight class as one broadcast, which shows the message set unchanged.
+The last tests pin the witness, the limit and the engine choice itself.
 """
 
 import itertools
@@ -14,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from skewqc import search
+from skewqc import distance, search
 from skewqc.codes import build_code, degenerate_tuple
 from skewqc.distance import (
     BZ_COST_RATIO,
@@ -126,10 +129,87 @@ def _exact_rows(max_k):
 
 
 def test_bz_matches_the_brute_scan_on_exact_catalog_rows():
-    rows = _exact_rows(11)
-    assert len(rows) == 11
+    rows = _exact_rows(64)
+    assert len(rows) == 26
     for _, code in rows:
         _assert_same_d(code.spec.field, code.genmatrix)
+
+
+# the codewords that min_distance_bz weighs with no limit, counted when the
+# walk still summed every message through chunk tables: each message of
+# weight w whose first nonzero digit is 1, once, per set and weight walked
+ENUMERATED_ROWS = {
+    "index2-l2-40-9-21": 27306,
+    "index2-l2-40-10-20": 27580,
+    "index2-l2-40-11-19": 154550,
+    "index2-l2-40-12-18": 239121,
+    "index2-l2-44-12-20": 318828,
+    "index2-l2-48-11-24": 191972,
+    "index2-l2-48-12-23": 254676,
+    "index2-l2-48-13-22": 1339468,
+    "index2-l2-52-13-24": 505492,
+    "index2-l2-60-11-32": 464497,
+    "index34-l3-48-11-24": 191972,
+    "index34-l3-48-13-22": 1339468,
+    "index34-l3-54-13-26": 1339468,
+    "index34-l4-56-11-29": 202543,
+    "index34-l4-56-12-28": 847599,
+    "index34-l4-64-13-32": 1882829,
+    "nondegenerate-l3-30-10-14": 15015,
+    "nondegenerate-l3-36-12-16": 174969,
+    "nondegenerate-l4-40-10-20": 27580,
+    "nondegenerate-l4-48-12-23": 543360,
+    "large-index-l5-60-12-31": 1072131,
+    "large-index-l6-60-10-33": 102606,
+    "large-index-l6-72-12-38": 927306,
+    "large-index-l7-70-10-40": 109501,
+    "large-index-l8-96-12-54": 1984848,
+    "new-l2-48-12-24": 318828,
+}
+# the same for the seed-3 campaign's candidates that search._distance scored
+# by BZ then, by index among its nonzero codes
+ENUMERATED_SEED3 = {3: 290, 4: 222, 9: 290, 10: 155, 11: 420, 12: 290, 16: 2400, 17: 11,
+                    20: 420, 21: 10, 22: 420, 23: 290, 28: 187, 29: 420, 34: 420, 35: 290,
+                    40: 352, 42: 222, 43: 10, 46: 1837, 50: 290, 53: 10, 54: 352, 55: 187,
+                    58: 420, 59: 420}
+
+
+def test_bz_weighs_the_same_codewords_as_before():
+    """Each weight-w message with first digit 1, once: the counts are the
+    recorded ones on the 26 exact catalog rows and the seed-3 candidates."""
+    for name, code in _exact_rows(64):
+        assert min_distance_bz(code, NO_LIMIT).enumerated == ENUMERATED_ROWS[name], name
+    codes = _campaign_codes(CAMPAIGNS[0])
+    for i, count in ENUMERATED_SEED3.items():
+        assert min_distance_bz(codes[i], NO_LIMIT).enumerated == count, i
+
+
+@pytest.mark.parametrize("q", [2, 4, 9])
+def test_bz_without_a_left_table_matches_the_brute_scan(q, monkeypatch):
+    """With INNER_TABLE_LIMIT = q^2 the right half takes two rows and a
+    left half of three or more rows has no table: its classes are digit
+    batches summed through chunk tables.  d equals the brute scan's, the
+    count equals the one with both tables, and the witness is a word of
+    weight d."""
+    F, mats = _random_matrices(q, 28, 40)
+    cases = [(G, _enumerate_blocks(F, G, False)[1], _brouwer_zimmermann(F, G, NO_LIMIT)[2])
+             for G in mats if G.shape[0] >= 5]
+    assert len(cases) >= 8
+    batched = []
+    monkeypatch.setattr(distance, "INNER_TABLE_LIMIT", q**2)
+    real = distance._message_sums
+    monkeypatch.setattr(distance, "_message_sums",
+                        lambda rows, count: batched.append(count) or real(rows, count))
+    for G, best, seen in cases:
+        d, message, count = _brouwer_zimmermann(F, G, NO_LIMIT)
+        assert (d, count) == (best, seen)
+        word = np.zeros(G.shape[1], dtype=np.uint8)
+        reduced = np.frombuffer(b"".join(RowSpace(F, [bytes(r) for r in G]).rows()),
+                                dtype=np.uint8).reshape(G.shape)
+        for c, row in zip(message, reduced):
+            word = F.np_add[word, F.np_mul[c][row]]
+        assert np.count_nonzero(word) == d
+    assert batched and min(batched) >= 3
 
 
 def test_bz_witness_is_a_codeword_of_weight_d():
@@ -150,27 +230,54 @@ def test_bz_hands_over_when_it_runs_out_of_codewords():
     assert min_distance_bz(code, rep.enumerated).enumerated == rep.enumerated
 
 
+def test_bz_limit_is_a_nonnegative_integer():
+    """The limit goes through errors.as_index, like every parameter that
+    prices work: a string or a float is refused, not compared mid-walk."""
+    code = _campaign_codes(CAMPAIGNS[0])[0]
+    count = min_distance_bz(code, NO_LIMIT).enumerated
+    for bad in ("100", 1.5, -1):
+        with pytest.raises(ValueError, match="limit"):
+            min_distance_bz(code, bad)
+    assert min_distance_bz(code, np.int64(count)).enumerated == count
+    assert min_distance_bz(code, 0) is None
+
+
+def _rows(code):
+    q = code.spec.field.q
+    return (q**code.k - 1) // (q - 1)
+
+
 def test_distance_falls_back_to_the_brute_scan(monkeypatch):
     """A code predicted cheap for BZ whose allowance runs out is scanned by
     the brute scan, whose report comes back."""
-    code = next(c for c in _campaign_codes(CAMPAIGNS[0]) if c.k == 6)
-    q = code.spec.field.q
-    rows = (q**code.k - 1) // (q - 1)
-    assert rows // BZ_COST_RATIO < min_distance_bz(code, NO_LIMIT).enumerated
+    code = next(c for c in _campaign_codes(CAMPAIGNS[0])
+                if _rows(c) // BZ_COST_RATIO < min_distance_bz(c, NO_LIMIT).enumerated)
     monkeypatch.setattr(search, "bz_cost", lambda code: 0)
     rep = search._distance(code, DEFAULT_BUDGET, 10, 0)
-    assert rep.method == "blocks" and rep.enumerated == rows and rep.d == min_distance(code).d
+    assert rep.method == "blocks" and rep.enumerated == _rows(code)
+    assert rep.d == min_distance(code).d
+
+
+# the engine search._distance picks for each exact catalog row
+ENGINES = dict.fromkeys(ENUMERATED_ROWS, "bz") | {
+    "index2-l2-40-9-21": "blocks",
+    "large-index-l6-60-10-33": "blocks",
+    "large-index-l7-70-10-40": "blocks",
+}
 
 
 def test_engine_choice_is_pinned():
-    """The brute scan for every exact catalog row; BZ for the k = 12
-    candidates of the seed-3 campaign."""
+    """The pinned engine for every exact catalog row, BZ on every k = 12-13
+    row among them, and BZ for the k = 12 candidates of the seed-3
+    campaign."""
     rows = _exact_rows(64)
     assert len(rows) == 26
     for name, code in rows:
-        q = code.spec.field.q
-        assert bz_cost(code) * BZ_COST_RATIO >= (q**code.k - 1) // (q - 1), name
-        assert search._distance(code, DEFAULT_BUDGET, 10, 0).method == "blocks", name
+        rep = search._distance(code, DEFAULT_BUDGET, 10, 0)
+        assert rep.method == ENGINES[name], name
+        assert (bz_cost(code) * BZ_COST_RATIO < _rows(code)) == (rep.method == "bz"), name
+        if code.k >= 12:
+            assert rep.method == "bz" and rep.enumerated == ENUMERATED_ROWS[name], name
     twelve = [code for code in _campaign_codes(CAMPAIGNS[0]) if code.k == 12]
     assert len(twelve) == 10
     for code in twelve:

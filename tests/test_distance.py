@@ -198,7 +198,8 @@ def test_packed_rows_weight_matches_count_nonzero(field):
     range and 300 needs the wider one.  Over GF(4) the word groups follow
     the width rule over every characteristic-2 field: n = 5 is one uint8
     word, 32 one uint32 word, 72 a uint64 and a uint8 word, and 100, 255
-    and 300 uint64 words only."""
+    and 300 uint64 words only.  The two offsets, stacked on a column axis,
+    give both rows of weights in one (2, R) broadcast."""
     rng = np.random.default_rng(22)
     q = field.q
     for n in (5, 32, 64, 72, 100, 255, 300):
@@ -213,6 +214,7 @@ def test_packed_rows_weight_matches_count_nonzero(field):
         block = [np.ascontiguousarray(a) for a in block]
         if field.p == 2:
             assert [g.dtype for g in block] == word_dtypes(n)
+        offsets, outs = [], []
         for shift in (np.zeros(4, dtype=int), rng.integers(0, q, size=4)):
             offset = [g[:, 0, shift[0]] for g in T]
             for i in range(1, 4):
@@ -220,6 +222,8 @@ def test_packed_rows_weight_matches_count_nonzero(field):
             out = np.empty(len(msgs), dtype=np.min_scalar_type(n))
             assert out.dtype == (np.uint8 if n <= 255 else np.uint16)
             weights(block, offset, out)
+            offsets.append(offset)
+            outs.append(out)
             for m, w in zip(msgs, out):
                 word = [0] * n
                 for i in range(4):
@@ -228,6 +232,9 @@ def test_packed_rows_weight_matches_count_nonzero(field):
                 assert w == sum(1 for c in word if c)
             if not shift.any():
                 assert list(out[: q - 1]) == [n] * (q - 1)
+        both = np.empty((2, len(msgs)), dtype=np.min_scalar_type(n))
+        weights(block, [np.stack(o, axis=-1) for o in zip(*offsets)], both)
+        assert np.array_equal(both, np.stack(outs))
 
 
 @pytest.mark.parametrize("n", [72, 136])

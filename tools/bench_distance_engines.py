@@ -13,11 +13,16 @@ fits the default budget.  Each group of codes is timed through that side's
 ``search._distance`` at the default budget, best of ``--repeats`` runs,
 the two sides interleaved run by run (parent first on even runs) with the
 cyclic garbage collector off, so that both see the same machine.  The two
-sides must return the same (d, exact) for every code; the script stops
-with an error at the first group where they differ.  Prints one JSON
-object: per group its codes, each side's best seconds and the count of
-codes per engine (the report's ``method``), and the parent/change ratio.
-With ``--out`` the object is also written into that file under the key
+sides must return the same (d, exact) for every code, and the same
+``enumerated`` for every code that both scored by Brouwer-Zimmermann; the
+script stops with an error at the first group where they differ.  Prints
+one JSON object: per group its codes, each side's best seconds, the count
+of codes per engine (the report's ``method``), each engine's codewords per
+second in that side's fastest pass (its reports' ``enumerated`` over their
+``elapsed``: rows for ``blocks``, weighed messages for ``bz``), and the
+parent/change ratio.  The brute scan's rate over BZ's, on the group where
+both run codes of the same size, is the BZ_COST_RATIO it measures.  With
+``--out`` the object is also written into that file under the key
 ``in_process``, next to what ``tools/bench_pairs.py`` wrote there.
 """
 
@@ -70,12 +75,32 @@ def groups(skewqc) -> dict:
 
 
 def run_group(skewqc, codes: list) -> tuple:
-    """(seconds, [(d, exact)], Counter of methods) of one pass over codes."""
+    """(seconds, reports) of one pass over codes."""
     search = skewqc.search
     t0 = time.perf_counter()
     reports = [search._distance(code, search.DEFAULT_DISTANCE_BUDGET, 1, 0) for code in codes]
-    elapsed = time.perf_counter() - t0
-    return elapsed, [(r.d, r.exact) for r in reports], Counter(r.method for r in reports)
+    return time.perf_counter() - t0, reports
+
+
+def answers(reports: list) -> list:
+    """(d, exact) per report."""
+    return [(r.d, r.exact) for r in reports]
+
+
+def bz_mismatch(parent: list, change: list) -> bool:
+    """Whether a code that both sides scored by BZ weighed a different
+    number of codewords on each."""
+    return any(a.method == b.method == "bz" and a.enumerated != b.enumerated
+               for a, b in zip(parent, change))
+
+
+def rates(reports: list) -> dict:
+    """Codewords per second of each engine over ``reports``."""
+    seen, seconds = Counter(), Counter()
+    for r in reports:
+        seen[r.method] += r.enumerated
+        seconds[r.method] += r.elapsed
+    return {m: round(seen[m] / seconds[m]) for m in sorted(seen) if seconds[m] > 0}
 
 
 def main() -> int:
@@ -95,18 +120,23 @@ def main() -> int:
     try:
         for name in sides["parent"][1]:
             best = dict.fromkeys(SIDES, float("inf"))
-            answers, methods = {}, {}
+            fastest = {}  # side -> the reports of its fastest pass
             for run in range(args.repeats):
                 for side in SIDES if run % 2 == 0 else SIDES[::-1]:
                     skewqc, by_group = sides[side]
-                    elapsed, answers[side], methods[side] = run_group(skewqc, by_group[name])
-                    best[side] = min(best[side], elapsed)
-            if answers["parent"] != answers["change"]:
+                    elapsed, reports = run_group(skewqc, by_group[name])
+                    if elapsed < best[side]:
+                        best[side], fastest[side] = elapsed, reports
+            if answers(fastest["parent"]) != answers(fastest["change"]):
                 raise SystemExit(f"{name}: the sides' (d, exact) differ")
+            if bz_mismatch(fastest["parent"], fastest["change"]):
+                raise SystemExit(f"{name}: the sides' BZ codeword counts differ")
             result["groups"].append({
-                "group": name, "codes": len(answers["change"]),
+                "group": name, "codes": len(fastest["change"]),
                 "best_s": {side: round(best[side], 5) for side in SIDES},
-                "methods": {side: dict(sorted(methods[side].items())) for side in SIDES},
+                "methods": {side: dict(sorted(Counter(r.method for r in fastest[side]).items()))
+                            for side in SIDES},
+                "codewords_per_s": {side: rates(fastest[side]) for side in SIDES},
                 "ratio": round(best["parent"] / best["change"], 3)})
     finally:
         gc.enable()
