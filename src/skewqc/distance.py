@@ -27,6 +27,22 @@ ones, and n = 24 one 32-bit pass.  Over odd p there is one group, of n
 symbols.  So the row table T is a list of (width, k, q) groups, an R-wide
 table a list of (width, R) groups and an offset a list of (width,) groups.
 
+The scan packs only the columns whose symbols the message does not fix
+(_split_columns).  A column with at most one nonzero symbol, in row i,
+adds [m_i != 0] to the weight: the k pivot columns of genmatrix, which is
+reduced, or the identity of a systematic matrix.  Such columns are counted,
+not packed: a uint8 table over the inner columns holds the sum of the
+inner rows' multiplicities over their nonzero digits (_digit_weights), and
+the lead and outer rows' part is one integer per Gray step that shifts the
+step's weights and histogram.  Over GF(2^e), when one packed column fewer
+narrows the words (33 -> 32 or 65 -> 64 packed columns, say), one more
+column is weighed by table: q variants of that table, the one for symbol s
+adding [s + x != 0], x the column's symbol in the inner combination, and
+each step adds the variant of the symbol its lead and outer digits put
+there.  So a reduced GF(4) [48,15] packs 32 columns into uint32 words, not
+48 into uint64.  A matrix without such columns packs all n, with a zero
+table.
+
 The inner table is built once per code too: every combination of the last
 ki rows, ki the largest value with q^ki <= INNER_TABLE_LIMIT and ki <= k - 1.
 One loop walks the lead rows in order with one running histogram, best
@@ -43,12 +59,13 @@ with the offset's words, OR them, popcount, add; over odd p: compare with
 the negated offset and count), so a row two or three words wide costs
 two or three passes over contiguous memory, the last one as narrow as the
 rule allows.  The exact scan calls it once per span of SCAN_SPAN = 2^15
-columns of the lead's view, writing into that span of the weights, so the
-kernel's scratch is one span wide: at n = 48 a Gray step then touches the
-1 MiB table and 512 KiB of scratch, which stay in a 2 MiB L2 cache from one
-step to the next, where table-wide scratch (1 MiB more) made every step
-stream from L3.  The spans change no result: the histogram, minimum and
-stop test still run on the whole step's weights.  Exact-scan weights are
+columns of the lead's view, writing into that span of the weights and then
+adding the span of the counted-weight table, so the kernel's scratch is one
+span wide: at 64 packed columns a Gray step then touches the 1 MiB table
+and 512 KiB of scratch, which stay in a 2 MiB L2 cache from one step to the
+next, where table-wide scratch (1 MiB more) made every step stream from L3.
+The spans change no result: the histogram, minimum and stop test still run
+on the whole step's weights.  Exact-scan weights are
 counted in uint8 while n <= 255 and in uint16 above (np.min_scalar_type(n)),
 and the histogram and argmin run on those counts.  A full-space Gray walk
 over all q^k messages, the cross-check oracle, lives in the tests.
@@ -353,43 +370,117 @@ def _table_rows(q: int, limit: int, most: int) -> int:
     return r
 
 
+def _split_columns(F: FieldSpec, G: np.ndarray) -> Tuple[List[int], np.ndarray, Optional[int]]:
+    """(mults, packed, column): how the exact scan weighs the columns of G.
+
+    A column with at most one nonzero symbol, in row i, adds [m_i != 0] to
+    the weight of message m, so it is counted, not packed: ``mults[i]`` is
+    the number of such columns in row i (the k pivot columns of a reduced
+    G, the identity of a systematic one).  ``packed`` are the other
+    columns, in order, at least one.  Over GF(2^e), when one column fewer
+    narrows _word_dtypes (33 -> 32 or 65 -> 64 packed columns, say), the
+    last packed column is weighed by table instead and returned as
+    ``column``; otherwise ``column`` is None."""
+    nonzero = G != 0
+    counted = nonzero.sum(axis=0) <= 1
+    if counted.all():
+        counted[-1] = False
+    mults = nonzero[:, counted].sum(axis=1).tolist()
+    packed = np.flatnonzero(~counted)
+    m = packed.shape[0]
+    if F.p == 2 and m > 1 and _word_dtypes(m - 1) != _word_dtypes(m):
+        return mults, packed[:-1], int(packed[-1])
+    return mults, packed, None
+
+
+@functools.lru_cache(maxsize=64)
+def _digit_weights(q: int, mults: Tuple[int, ...]) -> np.ndarray:
+    """The q^len(mults)-wide table whose column u, digit u % q on the first
+    row, (u // q) % q on the next, ..., holds the sum of mults[r] over its
+    nonzero digits r: the Hamming weight of the digits when every mult is 1.
+    Filled like _combination_table, one broadcast per row; made once per
+    (q, mults) and kept, read only, in the narrowest dtype that holds it."""
+    table = np.zeros(q ** len(mults), dtype=np.min_scalar_type(sum(mults)))
+    size = 1
+    for m in mults:
+        table[size : q * size].reshape(q - 1, size)[:] = table[:size] + m
+        size *= q
+    table.flags.writeable = False
+    return table
+
+
+def _counted_tables(F: FieldSpec, mults: Sequence[int],
+                    column: Optional[Sequence[int]]) -> np.ndarray:
+    """The weight that the counted columns (_split_columns) add to each
+    column of the inner table, whose rows have multiplicities ``mults``:
+    shape (1, q^ki) without a table column, else (q, q^ki), whose row s
+    adds [s + x != 0], x the table column's symbol (``column`` on the inner
+    rows) in that combination, for s the symbol that the lead and outer
+    rows put there."""
+    q = F.q
+    counts = _digit_weights(q, tuple(mults))
+    if column is None:
+        return counts[None]
+    symbols = np.zeros(counts.shape[0], dtype=np.uint8)
+    size = 1
+    for g in column:  # a table column is over GF(2^e), where addition is XOR
+        np.bitwise_xor(symbols[None, :size], F.np_mul[1:, g][:, None],
+                       out=symbols[size : q * size].reshape(q - 1, size))
+        size *= q
+    # s + x != 0 exactly when x != -s
+    return np.add(counts, symbols != F.np_neg[:, None], dtype=np.min_scalar_type(sum(mults) + 1))
+
+
 def _enumerate_blocks(
     F: FieldSpec, G: np.ndarray, want_hist: bool, stop_at: int = 0
 ) -> Tuple[Optional[np.ndarray], int, Optional[np.ndarray], int]:
     """The one exact scan, over the messages whose first nonzero digit is 1
     (see the module docstring): (histogram-or-None, best weight, best
-    message, rows seen).  The rows table, ki and the inner table are made
-    once; each lead scans the inner view, span by span, once per step of its
-    Gray walk, and the scan returns as soon as the best weight is <= stop_at."""
+    message, rows seen).  The rows table of the packed columns, ki, the
+    inner table and its counted-weight tables are made once; each lead
+    scans the inner view, span by span, once per step of its Gray walk,
+    adding the table slice that the step's table-column symbol picks, and
+    the lead and outer rows' counted weight shifts the step's weights.  The
+    scan returns as soon as the best weight is <= stop_at."""
     k, n = G.shape
     q = F.q
-    rows = _packed_rows(F, G)
+    mults, packed, col = _split_columns(F, G)
+    symbol = [0] * k if col is None else G[:, col].tolist()
+    rows = _packed_rows(F, G[:, packed])
     T, add, weights = rows
     ki = _table_rows(q, INNER_TABLE_LIMIT, k - 1)
     inner = _combination_table(rows, k - ki, ki)
+    tables = _counted_tables(F, mults[k - ki :], None if col is None else symbol[k - ki :])
     hist = np.zeros(n + 1, dtype=np.int64) if want_hist else None
     best, best_msg, seen = n + 1, None, 0
     for lead in range(k):
         kl = min(ki, k - lead - 1)
         ko = k - lead - 1 - kl  # outer rows lead+1 .. lead+ko, inner rows after them
-        block = [g[:, :: q ** (ki - kl)] for g in inner]
+        stride = q ** (ki - kl)
+        block = [g[:, ::stride] for g in inner]
+        table = tables if stride == 1 else np.ascontiguousarray(tables[:, ::stride])
         w = np.empty(block[0].shape[1], dtype=np.min_scalar_type(n))
-        spans = [([g[:, a : a + SCAN_SPAN] for g in block], w[a : a + SCAN_SPAN])
-                 for a in range(0, w.shape[0], SCAN_SPAN)]
+        spans = [([g[:, a : a + SCAN_SPAN] for g in block], w[a : a + SCAN_SPAN],
+                  table[:, a : a + SCAN_SPAN]) for a in range(0, w.shape[0], SCAN_SPAN)]
         offset = [g[:, lead, 1] for g in T]
+        base, s = mults[lead], symbol[lead]  # the lead and outer rows' counted weight and symbol
         outer = [0] * ko
         for step in itertools.chain([None], _gray_steps(q, ko)):
             if step is not None:
                 j, old, new = step
                 outer[j] = new
-                offset = [add(o, g[:, lead + 1 + j, F.sub[new][old]]) for o, g in zip(offset, T)]
-            for span, out in spans:
+                r, delta = lead + 1 + j, F.sub[new][old]
+                offset = [add(o, g[:, r, delta]) for o, g in zip(offset, T)]
+                base += mults[r] * ((new != 0) - (old != 0))
+                s = F.add[s][F.mul[delta][symbol[r]]]
+            for span, out, tab in spans:
                 weights(span, offset, out)
+                np.add(out, tab[s], out=out)
             seen += w.shape[0]
             if want_hist:
-                part = np.bincount(w, minlength=n + 1)
-                hist[: part.shape[0]] += part
-            wmin = int(w.min())
+                part = np.bincount(w)
+                hist[base : base + part.shape[0]] += part
+            wmin = int(w.min()) + base
             if wmin < best:
                 idx = int(np.argmin(w))
                 inner_digits = [idx // q**u % q for u in range(kl)]
@@ -676,17 +767,16 @@ def _weight_class(q: int, count: int, a: int, first_one: bool) -> Tuple[np.ndarr
     """(columns, digits): the columns of a q^count-wide combination table
     whose digits have weight a >= 1 (and whose first nonzero digit is 1
     when ``first_one``), ascending, and their digits, shape (count, P).
-    Made once per (q, count, a, first_one) and kept, read only."""
-    u = np.arange(q**count)
-    digits = np.stack([u // q**r % q for r in range(count)]).astype(np.uint8)
-    nonzero = digits != 0
-    keep = nonzero.sum(axis=0) == a
+    The columns of weight a are read from the digit-weight table of
+    _digit_weights, and only their digits are made.  Made once per
+    (q, count, a, first_one) and kept, read only."""
+    columns = np.flatnonzero(_digit_weights(q, (1,) * count) == a)
+    digits = (columns // q ** np.arange(count)[:, None] % q).astype(np.uint8)
     if first_one:
-        keep &= digits[nonzero.argmax(axis=0), u] == 1
-    columns = np.flatnonzero(keep)
-    picked = digits[:, columns]
-    columns.flags.writeable = picked.flags.writeable = False
-    return columns, picked
+        keep = digits[(digits != 0).argmax(axis=0), np.arange(columns.shape[0])] == 1
+        columns, digits = columns[keep], digits[:, keep]
+    columns.flags.writeable = digits.flags.writeable = False
+    return columns, digits
 
 
 def _class_pairs(F: FieldSpec, S: np.ndarray) -> Callable[[int], Iterator[Tuple]]:
@@ -737,6 +827,19 @@ def _class_pairs(F: FieldSpec, S: np.ndarray) -> Callable[[int], Iterator[Tuple]
     return pairs
 
 
+def _reduced_pivots(G: np.ndarray) -> Optional[List[int]]:
+    """The pivot columns of G, ascending, when G is in reduced row echelon
+    form (each row's first nonzero symbol is a 1, further right than the
+    row above's, and the only nonzero symbol of its column), else None."""
+    k = G.shape[0]
+    nonzero = G != 0
+    pivots = nonzero.argmax(axis=1)
+    if (nonzero.any(axis=1).all() and (np.diff(pivots) > 0).all()
+            and np.array_equal(G[:, pivots], np.eye(k, dtype=G.dtype))):
+        return pivots.tolist()
+    return None
+
+
 def _brouwer_zimmermann(
     F: FieldSpec, G: np.ndarray, limit: int
 ) -> Optional[Tuple[int, np.ndarray, int]]:
@@ -750,26 +853,32 @@ def _brouwer_zimmermann(
     so r of its k pivots land among them and the other k - r among the
     columns already taken; its systematic form S is the identity on its
     pivots, in the original coordinates.  The first set takes the columns
-    left to right, so its S is the reduced form of G (G itself when G is
-    reduced, as genmatrix is).  The walk follows _bz_steps; a weight is
-    weighed as the class pairs of _class_pairs, each one broadcast of the
-    weight kernel over the left class times the right class, in chunks of
-    at most SCAN_SPAN cells.  After each step the scan stops once the
-    lightest codeword found meets _bz_bound.  The first set has r = k, so
+    left to right, so its S is the reduced form of G: when G is reduced
+    already, as genmatrix is, the first set takes G and its pivots
+    (_reduced_pivots) with no RowSpace reduction.  The walk follows
+    _bz_steps; a weight is weighed as the class pairs of _class_pairs, each
+    one broadcast of the weight kernel over the left class times the right
+    class, in chunks of at most SCAN_SPAN cells.  After each step the scan
+    stops once the lightest codeword found meets _bz_bound.  The first set has r = k, so
     at w = k it has seen every codeword."""
     k, n = G.shape
     rows = [bytes(r) for r in G]
     fresh = list(range(n))
     sets: List[Tuple[np.ndarray, List[int], Callable]] = []  # (S, pivots, pairs)
+    reduced = _reduced_pivots(G)
 
     def next_set(left: int) -> int:
         taken = set(fresh)
-        space = RowSpace(F, rows, fresh + [c for c in range(n) if c not in taken])
-        r = sum(c in taken for c in space.pivots)  # the first r pivots
-        if r:
+        if not sets and reduced is not None:
+            S, pivots = G, reduced  # what RowSpace returns for a reduced G
+        else:
+            space = RowSpace(F, rows, fresh + [c for c in range(n) if c not in taken])
             S = np.frombuffer(b"".join(space.rows()), dtype=np.uint8).reshape(k, n)
-            sets.append((S, space.pivots, _class_pairs(F, S)))
-            used = set(space.pivots[:r])
+            pivots = space.pivots
+        r = sum(c in taken for c in pivots)  # the first r pivots
+        if r:
+            sets.append((S, pivots, _class_pairs(F, S)))
+            used = set(pivots[:r])
             fresh[:] = [c for c in fresh if c not in used]
         return r
 

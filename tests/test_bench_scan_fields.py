@@ -34,7 +34,7 @@ def test_sides_import_their_own_skewqc_and_scan_every_field_alike():
     matrix agree over GF(8) (bit planes) and GF(9) (symbols).  sys.modules
     and sys.path are restored afterwards, so later tests keep the skewqc
     they imported.  The cases cover GF(2), 4, 8, 16, 32, 256 and GF(9) at
-    two lengths each."""
+    two lengths each, and GF(4) at two more that take a table column."""
     modules, path = dict(sys.modules), list(sys.path)
     try:
         sides = [bench_scan_fields.import_tree(ROOT, "skewqc.field", "skewqc.distance")
@@ -55,4 +55,4 @@ def test_sides_import_their_own_skewqc_and_scan_every_field_alike():
         assert rows == (p**(e * k) - 1) // (p**e - 1) and sum(hist) == rows
         assert d == min(w for w, c in enumerate(hist) if c) and len(message) == k
     fields = Counter(p**e for p, e, _, _ in bench_scan_fields.CASES)
-    assert fields == {2: 2, 4: 2, 8: 2, 16: 2, 32: 2, 256: 2, 9: 2}
+    assert fields == {2: 2, 4: 4, 8: 2, 16: 2, 32: 2, 256: 2, 9: 2}

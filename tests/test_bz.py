@@ -212,6 +212,75 @@ def test_bz_without_a_left_table_matches_the_brute_scan(q, monkeypatch):
     assert batched and min(batched) >= 3
 
 
+def weight_class_oracle(q, count, a, first_one):
+    """(columns, digits) of a weight class from the whole (count, q^count)
+    digit matrix of the combination table: the definition that
+    distance._weight_class had before it read its columns from the
+    digit-weight table."""
+    u = np.arange(q**count)
+    digits = np.stack([u // q**r % q for r in range(count)]).astype(np.uint8)
+    nonzero = digits != 0
+    keep = nonzero.sum(axis=0) == a
+    if first_one:
+        keep &= digits[nonzero.argmax(axis=0), u] == 1
+    columns = np.flatnonzero(keep)
+    return columns, digits[:, columns]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_weight_classes_match_the_digit_matrix_oracle(q):
+    """Every class of every half table size up to INNER_TABLE_LIMIT:
+    the same columns and digits, in the same dtypes and order, read only."""
+    for count in range(1, distance._table_rows(q, distance.INNER_TABLE_LIMIT, 64) + 1):
+        for a in range(1, count + 1):
+            for first_one in (False, True):
+                columns, digits = distance._weight_class(q, count, a, first_one)
+                want_columns, want_digits = weight_class_oracle(q, count, a, first_one)
+                assert columns.dtype == want_columns.dtype and digits.dtype == want_digits.dtype
+                assert np.array_equal(columns, want_columns)
+                assert np.array_equal(digits, want_digits)
+                assert not columns.flags.writeable and not digits.flags.writeable
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(distance, name)
+    monkeypatch.setattr(distance, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_bz_reduces_only_the_later_sets_of_a_reduced_matrix(monkeypatch):
+    """On a genmatrix, which is in reduced echelon form, the first set is G
+    itself: RowSpace runs once per later set, sets - 1 times.  On the same
+    code given by a non-reduced matrix (rows mixed by an invertible
+    matrix) it runs once per set.  d and the codewords weighed agree."""
+    codes = [code for code in _campaign_codes(CAMPAIGNS[0]) if code.k >= 6][:6]
+    codes += [name_code for _, name_code in _exact_rows(64)[:2]]
+    rng = np.random.default_rng(3)
+    for code in codes:
+        F, G = code.spec.field, code.genmatrix
+        k = G.shape[0]
+        assert distance._reduced_pivots(G) == RowSpace(F, [bytes(r) for r in G]).pivots
+        while True:
+            A = rng.integers(0, F.q, size=(k, k)).astype(np.uint8)
+            A[np.arange(k), np.arange(k)] = 0  # so no row of G survives alone
+            mixed = np.zeros_like(G)
+            for i in range(k):
+                for j in range(k):
+                    mixed[i] = F.np_add[mixed[i], F.np_mul[A[i, j]][G[j]]]
+            if len(RowSpace(F, [bytes(r) for r in mixed]).pivots) == k:
+                break
+        assert distance._reduced_pivots(mixed) is None
+        results = []
+        for matrix, skipped in ((G, 1), (mixed, 0)):
+            spaces = _count_calls(monkeypatch, "RowSpace")
+            sets = _count_calls(monkeypatch, "_class_pairs")
+            results.append(_brouwer_zimmermann(F, matrix, NO_LIMIT)[::2])
+            assert len(sets) >= 1 and len(spaces) == len(sets) - skipped
+            monkeypatch.undo()
+        assert results[0] == results[1]
+
+
 def test_bz_witness_is_a_codeword_of_weight_d():
     codes = _campaign_codes(CAMPAIGNS[0])[:12] + _campaign_codes(CAMPAIGNS[5])[:6]
     for code in codes:

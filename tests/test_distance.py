@@ -504,6 +504,157 @@ def test_scan_spans_change_nothing(monkeypatch, name):
         assert results[0][1:] == (10, [0, 1, 3, 0, 3, 0, 1, 3, 0, 3, 1, 2], 4456448)
 
 
+def scan_order_oracle(field, G, stop_at):
+    """(histogram, best weight, best message, rows) of the exact scan,
+    visiting its messages in its order (lead by lead, the outer rows by the
+    Gray walk, the inner digits of each step as one batch with the first
+    inner row's digit fastest) and weighing each codeword by
+    np.count_nonzero of its n symbols: no packed rows, inner table or
+    counted columns.  It stops after the first step whose best weight is
+    <= stop_at, as the scan does."""
+    q = field.q
+    k, n = G.shape
+    ki = _table_rows(q, distance.INNER_TABLE_LIMIT, k - 1)
+    steps = []  # the messages of each step, in order
+    for lead in range(k):
+        kl = min(ki, k - lead - 1)
+        ko = k - lead - 1 - kl
+        u = np.arange(q**kl)
+        inner = (u[:, None] // q ** np.arange(kl) % q).astype(np.uint8)
+        outer = [0] * ko
+        for step in [None] + list(_gray_steps(q, ko)):
+            if step is not None:
+                outer[step[0]] = step[2]
+            head = np.array([0] * lead + [1] + outer, dtype=np.uint8)
+            steps.append(np.concatenate([np.tile(head, (u.shape[0], 1)), inner], axis=1))
+    msgs = np.concatenate(steps)
+    words = np.zeros((msgs.shape[0], n), dtype=np.uint8)
+    for i in range(k):
+        words = field.np_add[words, field.np_mul[msgs[:, i][:, None], G[i][None, :]]]
+    weights = np.count_nonzero(words, axis=1)
+    best, best_msg, rows = n + 1, None, 0
+    for step in steps:
+        w = weights[rows : rows + step.shape[0]]
+        if w.min() < best:
+            best, best_msg = int(w.min()), step[int(np.argmin(w))].tolist()
+        rows += step.shape[0]
+        if best <= stop_at:
+            break
+    return np.bincount(weights[:rows], minlength=n + 1).tolist(), best, best_msg, rows
+
+
+def oracle_matrix(field, n, k, kind, seed):
+    """A seeded [n, k] generator matrix of one of four kinds: ``reduced``
+    (the reduced row echelon form of a random matrix),
+    ``systematic`` (the identity, then random symbols), ``nonsystematic``
+    (random symbols, no column of weight one) and ``two-in-a-row`` (a
+    systematic matrix whose row 1 has a second weight-one column and whose
+    last column is zero).  In the reduced one columns 1 and 2 are multiples
+    of column 0, so the pivots are 0, 3, 4, ... and row 0 has three
+    weight-one columns."""
+    rng = np.random.default_rng((seed, field.q, n, k))
+    if kind == "reduced":
+        while True:
+            R = rng.integers(0, field.q, size=(k, n)).astype(np.uint8)
+            R[:, 1:3] = field.np_mul[R[:, :1], rng.integers(1, field.q, size=(1, 2))]
+            space = RowSpace(field, [bytes(r) for r in R])
+            if len(space.pivots) == k:
+                return np.frombuffer(b"".join(space.rows()), dtype=np.uint8).reshape(k, n).copy()
+    G = rng.integers(0, field.q, size=(k, n)).astype(np.uint8)
+    while kind == "nonsystematic":
+        G[:2, np.count_nonzero(G, axis=0) <= 1] = 1
+        if len(RowSpace(field, [bytes(r) for r in G]).pivots) == k:
+            return G
+        G = rng.integers(0, field.q, size=(k, n)).astype(np.uint8)
+    G[:, :k] = np.eye(k, dtype=np.uint8)
+    if kind == "two-in-a-row":
+        G[:, k] = 0
+        G[1, k] = field.q - 1
+        G[:, -1] = 0
+    return G
+
+
+# (field, n, k): GF(4) [41,8] and [73,8], whose systematic matrices pack
+# 33 and 65 columns and so take a table column (the reduced and two-in-a-row
+# ones pack 31 and 63 and do not), and codes over GF(2), GF(8), GF(9) and
+# GF(16)
+ORACLE_SHAPES = {
+    "gf2-30-12": (F2, 30, 12), "gf4-41-8": (F, 41, 8), "gf4-73-8": (F, 73, 8),
+    "gf8-20-5": (F8, 20, 5), "gf9-14-5": (F9, 14, 5), "gf16-41-4": (F16, 41, 4),
+}
+ORACLE_KINDS = ("reduced", "systematic", "nonsystematic", "two-in-a-row")
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["default", "small-tables"])
+@pytest.mark.parametrize("kind", ORACLE_KINDS)
+@pytest.mark.parametrize("name", sorted(ORACLE_SHAPES))
+def test_scan_matches_the_oracles(monkeypatch, name, kind, small):
+    """The exact scan returns the scan-order oracle's histogram, best
+    weight, message and rows, exact and with stop_at = d + 2, and its
+    histogram times q - 1 is the Gray-walk oracle's weight distribution
+    (checked once per shape, on the systematic matrix with the default
+    tables).  With ``small`` the inner table holds two rows and a span 16
+    columns, so the outer Gray walk moves the table column's symbol and the
+    counted weight of the lead and outer rows from step to step."""
+    field, n, k = ORACLE_SHAPES[name]
+    G = oracle_matrix(field, n, k, kind, seed=len(name))
+    if small:
+        monkeypatch.setattr(distance, "INNER_TABLE_LIMIT", field.q**2)
+        monkeypatch.setattr(distance, "SCAN_SPAN", 16)
+    mults, packed, column = distance._split_columns(field, G)
+    counted = n - packed.shape[0] - (column is not None)
+    if kind == "nonsystematic":
+        assert counted == 0 and not any(mults)
+    else:  # every row has a weight-one column; two-in-a-row has one zero column
+        assert min(mults) >= 1 and sum(mults) == counted - (kind == "two-in-a-row")
+    if kind == "reduced":
+        assert mults[0] >= 3
+    if kind == "two-in-a-row":
+        assert mults[1] >= 2
+    if name in ("gf4-41-8", "gf4-73-8") and kind == "systematic":
+        assert column is not None and packed.shape[0] in (32, 64)
+    for stop_at in (0, _enumerate_blocks(field, G, False)[1] + 2):
+        hist, best, message, rows = _enumerate_blocks(field, G, True, stop_at)
+        assert (hist.tolist(), best, message.tolist(), rows) == scan_order_oracle(field, G, stop_at)
+    if kind == "systematic" and not small:
+        code = SimpleNamespace(spec=SimpleNamespace(field=field), genmatrix=G)
+        hist = _enumerate_blocks(field, G, True)[0]
+        counts = {w: int(c) * (field.q - 1) for w, c in enumerate(hist) if c} | {0: 1}
+        assert counts == gray_oracle(code)[0]
+
+
+def test_table_column_is_taken_only_where_the_words_narrow():
+    """A table column is taken over GF(2^e) exactly where one packed column
+    fewer changes the word dtypes, never over odd p, and every column is
+    counted but one when all have weight one."""
+    taken = []
+    for m in range(1, 140):
+        G = np.concatenate([np.eye(3, dtype=np.uint8), np.ones((3, m), np.uint8)], axis=1)
+        mults, packed, column = distance._split_columns(F, G)
+        assert mults == [1, 1, 1] and distance._split_columns(F9, G)[2] is None
+        if column is not None:
+            assert column == m + 2 and packed.tolist() == list(range(3, m + 2))
+            taken.append(m)
+    # uint8 -> uint32, uint32 -> uint64, one word -> two, and the last word
+    # of two: uint8 -> uint32 -> uint64, and two words -> three
+    assert taken == [9, 33, 65, 73, 97, 129, 137]
+    mults, packed, column = distance._split_columns(F, np.eye(4, dtype=np.uint8))
+    assert (mults, packed.tolist(), column) == ([1, 1, 1, 0], [3], None)
+
+
+def test_digit_weights_sum_the_multiplicities_of_nonzero_digits():
+    for q, mults in ((2, (1, 3, 0, 2)), (4, (2, 1, 1)), (9, (1, 0, 4))):
+        table = distance._digit_weights(q, mults)
+        u = np.arange(q ** len(mults))
+        expect = sum(m * (u // q**r % q != 0) for r, m in enumerate(mults))
+        assert np.array_equal(table, expect) and not table.flags.writeable
+    # a table column's variants add one more: 255 counted columns and the
+    # table column weigh 256, past uint8
+    tables = distance._counted_tables(F, [255], [1])
+    assert tables.dtype == np.uint16 and tables.shape == (4, 4)
+    assert tables[0].tolist() == [0, 256, 256, 256] and tables[1].tolist() == [1, 255, 256, 256]
+
+
 def test_workers_do_not_change_the_answer():
     code = build_code(
         F, 10, (parse_coeff_string(F, "1a011"), parse_coeff_string(F, "0a^2111"))

@@ -31,11 +31,12 @@ import numpy as np
 from bench_ring_ops import import_tree
 
 SIDES = ("parent", "change")
-# (p, e, n, k): two lengths per field; each scan visits (q^k - 1)/(q - 1)
-# rows, 0.6 to 18 million
+# (p, e, n, k): two lengths per field, and GF(4) [41,8] and [73,8], whose
+# 33 and 65 non-pivot columns pack as 32 and 64 with one column weighed by
+# table; each scan visits (q^k - 1)/(q - 1) rows, 0.02 to 18 million
 CASES = (
     (2, 1, 48, 22), (2, 1, 100, 20),
-    (2, 2, 48, 12), (2, 2, 72, 11),
+    (2, 2, 48, 12), (2, 2, 72, 11), (2, 2, 41, 8), (2, 2, 73, 8),
     (2, 3, 48, 8), (2, 3, 100, 8),
     (2, 4, 48, 6), (2, 4, 72, 7),
     (2, 5, 48, 5), (2, 5, 72, 5),
